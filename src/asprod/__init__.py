@@ -26,6 +26,7 @@ from .semantics import (
     Out,
     OutNode,
     PeriodicWord,
+    SamplerLimitError,
     Trace,
     UNIFORM,
     Unfold,
@@ -45,7 +46,6 @@ from .ppda import (
     is_outputting,
     observable_distribution,
     ppda_step,
-    sample_ppda_run,
     translate,
 )
 from .eqsys import (

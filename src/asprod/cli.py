@@ -6,9 +6,10 @@ Subcommands: `check` runs the full three-tier decision per definition,
 solutions and head classifications.
 
 Exit codes for `check`: 0 all ASP, 1 some definition is not ASP, 2 some
-verdict is Unknown, 3 input errors.  JSON reports are byte-deterministic for
-fixed inputs, flags and seed; wall-clock timings appear only in the human-
-readable output.
+verdict is Unknown, 3 input errors, including a definition too large for the
+Monte Carlo sampler (the other definitions are still reported).  JSON
+reports are byte-deterministic for fixed inputs, flags and seed; wall-clock
+timings appear only in the human-readable output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -41,7 +41,7 @@ from .eqsys import (
 )
 from .measure import measure
 from .ppda import export, translate
-from .semantics import McReport, monte_carlo, parse_policy
+from .semantics import McReport, SamplerLimitError, monte_carlo, parse_policy
 from .syntax import ParseError, parse_file
 from .terms import Definition
 
@@ -89,20 +89,17 @@ def _load(paths: list[str]) -> tuple[list[tuple[str, Definition]], bool]:
 
 
 def _config_from_args(args) -> AnalyzerConfig:
-    smt = getattr(args, "smt_solver", None) or smt_solver_from_env()
-    policy = None
-    if getattr(args, "tree_policy", None):
-        policy = parse_policy(args.tree_policy)
+    """The analyzer configuration of `check`'s flags."""
     return AnalyzerConfig(
         epsilon=args.epsilon,
         max_iter=args.max_iter,
         mc_runs=args.mc_runs,
         mc_horizon=args.mc_horizon,
         seed=args.seed,
-        run_tier3=not getattr(args, "no_tier3", False),
-        force_tier3=getattr(args, "force_tier3", False),
-        smt_solver=smt,
-        tree_policy=policy,
+        run_tier3=not args.no_tier3,
+        force_tier3=args.force_tier3,
+        smt_solver=args.smt_solver or smt_solver_from_env(),
+        tree_policy=parse_policy(args.tree_policy) if args.tree_policy else None,
     )
 
 
@@ -168,7 +165,7 @@ def _verdict_json(d: Definition, v: Verdict) -> dict:
         "tier1": v.tier1.value,
         "tier": v.tier.value,
         "verdict": v.result.value,
-        "tier2": _tier2_json(v.tier2) if v.tier2 is not None else None,
+        "tier2": _tier2_json(v.tier2),
         "tier3": _mc_json(v.mc) if v.mc is not None else None,
     }
 
@@ -181,29 +178,27 @@ def cmd_check(args) -> int:
     defs, had_error = _load(args.files)
     config = _config_from_args(args)
 
-    def analyze(item):
-        path, d = item
+    results = []
+    for path, d in defs:
         start = time.perf_counter()
-        verdict = decide_asp(d, config)
-        return path, d, verdict, time.perf_counter() - start
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(analyze, defs))
-    else:
-        results = [analyze(item) for item in defs]
+        try:
+            verdict = decide_asp(d, config)
+        except SamplerLimitError as exc:
+            print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
+            had_error = True
+            continue
+        results.append((d, verdict, time.perf_counter() - start))
 
     if args.json:
-        doc = {"definitions": [_verdict_json(d, v) for _, d, v, _ in results]}
+        doc = {"definitions": [_verdict_json(d, v) for d, v, _ in results]}
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        for _, d, v, elapsed in results:
+        for d, v, elapsed in results:
             line = (
                 f"{d.name}: {_RESULT_TEXT[v.result]}  "
                 f"[{_TIER_TEXT[v.tier.value]}]  measure={v.measure}"
+                f"  exact={v.tier2.buchi.value}"
             )
-            if v.tier2 is not None:
-                line += f"  exact={v.tier2.buchi.value}"
             if v.mc is not None:
                 line += f"  mc_hint={v.mc.hint.value}"
             line += f"  ({elapsed * 1000:.0f} ms)"
@@ -211,7 +206,7 @@ def cmd_check(args) -> int:
 
     if had_error:
         return EXIT_INPUT_ERROR
-    outcomes = {v.result for _, _, v, _ in results}
+    outcomes = {v.result for _, v, _ in results}
     if AspResult.NOT_ASP in outcomes:
         return EXIT_NOT_ASP
     if AspResult.UNKNOWN in outcomes:
@@ -230,8 +225,13 @@ def cmd_simulate(args) -> int:
     defs, had_error = _load(args.files)
     policy = parse_policy(args.tree_policy) if args.tree_policy else None
     reports = []
-    for _, d in defs:
-        mc = monte_carlo(d, args.mc_runs, args.mc_horizon, args.seed, policy=policy)
+    for path, d in defs:
+        try:
+            mc = monte_carlo(d, args.mc_runs, args.mc_horizon, args.seed, policy=policy)
+        except SamplerLimitError as exc:
+            print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
+            had_error = True
+            continue
         reports.append((d, mc))
     if args.json:
         doc = {"simulations": [dict(_mc_json(mc), name=d.name) for d, mc in reports]}
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--no-tier3", action="store_true")
     p_check.add_argument("--force-tier3", action="store_true")
     p_check.add_argument("--smt-solver", default=None)
-    p_check.add_argument("--jobs", type=int, default=1)
     p_check.set_defaults(func=cmd_check)
 
     p_measure = sub.add_parser("measure", help="print drift measures")

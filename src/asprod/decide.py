@@ -21,10 +21,9 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .eqsys import (
-    EqSystem,
     Head,
     HeadClass,
     SubReturn,
@@ -64,22 +63,6 @@ class InternalInconsistencyError(RuntimeError):
     not a property of the input)."""
 
 
-@dataclass(frozen=True)
-class Direct:
-    """Edge from a one-step empty-stack move."""
-
-
-@dataclass(frozen=True)
-class ExcursionReturn:
-    """Edge summarizing where a pushed excursion can land on return."""
-
-    head: Head
-    head_class: HeadClass
-
-
-EdgeOrigin = Union[Direct, ExcursionReturn]
-
-
 @dataclass(frozen=True, eq=False)
 class GroundChain:
     """Qualitative chain over empty-stack states plus a divergence sink.
@@ -91,7 +74,6 @@ class GroundChain:
 
     nodes: tuple[int, ...]
     edges: dict[int, tuple[int, ...]]
-    provenance: dict[tuple[int, int], tuple[EdgeOrigin, ...]]
     diverge_sub: frozenset[int]
     diverge_unknown: frozenset[int]
     output_nodes: frozenset[int]
@@ -106,7 +88,6 @@ def ground_chain(
 ) -> GroundChain:
     """Build the empty-stack chain reachable from the initial state."""
     succ: dict[int, list[int]] = {}
-    prov: dict[tuple[int, int], list[EdgeOrigin]] = {}
     d_sub: set[int] = set()
     d_unknown: set[int] = set()
 
@@ -115,23 +96,16 @@ def ground_chain(
         for m in p.rows[(q, None)]:
             if not m.push:
                 out.append(m.target)
-                prov.setdefault((q, m.target), []).append(Direct())
             else:
-                head = (m.target, m.push[0])
-                cls = classes[head]
+                cls = classes[(m.target, m.push[0])]
                 for s in range(len(p.states)):
                     if positivity.get((m.target, m.push[0], s)):
                         out.append(s)
-                        prov.setdefault((q, s), []).append(ExcursionReturn(head, cls))
                 if isinstance(cls, SubReturn):
                     d_sub.add(q)
                 elif isinstance(cls, Unknown):
                     d_unknown.add(q)
-        deduped = []
-        for t in out:
-            if t not in deduped:
-                deduped.append(t)
-        return deduped
+        return list(dict.fromkeys(out))  # deduplicated, first occurrence order
 
     nodes = [p.initial]
     seen = {p.initial}
@@ -145,13 +119,11 @@ def ground_chain(
                 seen.add(t)
                 nodes.append(t)
 
-    keep = set(nodes)
     return GroundChain(
         nodes=tuple(sorted(nodes)),
         edges={q: tuple(succ[q]) for q in nodes},
-        provenance={k: tuple(v) for k, v in prov.items() if k[0] in keep},
-        diverge_sub=frozenset(q for q in d_sub if q in keep),
-        diverge_unknown=frozenset(q for q in d_unknown if q in keep),
+        diverge_sub=frozenset(d_sub),
+        diverge_unknown=frozenset(d_unknown),
         output_nodes=frozenset(q for q in nodes if p.is_constructor(q)),
         initial=p.initial,
         state_names=p.state_names,
@@ -195,13 +167,9 @@ class AnalyzerConfig:
     mc_runs: int = 200
     mc_horizon: int = 10_000
     seed: int = 0xA5F
-    cross_check: bool = True  # run the exact tier even when the measure fires
     run_tier3: bool = True  # Monte Carlo evidence when the verdict is Unknown
     force_tier3: bool = False  # always gather Monte Carlo evidence
     smt_solver: Optional[str] = None
-    tail_threshold: float = 0.05
-    slope_threshold: float = 1e-3
-    mc_backend: str = "vector"
     tree_policy: Optional[Policy] = None  # samplers default to uniform
 
 
@@ -214,9 +182,6 @@ class ExactAnalysis:
     buchi: BuchiResult
     classes: dict[Head, HeadClass]
     chain: GroundChain
-    system: EqSystem  # cleaned
-    positivity: dict[VarKey, bool]
-    ppda: Ppda
 
 
 def exact_analysis(d: Definition, config: AnalyzerConfig | None = None) -> ExactAnalysis:
@@ -233,14 +198,7 @@ def exact_analysis(d: Definition, config: AnalyzerConfig | None = None) -> Exact
         smt_solver=config.smt_solver,
     )
     chain = ground_chain(p, classes, positivity)
-    return ExactAnalysis(
-        buchi=buchi_verdict(chain),
-        classes=classes,
-        chain=chain,
-        system=cleaned,
-        positivity=positivity,
-        ppda=p,
-    )
+    return ExactAnalysis(buchi=buchi_verdict(chain), classes=classes, chain=chain)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +207,7 @@ class Verdict:
     tier: Tier
     measure: Fraction
     tier1: Tier1
-    tier2: Optional[ExactAnalysis]
+    tier2: ExactAnalysis
     mc: Optional[McReport]
 
 
@@ -258,43 +216,33 @@ def decide_asp(d: Definition, config: AnalyzerConfig | None = None) -> Verdict:
 
     A strictly positive drift measure decides ASP outright; otherwise the
     exact chain analysis decides, and if it cannot, the verdict stays
-    Unknown with Monte Carlo evidence attached.  When both the measure and
-    the exact tier run, a disagreement raises InternalInconsistencyError.
+    Unknown with Monte Carlo evidence attached.  The exact tier always runs,
+    so a positive measure is cross-checked: a disagreement raises
+    InternalInconsistencyError.
     """
     config = config or AnalyzerConfig()
     drift = measure(d)
     t1 = tier1_verdict(d)
-    tier2: Optional[ExactAnalysis] = None
+    tier2 = exact_analysis(d, config)
 
     if t1 is Tier1.ASP:
+        if tier2.buchi is BuchiResult.NOT_ALMOST_SURE:
+            raise InternalInconsistencyError(
+                f"{d.name}: positive measure {drift} but the exact analysis "
+                "refutes productivity"
+            )
         result, tier = AspResult.ASP, Tier.MEASURE
-        if config.cross_check:
-            tier2 = exact_analysis(d, config)
-            if tier2.buchi is BuchiResult.NOT_ALMOST_SURE:
-                raise InternalInconsistencyError(
-                    f"{d.name}: positive measure {drift} but the exact analysis "
-                    "refutes productivity"
-                )
+    elif tier2.buchi is BuchiResult.ALMOST_SURE:
+        result, tier = AspResult.ASP, Tier.EXACT
+    elif tier2.buchi is BuchiResult.NOT_ALMOST_SURE:
+        result, tier = AspResult.NOT_ASP, Tier.EXACT
     else:
-        tier2 = exact_analysis(d, config)
-        if tier2.buchi is BuchiResult.ALMOST_SURE:
-            result, tier = AspResult.ASP, Tier.EXACT
-        elif tier2.buchi is BuchiResult.NOT_ALMOST_SURE:
-            result, tier = AspResult.NOT_ASP, Tier.EXACT
-        else:
-            result, tier = AspResult.UNKNOWN, Tier.EXACT
+        result, tier = AspResult.UNKNOWN, Tier.EXACT
 
     mc: Optional[McReport] = None
     if (result is AspResult.UNKNOWN and config.run_tier3) or config.force_tier3:
         mc = monte_carlo(
-            d,
-            config.mc_runs,
-            config.mc_horizon,
-            config.seed,
-            policy=config.tree_policy,
-            tail_threshold=config.tail_threshold,
-            slope_threshold=config.slope_threshold,
-            backend=config.mc_backend,
+            d, config.mc_runs, config.mc_horizon, config.seed, policy=config.tree_policy
         )
         if result is AspResult.UNKNOWN:
             tier = Tier.STATISTICAL_ONLY

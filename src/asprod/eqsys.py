@@ -42,6 +42,7 @@ DEFAULT_MAX_ITER = 100_000
 NEWTON_MAX_ITER = 200
 CERT_BUMPS = (Fraction(1, 2**20), Fraction(1, 2**10))
 CERT_REFINE = 6
+SMT_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,6 @@ def evaluate(eq: Equation, values: Sequence) -> object:
             term = term * values[f]
         acc = acc + term
     return acc
-
-
-def evaluate_exact(eq: Equation, values: Sequence[Fraction]) -> Fraction:
-    return evaluate(eq, values)
 
 
 def _compiled(s: EqSystem):
@@ -333,7 +330,7 @@ def certify_subreturn(s: EqSystem, head: Head, candidate: Sequence[Fraction]) ->
     if any(not (0 <= c <= 1) for c in cand):
         raise ValueError("candidate must lie in [0, 1]^n")
     for i, eq in enumerate(s.equations):
-        if evaluate_exact(eq, cand) > cand[i]:
+        if evaluate(eq, cand) > cand[i]:
             return False
     head_sum = sum(
         (cand[i] for i, (q, x, _) in enumerate(s.variables) if (q, x) == head), ZERO
@@ -345,8 +342,6 @@ def subreturn_candidate(
     s: EqSystem,
     head: Head,
     newton_values: Sequence[float],
-    bumps: tuple[Fraction, ...] = CERT_BUMPS,
-    refine: int = CERT_REFINE,
 ) -> Optional[tuple[Fraction, ...]]:
     """Round a Newton approximant up into a verifiable certificate.
 
@@ -354,12 +349,12 @@ def subreturn_candidate(
     vector is not yet a pre-fixed point, applying the system map a few times
     contracts it toward one.  Returns None when no attempt verifies.
     """
-    for bump in bumps:
+    for bump in CERT_BUMPS:
         cand = [min(ONE, Fraction(v) + bump) for v in newton_values]
-        for _ in range(refine + 1):
+        for _ in range(CERT_REFINE + 1):
             if certify_subreturn(s, head, cand):
                 return tuple(cand)
-            cand = [min(ONE, evaluate_exact(eq, cand)) for eq in s.equations]
+            cand = [min(ONE, evaluate(eq, cand)) for eq in s.equations]
     return None
 
 
@@ -395,7 +390,7 @@ class Unknown:
 HeadClass = Union[AlmostSureReturn, SubReturn, Unknown]
 
 
-def spectral_le_one(b: Sequence[Sequence[Fraction]], irreducible: bool = True) -> bool:
+def spectral_le_one(b: Sequence[Sequence[Fraction]]) -> bool:
     """Exactly decide whether a nonnegative rational matrix has spectral
     radius at most one.
 
@@ -486,7 +481,7 @@ def classify_heads(
                 verdict = True  # no self-dependency: value is F(1) = 1
             else:
                 jac = _internal_jacobian_at_one(s, comp)
-                verdict = spectral_le_one(jac, irreducible=True)
+                verdict = spectral_le_one(jac)
             for v in comp:
                 almost_sure[v] = verdict
 
@@ -568,7 +563,7 @@ def smt_export(s: EqSystem, head: Head) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_smt_solver(script: str, solver_cmd: str, timeout: float = 60.0) -> str:
+def run_smt_solver(script: str, solver_cmd: str) -> str:
     """Invoke an external SMT-LIB2 solver; returns 'sat', 'unsat' or 'unknown'."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "query.smt2"
@@ -578,7 +573,7 @@ def run_smt_solver(script: str, solver_cmd: str, timeout: float = 60.0) -> str:
                 [solver_cmd, str(path)],
                 capture_output=True,
                 text=True,
-                timeout=timeout,
+                timeout=SMT_TIMEOUT_S,
             )
         except (OSError, subprocess.TimeoutExpired):
             return "unknown"

@@ -16,7 +16,6 @@ Tree constructors at the empty stack move to either child with probability
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -162,40 +161,6 @@ def ppda_step(p: Ppda, c: Config) -> dict[Config, Fraction]:
 def is_outputting(p: Ppda, c: Config) -> bool:
     """True exactly on constructor states with an empty stack."""
     return p.is_constructor(c.state) and not c.stack
-
-
-@dataclass(frozen=True)
-class PpdaRun:
-    configs: tuple[Config, ...]
-    outputting: tuple[bool, ...]
-
-
-def sample_ppda_run(p: Ppda, horizon: int, seed: int) -> PpdaRun:
-    """Deterministically sample a run of `horizon` steps from the initial
-    configuration; the flags mark visits to outputting configurations."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    rng = random.Random(seed)
-    c = p.initial_config
-    configs = [c]
-    flags = [is_outputting(p, c)]
-    for _ in range(horizon):
-        moves = p.rows[(c.state, c.top)]
-        if len(moves) == 1:
-            m = moves[0]
-        else:
-            r = rng.random()
-            acc = Fraction(0)
-            m = moves[-1]
-            for cand in moves:
-                acc += cand.prob
-                if r < acc:
-                    m = cand
-                    break
-        c = apply_move(c, m)
-        configs.append(c)
-        flags.append(is_outputting(p, c))
-    return PpdaRun(tuple(configs), tuple(flags))
 
 
 # ---------------------------------------------------------------------------

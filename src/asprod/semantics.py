@@ -39,11 +39,16 @@ from .terms import (
 # An observed event: the emitted label, or None for a silent unfold step.
 Event = Optional[str]
 
-DEFAULT_MAX_DEPTH = 16
+MAX_PREFIX_DEPTH = 16
 
 
 class DepthLimitError(ValueError):
     """Requested expansion depth exceeds the configured bound."""
+
+
+class SamplerLimitError(RuntimeError):
+    """The definition's closure table exceeds the Monte Carlo sampler's size
+    limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +209,6 @@ def prefix_distribution(
     d: Definition,
     depth: int,
     policy: Policy | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> dict[tuple[Event, ...], Fraction]:
     """Exact distribution over the first `depth` observed events.
 
@@ -214,8 +218,8 @@ def prefix_distribution(
     """
     if depth < 1:
         raise ValueError("depth must be positive")
-    if depth > max_depth:
-        raise DepthLimitError(f"depth {depth} exceeds bound {max_depth}")
+    if depth > MAX_PREFIX_DEPTH:
+        raise DepthLimitError(f"depth {depth} exceeds bound {MAX_PREFIX_DEPTH}")
     if d.kind is Kind.TREE and policy is None:
         raise ValueError("a direction policy is required for tree definitions")
 
@@ -345,6 +349,11 @@ def sample_run(
 # ---------------------------------------------------------------------------
 # Monte Carlo falsifier
 
+# Hint thresholds: the share of runs silent over the whole second half, and
+# the least slope of the mean cumulative-output curve over that half.
+TAIL_THRESHOLD = 0.05
+SLOPE_THRESHOLD = 1e-3
+
 
 class McHint(Enum):
     NO_EVIDENCE_AGAINST_ASP = "no_evidence_against_asp"
@@ -369,6 +378,25 @@ class McReport:
     cum_slope: float
     hint: McHint
 
+    @classmethod
+    def from_runs(
+        cls,
+        horizon: int,
+        seed: int,
+        output_counts: tuple[int, ...],
+        silent_tails: int,
+        step_totals,
+    ) -> "McReport":
+        """Summarize runs given per-run output counts, the number of runs
+        silent over the second half, and per-step output totals."""
+        runs = len(output_counts)
+        mean_rate = sum(output_counts) / (runs * horizon)
+        tail_silence = silent_tails / runs
+        cum_slope = _tail_slope(step_totals, runs, horizon // 2)
+        evidence = tail_silence > TAIL_THRESHOLD or cum_slope < SLOPE_THRESHOLD
+        hint = McHint.EVIDENCE_AGAINST_ASP if evidence else McHint.NO_EVIDENCE_AGAINST_ASP
+        return cls(runs, horizon, seed, output_counts, mean_rate, tail_silence, cum_slope, hint)
+
 
 def monte_carlo(
     d: Definition,
@@ -376,63 +404,30 @@ def monte_carlo(
     horizon: int,
     seed: int,
     policy: Policy | None = None,
-    tail_threshold: float = 0.05,
-    slope_threshold: float = 1e-3,
-    backend: str = "vector",
 ) -> McReport:
-    """Run `runs` independent simulations of `horizon` steps each.
+    """Run `runs` independent simulations of `horizon` steps each; trees
+    follow `policy`, or uniform directions when it is None.
 
-    Runs use split seeds (seed + run index in the reference backend, one
-    numpy generator in the vector backend), so reports are deterministic per
-    seed and backend.
+    All runs draw from one numpy generator seeded with `seed`, so reports
+    are deterministic per seed.  Raises SamplerLimitError when the
+    definition's closure table is too large to build.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if horizon < 100:
         raise ValueError("horizon must be at least 100")
-    if d.kind is Kind.TREE and policy is None:
-        policy = UNIFORM
 
-    half = horizon // 2
-    if backend == "vector":
-        from .simulate import CompiledDefinition
+    from .simulate import CompiledDefinition
 
-        counts, tail_counts, step_totals = CompiledDefinition(d).run_batch(
-            runs, horizon, seed, policy
-        )
-        output_counts = tuple(int(c) for c in counts)
-        silent_tails = int((tail_counts == 0).sum())
-        totals = step_totals
-    elif backend == "reference":
-        output_counts_l: list[int] = []
-        silent_tails = 0
-        totals = [0.0] * horizon
-        for i in range(runs):
-            trace = sample_run(d, horizon, seed + i, policy)
-            output_counts_l.append(trace.output_count)
-            if all(e is None for e in trace.events[half:]):
-                silent_tails += 1
-            for j, e in enumerate(trace.events):
-                if e is not None:
-                    totals[j] += 1.0
-        output_counts = tuple(output_counts_l)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    mean_rate = sum(output_counts) / (runs * horizon)
-    tail_silence = silent_tails / runs
-    cum_slope = _tail_slope(totals, runs, half)
-    evidence = tail_silence > tail_threshold or cum_slope < slope_threshold
-    hint = McHint.EVIDENCE_AGAINST_ASP if evidence else McHint.NO_EVIDENCE_AGAINST_ASP
-    return McReport(
-        runs=runs,
-        horizon=horizon,
-        seed=seed,
-        output_counts=output_counts,
-        mean_rate=mean_rate,
-        tail_silence=tail_silence,
-        cum_slope=cum_slope,
-        hint=hint,
+    counts, tail_counts, step_totals = CompiledDefinition(d).run_batch(
+        runs, horizon, seed, policy
+    )
+    return McReport.from_runs(
+        horizon,
+        seed,
+        tuple(int(c) for c in counts),
+        int((tail_counts == 0).sum()),
+        step_totals,
     )
 
 

@@ -14,12 +14,10 @@ symbols it pushed.  A step then only classifies the stack top, samples a row
 outcome, and applies the recorded stack delta.  Row probabilities are exact
 rationals until the final float conversion.
 
-`CompiledPpda` runs excursions of a translated automaton, used to
-cross-check head classifications against sampled return frequencies.
-
 Stream stacks are unary and kept as plain counters; tree stacks are byte
-matrices that start at `stack_cap` columns and grow on demand (bounded by
-the horizon, since each step pushes a statically bounded number of symbols).
+matrices that start at `DEFAULT_STACK_CAP` columns and grow on demand
+(bounded by the horizon, since each step pushes a statically bounded number
+of symbols).
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ppda import Ppda
-from .semantics import PeriodicWord, Policy, UniformPolicy
+from .semantics import PeriodicWord, Policy, SamplerLimitError, UniformPolicy
 from .terms import Choice, Cons, Definition, Kind, Mk, RecVar, Right, Term
 
 OP_REC = 0
@@ -55,6 +52,13 @@ def _grow(stack: np.ndarray, needed: int) -> np.ndarray:
     wider = np.zeros((stack.shape[0], new_cap), dtype=np.int8)
     wider[:, : stack.shape[1]] = stack
     return wider
+
+
+def _check_table_size(outcomes: int) -> None:
+    if outcomes > MAX_TABLE_OUTCOMES:
+        raise SamplerLimitError(
+            f"closure table too large for the sampler (over {MAX_TABLE_OUTCOMES} outcomes)"
+        )
 
 
 def _policy_tables(policy: Policy | None):
@@ -188,6 +192,9 @@ class CompiledDefinition:
     def _build_tables(self) -> None:
         depth = 0
         while True:
+            # every row has at least one outcome, so the row count bounds
+            # the table size before any row of this depth is built
+            _check_table_size(self.n_nodes * sum(self.n_syms**k for k in range(depth + 1)))
             try:
                 classes, rows = self._enumerate(depth)
                 break
@@ -195,10 +202,7 @@ class CompiledDefinition:
                 depth += 1
                 if depth > self.n_nodes + 1:
                     raise RuntimeError("entry-suffix depth failed to stabilize")
-        if sum(len(r) for r in rows) > MAX_TABLE_OUTCOMES:
-            raise RuntimeError(
-                "closure table too large; use the reference Monte Carlo backend"
-            )
+        _check_table_size(sum(len(r) for r in rows))
         self.suffix_depth = depth
         self.n_classes = len(classes)
 
@@ -243,14 +247,7 @@ class CompiledDefinition:
 
     # -- batched execution ---------------------------------------------------
 
-    def run_batch(
-        self,
-        runs: int,
-        horizon: int,
-        seed: int,
-        policy: Policy | None = None,
-        stack_cap: int = DEFAULT_STACK_CAP,
-    ):
+    def run_batch(self, runs: int, horizon: int, seed: int, policy: Policy | None = None):
         """Simulate `runs` lanes for `horizon` steps.
 
         Returns (per-lane output counts, per-lane outputs in the second half,
@@ -263,7 +260,7 @@ class CompiledDefinition:
 
         core = np.zeros(runs, dtype=np.int64)
         height = np.zeros(runs, dtype=np.int64)
-        stack = np.zeros((runs, stack_cap), dtype=np.int8) if tree else None
+        stack = np.zeros((runs, DEFAULT_STACK_CAP), dtype=np.int8) if tree else None
         lanes = np.arange(runs)
         counts = np.zeros(runs, dtype=np.int64)
         tail_counts = np.zeros(runs, dtype=np.int64)
@@ -318,90 +315,3 @@ class CompiledDefinition:
             ):
                 stack = _grow(stack, int(height.max()) + 2 * cap_margin)
         return counts, tail_counts, step_totals
-
-
-class CompiledPpda:
-    """Flat transition tables of a translated automaton, for excursion runs."""
-
-    def __init__(self, p: Ppda):
-        self.kind = p.kind
-        self.n_states = len(p.states)
-        n_sym = len(p.alphabet)
-        self.sym_index = {x: i for i, x in enumerate(p.alphabet)}
-        # topclass 0 = empty stack, 1 + k = alphabet symbol k
-        n_rows = self.n_states * (n_sym + 1)
-        self.n_moves = np.zeros(n_rows, dtype=np.int8)
-        self.prob1 = np.zeros(n_rows, dtype=np.float64)
-        self.target = np.zeros((n_rows, 2), dtype=np.int32)
-        # stack effect per move: -1 pop, 0 keep, 1 + k push symbol k
-        self.effect = np.zeros((n_rows, 2), dtype=np.int8)
-
-        for (q, top), moves in p.rows.items():
-            tc = 0 if top is None else 1 + self.sym_index[top]
-            row = q * (n_sym + 1) + tc
-            if len(moves) > 2:
-                raise ValueError("translated rows have at most two moves")
-            self.n_moves[row] = len(moves)
-            self.prob1[row] = float(moves[0].prob)
-            for j, m in enumerate(moves):
-                self.target[row, j] = m.target
-                if not m.push:
-                    self.effect[row, j] = -1 if top is not None else 0
-                elif len(m.push) == 1 and top is not None:
-                    self.effect[row, j] = 0  # keep: re-push the read symbol
-                else:
-                    self.effect[row, j] = 1 + self.sym_index[m.push[0]]
-
-        self.n_topclass = n_sym + 1
-
-    def excursion_batch(
-        self,
-        head: tuple[int, str],
-        trials: int,
-        horizon: int,
-        seed: int,
-        stack_cap: int = DEFAULT_STACK_CAP,
-    ):
-        """Run `trials` excursions from (state, [symbol]) for up to `horizon`
-        steps; returns (returned mask, landing states with -1 for timeouts)."""
-        rng = np.random.default_rng(seed)
-        q0, x0 = head
-        tree = self.kind is Kind.TREE
-        state = np.full(trials, q0, dtype=np.int32)
-        height = np.ones(trials, dtype=np.int64)
-        lanes = np.arange(trials)
-        stack = None
-        if tree:
-            stack = np.zeros((trials, stack_cap), dtype=np.int8)
-            stack[:, 0] = self.sym_index[x0]
-
-        for _ in range(horizon):
-            active = height > 0
-            if not active.any():
-                break
-            if tree:
-                top = stack[lanes, np.maximum(height - 1, 0)].astype(np.int32)
-                tc = np.where(active, 1 + top, 0)
-            else:
-                tc = np.where(active, 1, 0).astype(np.int32)
-            row = state * self.n_topclass + tc
-            pick2 = (self.n_moves[row] == 2) & (rng.random(trials) >= self.prob1[row])
-            j = pick2.astype(np.int8)
-            eff = self.effect[row, j]
-            nxt = self.target[row, j]
-            m_pop = active & (eff == -1)
-            height[m_pop] -= 1
-            m_push = active & (eff >= 1)
-            if m_push.any():
-                idx = np.nonzero(m_push)[0]
-                h = height[idx]
-                if tree:
-                    if int(h.max()) >= stack.shape[1]:
-                        stack = _grow(stack, int(h.max()) + 64)
-                    stack[idx, h] = (eff[idx] - 1).astype(np.int8)
-                height[idx] = h + 1
-            state = np.where(active, nxt, state)
-
-        returned = height == 0
-        landing = np.where(returned, state, -1)
-        return returned, landing

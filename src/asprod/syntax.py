@@ -127,9 +127,10 @@ class _Parser:
         defs: list[Definition] = []
         names: set[str] = set()
         while self.peek().kind != "eof":
+            name_tok = self.peek(1)  # the name, once parse_def accepts the header
             d = self.parse_def()
             if d.name in names:
-                raise self.error(f"duplicate definition name {d.name!r}")
+                raise self.error(f"duplicate definition name {d.name!r}", name_tok)
             names.add(d.name)
             defs.append(d)
         return defs

@@ -69,6 +69,34 @@ def test_check_partial_results_on_mixed_input(tmp_path, capsys):
     assert "mixed-kind" in captured.err
 
 
+def test_check_duplicate_name_points_at_the_name(tmp_path, capsys):
+    path = write(tmp_path, "stream s = a : s\nstream s = tail(s)\n")
+    assert main(["check", path, "--no-tier3"]) == 3
+    assert f"{path}:2:8: error: duplicate definition name 's'" in capsys.readouterr().err
+
+
+def nested_mk(depth):
+    """A tree whose sampler needs an entry suffix `depth` symbols deep: its
+    closure table is too large to build from depth 13 on, while the exact
+    tier answers Unknown quickly."""
+    inner = "t"
+    for _ in range(depth):
+        inner = f"mk(a, {inner}, t)"
+    return f"tree t = left(left(t)) (+ 1/2) {inner}\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "--json"], ["simulate", "--json"]])
+def test_sampler_limit_exits_3_and_reports_the_rest(argv, tmp_path, capsys):
+    path = write(tmp_path, nested_mk(14) + "stream s = a : s\n")
+    code = main([*argv, path, "--mc-runs", "5", "--mc-horizon", "200"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"{path}: t: error: closure table too large" in captured.err
+    doc = json.loads(captured.out)
+    entries = doc["definitions"] if argv[0] == "check" else doc["simulations"]
+    assert [e["name"] for e in entries] == ["s"]
+
+
 def test_check_json_is_deterministic(corpus_file, capsys):
     assert main(["check", corpus_file, "--no-tier3", "--json"]) == 1
     first = capsys.readouterr().out
@@ -83,12 +111,6 @@ def test_check_json_is_deterministic(corpus_file, capsys):
     assert by_name["s14"]["measure"] == "-1/2"
     assert by_name["t2"]["tier2"]["verdict"] == "almost_sure"
     assert by_name["srec"]["tier2"]["chain"]["output_nodes"] == []
-
-
-def test_check_jobs_preserves_order(corpus_file, capsys):
-    assert main(["check", corpus_file, "--no-tier3", "--json", "--jobs", "4"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert [e["name"] for e in doc["definitions"]] == list(CORPUS_TEXT)
 
 
 def test_measure_output(tmp_path, capsys):

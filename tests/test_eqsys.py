@@ -28,10 +28,9 @@ from asprod.eqsys import (
     spectral_le_one,
     subreturn_candidate,
 )
-from asprod.ppda import translate
-from asprod.simulate import CompiledPpda
+from asprod.ppda import Ppda, translate
 from asprod.syntax import parse_definition
-from asprod.terms import Cons, Left, RecVar, Tail
+from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
 from conftest import corpus, definitions
 
@@ -434,6 +433,86 @@ def test_classify_consumes_smt_answers(tmp_path):
 
 # ---------------------------------------------------------------------------
 # simulation cross-check of head classifications
+
+
+class CompiledPpda:
+    """Flat transition tables of a translated automaton, for excursion runs."""
+
+    def __init__(self, p: Ppda):
+        self.kind = p.kind
+        self.n_states = len(p.states)
+        n_sym = len(p.alphabet)
+        self.sym_index = {x: i for i, x in enumerate(p.alphabet)}
+        # topclass 0 = empty stack, 1 + k = alphabet symbol k
+        n_rows = self.n_states * (n_sym + 1)
+        self.n_moves = np.zeros(n_rows, dtype=np.int8)
+        self.prob1 = np.zeros(n_rows, dtype=np.float64)
+        self.target = np.zeros((n_rows, 2), dtype=np.int32)
+        # stack effect per move: -1 pop, 0 keep, 1 + k push symbol k
+        self.effect = np.zeros((n_rows, 2), dtype=np.int8)
+
+        for (q, top), moves in p.rows.items():
+            tc = 0 if top is None else 1 + self.sym_index[top]
+            row = q * (n_sym + 1) + tc
+            if len(moves) > 2:
+                raise ValueError("translated rows have at most two moves")
+            self.n_moves[row] = len(moves)
+            self.prob1[row] = float(moves[0].prob)
+            for j, m in enumerate(moves):
+                self.target[row, j] = m.target
+                if not m.push:
+                    self.effect[row, j] = -1 if top is not None else 0
+                elif len(m.push) == 1 and top is not None:
+                    self.effect[row, j] = 0  # keep: re-push the read symbol
+                else:
+                    self.effect[row, j] = 1 + self.sym_index[m.push[0]]
+
+        self.n_topclass = n_sym + 1
+
+    def excursion_batch(self, head: tuple[int, str], trials: int, horizon: int, seed: int):
+        """Run `trials` excursions from (state, [symbol]) for up to `horizon`
+        steps; returns (returned mask, landing states with -1 for timeouts)."""
+        rng = np.random.default_rng(seed)
+        q0, x0 = head
+        tree = self.kind is Kind.TREE
+        state = np.full(trials, q0, dtype=np.int32)
+        height = np.ones(trials, dtype=np.int64)
+        lanes = np.arange(trials)
+        stack = None
+        if tree:
+            stack = np.zeros((trials, 4096), dtype=np.int8)
+            stack[:, 0] = self.sym_index[x0]
+
+        for _ in range(horizon):
+            active = height > 0
+            if not active.any():
+                break
+            if tree:
+                top = stack[lanes, np.maximum(height - 1, 0)].astype(np.int32)
+                tc = np.where(active, 1 + top, 0)
+            else:
+                tc = np.where(active, 1, 0).astype(np.int32)
+            row = state * self.n_topclass + tc
+            pick2 = (self.n_moves[row] == 2) & (rng.random(trials) >= self.prob1[row])
+            j = pick2.astype(np.int8)
+            eff = self.effect[row, j]
+            nxt = self.target[row, j]
+            m_pop = active & (eff == -1)
+            height[m_pop] -= 1
+            m_push = active & (eff >= 1)
+            if m_push.any():
+                idx = np.nonzero(m_push)[0]
+                h = height[idx]
+                if tree:
+                    if int(h.max()) >= stack.shape[1]:
+                        stack = np.pad(stack, ((0, 0), (0, stack.shape[1])))
+                    stack[idx, h] = (eff[idx] - 1).astype(np.int8)
+                height[idx] = h + 1
+            state = np.where(active, nxt, state)
+
+        returned = height == 0
+        landing = np.where(returned, state, -1)
+        return returned, landing
 
 
 def test_head_classes_match_sampled_return_fractions():

@@ -85,6 +85,12 @@ def test_duplicate_names_rejected():
         parse_file("stream s = s\nstream s = a : s")
 
 
+def test_duplicate_name_error_points_at_the_duplicate_name():
+    with pytest.raises(ParseError) as err:
+        parse_file("stream s = a : s\nstream s = tail(s)\n")
+    assert (err.value.line, err.value.col) == (2, 8)
+
+
 def test_syntax_error_carries_location():
     with pytest.raises(ParseError) as err:
         parse_file("stream s = a :\nstream t = t")
