@@ -64,6 +64,7 @@ from .eqsys import (
     smt_export,
     spectral_le_one,
     subreturn_candidate,
+    subreturn_certificates,
 )
 from .decide import (
     AnalyzerConfig,

@@ -266,7 +266,11 @@ def cmd_solve(args) -> int:
         kleene, iters = kleene_solve(cleaned, args.epsilon, args.max_iter)
         newton = newton_solve(cleaned, args.epsilon)
         classes = classify_heads(
-            cleaned, epsilon=args.epsilon, max_iter=args.max_iter, smt_solver=smt
+            cleaned,
+            epsilon=args.epsilon,
+            max_iter=args.max_iter,
+            smt_solver=smt,
+            newton_values=newton,
         )
         print(
             f"{d.name}: {len(system.variables)} variables, "

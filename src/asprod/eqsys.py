@@ -25,8 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from .graphs import strongly_connected_components
 from .ppda import Ppda
 from .simplex import nonnegative_contraction_feasible
@@ -250,6 +248,8 @@ def newton_solve(
     iterates approach the least fixed point from below.  A singular Newton
     matrix falls back to plain value iteration for that block.
     """
+    import numpy as np
+
     n = len(s.variables)
     deps = _dependencies(s)
     values = [0.0] * n
@@ -343,19 +343,52 @@ def subreturn_candidate(
     head: Head,
     newton_values: Sequence[float],
 ) -> Optional[tuple[Fraction, ...]]:
-    """Round a Newton approximant up into a verifiable certificate.
+    """Round a Newton approximant up into a verifiable certificate for `head`.
 
-    Bumped candidates sit just above the least fixed point; if the bumped
-    vector is not yet a pre-fixed point, applying the system map a few times
-    contracts it toward one.  Returns None when no attempt verifies.
+    The per-head view of `subreturn_certificates`: the first candidate of
+    the shared search whose return mass at `head` is below one, or None.
     """
+    return subreturn_certificates(s, [head], newton_values)[head]
+
+
+def subreturn_certificates(
+    s: EqSystem,
+    heads: Sequence[Head],
+    newton_values: Sequence[float],
+) -> dict[Head, Optional[tuple[Fraction, ...]]]:
+    """Search pre-fixed-point certificates for all `heads` in one walk.
+
+    For each bump, the Newton approximant is rounded up by the bump and
+    then contracted by up to CERT_REFINE applications of the system map F,
+    capped at one.  Each step evaluates F once: F(c) <= c makes c a
+    pre-fixed point, and min(1, F(c)) is the next candidate.  A head gets
+    the first pre-fixed candidate, in (bump, step) order, whose return
+    mass at the head is below one, so `certify_subreturn` accepts every
+    certificate returned; heads no candidate serves map to None.  The walk
+    stops once every head has a certificate, and at most
+    len(CERT_BUMPS) * (CERT_REFINE + 1) applications of F are made,
+    however many heads there are.
+    """
+    head_vars = s.head_vars()
+    result: dict[Head, Optional[tuple[Fraction, ...]]] = dict.fromkeys(heads)
+    pending = list(result)
     for bump in CERT_BUMPS:
         cand = [min(ONE, Fraction(v) + bump) for v in newton_values]
         for _ in range(CERT_REFINE + 1):
-            if certify_subreturn(s, head, cand):
-                return tuple(cand)
-            cand = [min(ONE, evaluate(eq, cand)) for eq in s.equations]
-    return None
+            image = [evaluate(eq, cand) for eq in s.equations]
+            if all(fc <= c for fc, c in zip(image, cand)):
+                frozen = tuple(cand)
+                still = []
+                for h in pending:
+                    if sum((cand[i] for i in head_vars.get(h, ())), ZERO) < 1:
+                        result[h] = frozen
+                    else:
+                        still.append(h)
+                pending = still
+                if not pending:
+                    return result
+            cand = [min(ONE, fc) for fc in image]
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +459,7 @@ def classify_heads(
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = DEFAULT_MAX_ITER,
     smt_solver: Optional[str] = None,
+    newton_values: Optional[Sequence[float]] = None,
 ) -> dict[Head, HeadClass]:
     """Three-valued, exact classification of every excursion head.
 
@@ -437,7 +471,12 @@ def classify_heads(
     exactly when the Jacobian at the all-ones fixed point has spectral
     radius at most one.  Outside that regime, heads get certified SubReturn
     where a certificate verifies, an optional SMT query otherwise, and
-    honest Unknown as the fallback.
+    honest Unknown as the fallback.  Certificates for all heads that need
+    one come from a single `subreturn_certificates` walk per system.
+
+    `newton_values` are the system's `newton_solve` values, for a caller
+    that already has them; by default they are computed when a certificate
+    search needs them.
     """
     head_vars = s.head_vars()
     result: dict[Head, HeadClass] = {}
@@ -450,16 +489,14 @@ def classify_heads(
     if not live:
         return result
 
+    def certificates(heads: list[Head]) -> dict[Head, Optional[tuple[Fraction, ...]]]:
+        if not heads:
+            return {}
+        newton = newton_solve(s, epsilon) if newton_values is None else newton_values
+        return subreturn_certificates(s, heads, newton)
+
     single_exit = all(len(head_vars[h]) <= 1 for h in live)
     mass_one = all(eq.mass_at_one() == 1 for eq in s.equations)
-
-    newton_cache: list[float] | None = None
-
-    def newton() -> list[float]:
-        nonlocal newton_cache
-        if newton_cache is None:
-            newton_cache = newton_solve(s, epsilon)
-        return newton_cache
 
     if single_exit and mass_one:
         n = len(s.variables)
@@ -485,21 +522,21 @@ def classify_heads(
             for v in comp:
                 almost_sure[v] = verdict
 
+        certs = certificates([h for h in live if not almost_sure[head_vars[h][0]]])
         for h in live:
-            v = head_vars[h][0]
-            if almost_sure[v]:
-                result[h] = AlmostSureReturn()
+            if h in certs:
+                result[h] = SubReturn(certificate=certs[h])
             else:
-                result[h] = SubReturn(certificate=subreturn_candidate(s, h, newton()))
+                result[h] = AlmostSureReturn()
         return result
 
     # genuine multi-exit (or mass lost to cleaning): certificates, then the
     # optional SMT backend, then Unknown with Kleene evidence
     kleene, iterations = kleene_solve(s, epsilon, max_iter)
+    certs = certificates(live)
     for h in live:
-        cert = subreturn_candidate(s, h, newton())
-        if cert is not None:
-            result[h] = SubReturn(certificate=cert)
+        if certs[h] is not None:
+            result[h] = SubReturn(certificate=certs[h])
             continue
         if smt_solver:
             answer = run_smt_solver(smt_export(s, h), smt_solver)

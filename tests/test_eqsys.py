@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from asprod import eqsys
 from asprod.eqsys import (
+    CERT_BUMPS,
+    CERT_REFINE,
     AlmostSureReturn,
     EqSystem,
     Equation,
@@ -21,6 +24,7 @@ from asprod.eqsys import (
     certify_subreturn,
     classify_heads,
     clean,
+    evaluate,
     kleene_solve,
     newton_solve,
     run_smt_solver,
@@ -32,7 +36,7 @@ from asprod.ppda import Ppda, translate
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
-from conftest import corpus, definitions
+from conftest import corpus, definitions, seeded_random_definitions
 
 
 F = Fraction
@@ -332,6 +336,73 @@ def test_classify_never_contradicts_certificates():
         for head, cls in classify_heads(cleaned).items():
             if isinstance(cls, AlmostSureReturn):
                 assert subreturn_candidate(cleaned, head, newton) is None, (name, head)
+
+
+def reference_candidate(s, head, newton):
+    """The certificate search run for one head on its own: the first
+    (bump, step) candidate that `certify_subreturn` accepts."""
+    for bump in CERT_BUMPS:
+        cand = [min(F(1), F(v) + bump) for v in newton]
+        for _ in range(CERT_REFINE + 1):
+            if certify_subreturn(s, head, cand):
+                return tuple(cand)
+            cand = [min(F(1), evaluate(eq, cand)) for eq in s.equations]
+    return None
+
+
+def test_shared_certificate_search_matches_per_head_search():
+    for d in [*corpus().values(), *seeded_random_definitions(24)]:
+        cleaned, _ = clean(build_system(translate(d)))
+        newton = newton_solve(cleaned)
+        live = cleaned.head_vars()
+        for head, cls in classify_heads(cleaned).items():
+            if not live.get(head):
+                continue  # return probability zero: the trivial certificate
+            cert = cls.certificate if isinstance(cls, SubReturn) else None
+            assert cert == subreturn_candidate(cleaned, head, newton), (d, head)
+            assert cert == reference_candidate(cleaned, head, newton), (d, head)
+            if cert is not None:
+                assert certify_subreturn(cleaned, head, cert), (d, head)
+
+
+def subcritical_copies(count):
+    """`count` independent copies of SUBCRITICAL, one head each."""
+    return EqSystem(
+        variables=tuple((k, "tl", k) for k in range(count)),
+        equations=tuple(
+            Equation(F(1, 4), (Monomial(F(3, 4), (k, k)),)) for k in range(count)
+        ),
+        heads=tuple((k, "tl") for k in range(count)),
+        state_names=tuple(f"z{k}" for k in range(count)),
+        alphabet=("tl",),
+    )
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        subcritical_copies(20),
+        clean(
+            build_system(
+                translate(parse_definition("tree d = left(right(d (+ 3/4) d (+ 3/4) mk(b, d, d)))"))
+            )
+        )[0],
+    ],
+    ids=["single-exit", "multi-exit"],
+)
+def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system):
+    calls = 0
+
+    def counting(eq, values):
+        nonlocal calls
+        calls += 1
+        return evaluate(eq, values)
+
+    monkeypatch.setattr(eqsys, "evaluate", counting)
+    classes = classify_heads(system)
+    certified = [c for c in classes.values() if isinstance(c, SubReturn) and c.certificate]
+    assert len(certified) >= 4
+    assert calls <= len(CERT_BUMPS) * (CERT_REFINE + 1) * len(system.equations)
 
 
 MULTI_EXIT = parse_definition(
