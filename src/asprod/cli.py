@@ -271,6 +271,7 @@ def cmd_solve(args) -> int:
             max_iter=args.max_iter,
             smt_solver=smt,
             newton_values=newton,
+            kleene=(kleene, iters),
         )
         print(
             f"{d.name}: {len(system.variables)} variables, "

@@ -460,6 +460,7 @@ def classify_heads(
     max_iter: int = DEFAULT_MAX_ITER,
     smt_solver: Optional[str] = None,
     newton_values: Optional[Sequence[float]] = None,
+    kleene: Optional[tuple[Sequence[float], int]] = None,
 ) -> dict[Head, HeadClass]:
     """Three-valued, exact classification of every excursion head.
 
@@ -474,9 +475,10 @@ def classify_heads(
     honest Unknown as the fallback.  Certificates for all heads that need
     one come from a single `subreturn_certificates` walk per system.
 
-    `newton_values` are the system's `newton_solve` values, for a caller
-    that already has them; by default they are computed when a certificate
-    search needs them.
+    `newton_values` are the system's `newton_solve` values and `kleene` its
+    `kleene_solve` (values, iterations), for a caller that already has them;
+    by default each is computed when first needed: Newton for a certificate
+    search, Kleene for the first Unknown head.
     """
     head_vars = s.head_vars()
     result: dict[Head, HeadClass] = {}
@@ -532,7 +534,6 @@ def classify_heads(
 
     # genuine multi-exit (or mass lost to cleaning): certificates, then the
     # optional SMT backend, then Unknown with Kleene evidence
-    kleene, iterations = kleene_solve(s, epsilon, max_iter)
     certs = certificates(live)
     for h in live:
         if certs[h] is not None:
@@ -546,7 +547,10 @@ def classify_heads(
             if answer == "unsat":
                 result[h] = AlmostSureReturn()
                 continue
-        lower = sum(kleene[i] for i in head_vars[h])
+        if kleene is None:
+            kleene = kleene_solve(s, epsilon, max_iter)
+        values, iterations = kleene
+        lower = sum(values[i] for i in head_vars[h])
         result[h] = Unknown(kleene_lower=lower, iterations=iterations)
     return result
 

@@ -14,10 +14,17 @@ symbols it pushed.  A step then only classifies the stack top, samples a row
 outcome, and applies the recorded stack delta.  Row probabilities are exact
 rationals until the final float conversion.
 
-Stream stacks are unary and kept as plain counters; tree stacks are byte
-matrices that start at `DEFAULT_STACK_CAP` columns and grow on demand
-(bounded by the horizon, since each step pushes a statically bounded number
-of symbols).
+Randomness is drawn in blocks of `CHUNK` steps, `rng.random((chunk, draws,
+runs))`, which yields the same numbers in the same order as one
+`rng.random(runs)` call per draw per step, so reports do not depend on the
+block size.  Stream stacks are unary and kept as plain counters.  Tree
+stacks are class stacks: one flat, height-major array per batch whose cell
+at height h holds the entry class of the lane's stack cut to height h (cell
+0 is the empty class), so the entry class is a single gather and a push is
+a lookup in a (class below, symbol) table.  Class stacks start at
+`DEFAULT_STACK_CAP` heights and grow on demand (bounded by the horizon,
+since each step pushes a statically bounded number of symbols).  Output
+tallies are taken once per block.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ EV_SILENT = 0
 EV_OUT = 1
 
 DEFAULT_STACK_CAP = 4096
+CHUNK = 256  # steps per block of random draws and of output tallies
 MAX_TABLE_OUTCOMES = 500_000
 
 
@@ -46,11 +54,10 @@ class _NeedDeeperSuffix(Exception):
     depth provides."""
 
 
-def _grow(stack: np.ndarray, needed: int) -> np.ndarray:
-    """Extend a lane-stack matrix so at least `needed` columns exist."""
-    new_cap = max(2 * stack.shape[1], needed)
-    wider = np.zeros((stack.shape[0], new_cap), dtype=np.int8)
-    wider[:, : stack.shape[1]] = stack
+def _grow(stack: np.ndarray, runs: int, needed: int) -> np.ndarray:
+    """Extend a height-major class stack so at least `needed` heights exist."""
+    wider = np.zeros(max(2 * len(stack), needed * runs), dtype=stack.dtype)
+    wider[: len(stack)] = stack
     return wider
 
 
@@ -245,6 +252,30 @@ class CompiledDefinition:
             len(push_rows), self.max_push
         )
 
+        # fused per-outcome lookups for run_batch
+        self._is_out = self._ev == EV_OUT
+        # successor row base of outcome k: entry k, or n_out + k for a
+        # tree output that turns right
+        next_core = np.concatenate([self._next_a, self._next_b]).astype(np.int64)
+        self._next_row = next_core * self.n_classes
+        self._row_last = np.cumsum([len(r) for r in rows]) - 1
+        # below this draw, `row + u` stays below `row + 1` for every row
+        self._u_safe = 1.0 - float(np.spacing(float(len(rows))))
+        # class of a stack after pushing symbol s onto one of class c, at
+        # s * n_classes + c: s becomes the top digit, and at full depth the
+        # deepest known symbol drops out; cells hold class ids in the
+        # smallest dtype
+        push_class = np.zeros((m, self.n_classes), dtype=np.min_scalar_type(self.n_classes - 1))
+        for length in range(depth + 1):
+            up = min(length + 1, depth)
+            for v in range(m**length):
+                for s in range(m):
+                    push_class[s, offsets[length] + v] = offsets[up] + (s + m * v) % m**up
+        self._push_class = push_class.ravel()
+        self._push_syms = [
+            self._push[:, j].astype(np.int64) * self.n_classes for j in range(self.max_push)
+        ]
+
     # -- batched execution ---------------------------------------------------
 
     def run_batch(self, runs: int, horizon: int, seed: int, policy: Policy | None = None):
@@ -255,63 +286,83 @@ class CompiledDefinition:
         """
         rng = np.random.default_rng(seed)
         tree = self.kind is Kind.TREE
-        policy_tab = _policy_tables(policy) if tree else None
+        word = _policy_tables(policy) if tree else None
+        draws = 2 if tree and word is None else 1
         depth = self.suffix_depth
+        n_out = len(self._keys)
+        keys, is_out, next_row = self._keys, self._is_out, self._next_row
 
-        core = np.zeros(runs, dtype=np.int64)
-        height = np.zeros(runs, dtype=np.int64)
-        stack = np.zeros((runs, DEFAULT_STACK_CAP), dtype=np.int8) if tree else None
-        lanes = np.arange(runs)
+        row = np.zeros(runs, dtype=np.int64)  # closure row: core * n_classes + class
+        if tree and word is not None:
+            pre, per, dirs = word
+            turn = dirs * n_out  # successor-table offset of each word letter
+            advance = np.append(np.arange(1, pre + per), pre)  # next word position
+            place = np.zeros(runs, dtype=np.int64)  # word position of each lane
+        if depth > 0 and tree:
+            # class stack, height-major: cell h * runs + lane holds the class
+            # of that lane's stack cut to height h; cell 0 is the empty class
+            stack = np.zeros(DEFAULT_STACK_CAP * runs, dtype=self._push_class.dtype)
+            top = np.arange(runs)  # cell of each lane's top
+            pops, pushes = self._consumed * runs, self._n_push * runs
+            push_class, push_syms = self._push_class, self._push_syms
+        elif depth > 0:
+            height = np.zeros(runs, dtype=np.int64)
+            delta = self._n_push - self._consumed
+
         counts = np.zeros(runs, dtype=np.int64)
         tail_counts = np.zeros(runs, dtype=np.int64)
         step_totals = np.zeros(horizon, dtype=np.float64)
-        out_idx = np.zeros(runs, dtype=np.int64)
+        outs = np.empty((CHUNK, runs), dtype=bool)
         half = horizon // 2
-        cap_margin = 128 * max(self.max_push, 1)
 
-        for step_i in range(horizon):
-            # entry class: known suffix of min(height, depth) top symbols
-            length = np.minimum(height, depth)
-            cid = self._class_offset[length]
-            if tree and depth > 0:
-                for j in range(depth):
-                    pos = np.maximum(height - 1 - j, 0)
-                    s = stack[lanes, pos].astype(np.int64)
-                    cid = cid + np.where(height > j, s << j, 0)
-            row = core * self.n_classes + cid
+        for first in range(0, horizon, CHUNK):
+            n = min(CHUNK, horizon - first)
+            # the same numbers, in the same order, as one rng.random(runs)
+            # call per draw per step
+            block = rng.random((n, draws, runs))
+            # only a draw this close to one can round `row + u` up to the
+            # next row's first key
+            clamp = block[:, 0].max() >= self._u_safe
+            if draws == 2:
+                # a silent outcome has one successor, so its lane's coin
+                # need not be masked
+                turns = (block[:, 1] < 0.5) * n_out
+            if depth > 0 and tree:
+                needed = int(top.max()) // runs + (n + 1) * self.max_push + 1
+                if needed * runs > len(stack):
+                    stack = _grow(stack, runs, needed)
 
-            pick = np.searchsorted(self._keys, row + rng.random(runs), side="right")
-            is_out = self._ev[pick] == EV_OUT
-            if tree:
-                if policy_tab is None:
-                    go_right = is_out & (rng.random(runs) < 0.5)
+            for t in range(n):
+                pick = keys.searchsorted(row + block[t, 0], side="right")
+                if clamp:
+                    pick = np.minimum(pick, self._row_last[row])
+                out = is_out.take(pick, out=outs[t], mode="clip")
+                if draws == 2:
+                    pick_next = pick + turns[t]
+                elif tree:
+                    pick_next = pick + turn[place]
+                    place = np.where(out, advance[place], place)
                 else:
-                    pre, per, dirs = policy_tab
-                    pos = np.where(out_idx < pre, out_idx, pre + (out_idx - pre) % per)
-                    go_right = is_out & (dirs[pos] == 1)
-                    out_idx += is_out
-                core = np.where(go_right, self._next_b[pick], self._next_a[pick])
-            else:
-                core = self._next_a[pick]
+                    pick_next = pick
+                row = next_row[pick_next]
+                if depth == 0:
+                    continue
+                if tree:
+                    base = top - pops[pick]
+                    cls = stack[base]
+                    # cells above the new top are dead until a push writes them
+                    for j in range(self.max_push):
+                        cls = push_class[cls + push_syms[j][pick]]
+                        stack[base + (j + 1) * runs] = cls
+                    top = base + pushes[pick]
+                    row += stack[top]
+                else:
+                    height += delta[pick]
+                    row += np.minimum(height, depth)
 
-            base = height - self._consumed[pick]
-            n_push = self._n_push[pick]
-            if tree:
-                for j in range(self.max_push):
-                    mask = n_push > j
-                    if mask.any():
-                        idx = np.nonzero(mask)[0]
-                        stack[idx, base[idx] + j] = self._push[pick[idx], j]
-            height = base + n_push
-
-            counts += is_out
-            step_totals[step_i] = is_out.sum()
-            if step_i >= half:
-                tail_counts += is_out
-            if (
-                tree
-                and step_i % 128 == 0
-                and int(height.max()) + cap_margin >= stack.shape[1]
-            ):
-                stack = _grow(stack, int(height.max()) + 2 * cap_margin)
+            done = outs[:n]
+            step_totals[first : first + n] = done.sum(axis=1)
+            counts += done.sum(axis=0)
+            if first + n > half:
+                tail_counts += done[max(half - first, 0) :].sum(axis=0)
         return counts, tail_counts, step_totals

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +202,25 @@ def test_smt_solver_env_var_is_consulted(tmp_path, capsys, monkeypatch):
 def test_missing_file_exits_3(tmp_path, capsys):
     assert main(["measure", str(tmp_path / "nope.defs")]) == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
+    from asprod import cli, eqsys
+
+    calls = 0
+    real = eqsys.kleene_solve
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "kleene_solve", counting)
+    monkeypatch.setattr(eqsys, "kleene_solve", counting)
+    corpus = Path(__file__).resolve().parents[1] / "defs" / "paper_examples.defs"
+    path = tmp_path / "solve.defs"
+    # the last definition is multi-exit, where classification needs Kleene
+    multi_exit = "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
+    path.write_text(corpus.read_text() + multi_exit + "\n")
+    assert main(["solve", str(path)]) == 0
+    assert calls == capsys.readouterr().out.count("surviving (kleene:")

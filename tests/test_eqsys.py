@@ -421,6 +421,36 @@ def test_classify_multi_exit_falls_back_honestly():
             assert cls.iterations >= 1
 
 
+def test_classify_heads_runs_kleene_only_for_unknown_heads(monkeypatch):
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return kleene_solve(*args, **kwargs)
+
+    monkeypatch.setattr(eqsys, "kleene_solve", counting)
+    # equation mass 3/4, not one, so the multi-exit path runs; the least
+    # fixed point 1 - 1/sqrt(2) of each copy is certified below one
+    lossy = EqSystem(
+        variables=tuple((k, "tl", k) for k in range(3)),
+        equations=tuple(Equation(F(1, 4), (Monomial(F(1, 2), (k, k)),)) for k in range(3)),
+        heads=tuple((k, "tl") for k in range(3)),
+        state_names=tuple(f"z{k}" for k in range(3)),
+        alphabet=("tl",),
+    )
+    classes = classify_heads(lossy)
+    assert all(isinstance(c, SubReturn) and c.certificate for c in classes.values())
+    assert calls == 0
+
+    cleaned, _ = clean(build_system(translate(MULTI_EXIT)))
+    classes = classify_heads(cleaned)
+    assert sum(isinstance(c, Unknown) for c in classes.values()) > 1
+    assert calls == 1  # once per system, not once per Unknown head
+    given = classify_heads(cleaned, kleene=kleene_solve(cleaned))
+    assert calls == 1 and given == classes
+
+
 # ---------------------------------------------------------------------------
 # spectral radius decisions
 

@@ -1,13 +1,18 @@
 """Byte-identity of `check --json --no-tier3` against reports recorded at
-commit bf84c4b, so that a refactor cannot change report bytes unnoticed.
+commit bf84c4b, and of `simulate --json` against reports recorded at
+edf398e, so that a refactor cannot change report bytes unnoticed.
 
 The batch pins Unknown heads (with their `kleene_lower` floats) and
 certified SubReturn heads (with their certificates), not only verdicts.
+The simulation reports pin the sampler's draws for the uniform and for a
+periodic tree policy.
 """
 
 import dataclasses
 import json
 from pathlib import Path
+
+import pytest
 
 from asprod.cli import main
 from asprod.syntax import pretty_print
@@ -48,3 +53,16 @@ def test_seeded_batch_pins_unknown_and_certified_heads():
     heads = [h for d in doc["definitions"] if d["tier2"] for h in d["tier2"]["heads"]]
     assert any(h["class"] == "unknown" for h in heads)
     assert any(h["class"] == "sub_return" and h["certificate"] for h in heads)
+
+
+@pytest.mark.parametrize(
+    "policy,golden",
+    [(None, "paper_examples.simulate.json"), ("RRL|LR", "paper_examples.simulate_rrl_lr.json")],
+)
+def test_paper_examples_simulation_matches_recorded_bytes(capsys, policy, golden):
+    argv = ["simulate", "--json", "--mc-runs", "64", "--mc-horizon", "3000"]
+    if policy:
+        argv += ["--tree-policy", policy]
+    capsys.readouterr()
+    main([*argv, str(ROOT / "defs" / "paper_examples.defs")])
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
