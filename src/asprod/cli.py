@@ -7,15 +7,18 @@ solutions and head classifications.
 
 Exit codes for `check`: 0 all ASP, 1 some definition is not ASP, 2 some
 verdict is Unknown, 3 input errors, including a definition too large for the
-Monte Carlo sampler (the other definitions are still reported).  JSON
-reports are byte-deterministic for fixed inputs, flags and seed; wall-clock
-timings appear only in the human-readable output.
+Monte Carlo sampler (the other definitions are still reported).  A usage
+error, such as an unknown flag or a flag value out of range, exits 3 from
+every subcommand, with one `error:` line on stderr.  JSON reports are
+byte-deterministic for fixed inputs, flags and seed; wall-clock timings
+appear only in the human-readable output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -99,7 +102,7 @@ def _config_from_args(args) -> AnalyzerConfig:
         run_tier3=not args.no_tier3,
         force_tier3=args.force_tier3,
         smt_solver=args.smt_solver or smt_solver_from_env(),
-        tree_policy=parse_policy(args.tree_policy) if args.tree_policy else None,
+        tree_policy=args.tree_policy,
     )
 
 
@@ -223,11 +226,10 @@ def cmd_measure(args) -> int:
 
 def cmd_simulate(args) -> int:
     defs, had_error = _load(args.files)
-    policy = parse_policy(args.tree_policy) if args.tree_policy else None
     reports = []
     for path, d in defs:
         try:
-            mc = monte_carlo(d, args.mc_runs, args.mc_horizon, args.seed, policy=policy)
+            mc = monte_carlo(d, args.mc_runs, args.mc_horizon, args.seed, policy=args.tree_policy)
         except SamplerLimitError as exc:
             print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
             had_error = True
@@ -312,28 +314,66 @@ def cmd_solve(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exits with EXIT_INPUT_ERROR."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
+def _policy(text: str):
+    try:
+        return parse_policy(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("files", nargs="+", help="definition files")
 
 
 def _add_numeric(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=float, default=1e-9)
-    parser.add_argument("--max-iter", type=int, default=100_000)
+    parser.add_argument("--epsilon", type=_positive_float, default=1e-9)
+    parser.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
 
 
 def _add_mc(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mc-runs", type=int, default=200)
-    parser.add_argument("--mc-horizon", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=0xA5F)
+    parser.add_argument("--mc-runs", type=_int_at_least(1), default=200)
+    parser.add_argument("--mc-horizon", type=_int_at_least(100), default=10_000)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0xA5F)
     parser.add_argument(
         "--tree-policy",
+        type=_policy,
         default=None,
         help="'uniform', a period like 'LR', or 'prefix|period'",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asprod",
         description="Almost-sure-productivity analyzer for probabilistic "
         "stream and tree definitions",

@@ -4,15 +4,19 @@ The per-run sampler in `semantics` is the readable reference; these compiled
 simulators run many seeded lanes in lockstep so that long-horizon Monte
 Carlo evidence stays cheap.
 
-`CompiledDefinition` executes the term semantics one whole step per
-categorical draw: for every rest core (the node a lane occupies between
-events) and every class of entry-stack tops, the full within-step walk
-(choice resolution, destructor bookkeeping, cancellations) is enumerated
-ahead of time into a closure row whose outcomes record the observed event,
-the successor core, how many entry symbols the step consumed and which
-symbols it pushed.  A step then only classifies the stack top, samples a row
-outcome, and applies the recorded stack delta.  Row probabilities are exact
-rationals until the final float conversion.
+`CompiledDefinition` samples a definition's pPDA (`ppda.translate`) one
+whole term step per categorical draw.  The within-step walk over the
+automaton's silent moves (choices, destructor pushes, constructors that
+cancel a pending destructor or consume an entry symbol) is enumerated ahead
+of time into closure rows, keyed by a pPDA state and an entry class (the
+top symbols of the stack, up to the suffix depth).  A row's outcomes record
+the observed event, the successor state, how many entry symbols the step
+consumed and which symbols it pushed.  Only rows a lane can reach are
+built: a silent step restarts at the body, state 0, under any entry class,
+and an output consumes the whole entry stack, so it leads to a constructor
+successor at the empty stack.  A step then only classifies the stack top,
+samples a row outcome, and applies the recorded stack delta.  Row
+probabilities are exact rationals until the final float conversion.
 
 Randomness is drawn in blocks of `CHUNK` steps, `rng.random((chunk, draws,
 runs))`, which yields the same numbers in the same order as one
@@ -33,13 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .ppda import translate
 from .semantics import PeriodicWord, Policy, SamplerLimitError, UniformPolicy
-from .terms import Choice, Cons, Definition, Kind, Mk, RecVar, Right, Term
-
-OP_REC = 0
-OP_CHOICE = 1
-OP_EMIT = 2
-OP_PUSH = 3
+from .terms import Definition, Kind
 
 EV_SILENT = 0
 EV_OUT = 1
@@ -79,97 +79,51 @@ def _policy_tables(policy: Policy | None):
 
 
 class CompiledDefinition:
-    """Closure-table simulator for one definition."""
+    """Closure-table simulator for one definition, compiled from its pPDA."""
 
     def __init__(self, d: Definition):
         self.kind = d.kind
-        self.n_syms = 1 if d.kind is Kind.STREAM else 2
-
-        op: list[int] = []
-        child_a: list[int] = []
-        child_b: list[int] = []
-        prob: list[Fraction] = []
-        sym: list[int] = []
-        terms: list[Term] = []
-
-        def compile_node(t: Term) -> int:
-            i = len(op)
-            op.append(0)
-            child_a.append(0)
-            child_b.append(0)
-            prob.append(Fraction(0))
-            sym.append(0)
-            terms.append(t)
-            if isinstance(t, RecVar):
-                op[i] = OP_REC
-            elif isinstance(t, Choice):
-                op[i] = OP_CHOICE
-                prob[i] = t.prob
-                child_a[i] = compile_node(t.left)
-                child_b[i] = compile_node(t.right)
-            elif isinstance(t, Cons):
-                op[i] = OP_EMIT
-                child_a[i] = compile_node(t.tail)
-                child_b[i] = child_a[i]
-            elif isinstance(t, Mk):
-                op[i] = OP_EMIT
-                child_a[i] = compile_node(t.left)
-                child_b[i] = compile_node(t.right)
-            else:
-                op[i] = OP_PUSH
-                sym[i] = 1 if isinstance(t, Right) else 0
-                child_a[i] = compile_node(t.arg)
-                child_b[i] = child_a[i]
-            return i
-
-        compile_node(d.body)
-        self._op = op
-        self._child_a = child_a
-        self._child_b = child_b
-        self._prob = prob
-        self._sym = sym
-        self.n_nodes = len(op)
-        self._terms = terms
+        self.ppda = p = translate(d)
+        self.n_syms = len(p.alphabet)
+        self.n_states = len(p.states)
+        # the states a constructor moves to, by the code of the symbol it
+        # reads; at the empty stack these are an output's successors
+        self._succ = {
+            q: tuple(p.rows[(q, x)][0].target for x in p.alphabet)
+            for q in range(self.n_states)
+            if p.is_constructor(q)
+        }
         self._build_tables()
 
     # -- closure construction ------------------------------------------------
 
-    def _walk(self, i, known, exhausted, consumed, pushed, weight, out) -> None:
-        k = self._op[i]
-        if k == OP_REC:
+    def _walk(self, q, known, exhausted, consumed, pushed, weight, out) -> None:
+        p = self.ppda
+        if p.is_recvar(q):
             out.append((weight, EV_SILENT, 0, 0, consumed, tuple(pushed)))
-        elif k == OP_CHOICE:
-            p = self._prob[i]
-            self._walk(self._child_a[i], known, exhausted, consumed, pushed, weight * p, out)
-            self._walk(
-                self._child_b[i], known, exhausted, consumed, pushed, weight * (1 - p), out
-            )
-        elif k == OP_PUSH:
-            self._walk(
-                self._child_a[i],
-                known,
-                exhausted,
-                consumed,
-                pushed + [self._sym[i]],
-                weight,
-                out,
-            )
-        else:  # OP_EMIT: cancel against pending destructors, else emit
-            if pushed:
-                s = pushed[-1]
-                child = self._child_a[i] if s == 0 else self._child_b[i]
-                self._walk(child, known, exhausted, consumed, pushed[:-1], weight, out)
-            elif known:
-                s = known[0]
-                child = self._child_a[i] if s == 0 else self._child_b[i]
-                self._walk(child, known[1:], exhausted, consumed + 1, pushed, weight, out)
-            elif exhausted:
-                out.append((weight, EV_OUT, self._child_a[i], self._child_b[i], consumed, ()))
-            else:
-                raise _NeedDeeperSuffix
+        elif q not in self._succ:  # a choice or a destructor
+            for m in p.rows[(q, None)]:
+                codes = [p.alphabet.index(x) for x in m.push]
+                self._walk(
+                    m.target, known, exhausted, consumed, pushed + codes, weight * m.prob, out
+                )
+        elif pushed:  # cancel the latest pending destructor
+            s = pushed[-1]
+            self._walk(self._succ[q][s], known, exhausted, consumed, pushed[:-1], weight, out)
+        elif known:  # consume an entry symbol
+            s = known[0]
+            self._walk(self._succ[q][s], known[1:], exhausted, consumed + 1, pushed, weight, out)
+        elif exhausted:  # output at the empty stack
+            succ = self._succ[q]
+            out.append((weight, EV_OUT, succ[0], succ[-1], consumed, ()))
+        else:
+            raise _NeedDeeperSuffix
 
     def _enumerate(self, depth: int):
-        """Closure rows for entry classes of suffix depth `depth`."""
+        """Closure rows for entry classes of suffix depth `depth`, keyed by
+        row id (state * number of classes + class) in ascending order: the
+        body under every class, and every constructor successor under the
+        empty class."""
         m = self.n_syms
         classes: list[tuple[tuple[int, ...], bool]] = []
         for length in range(depth):
@@ -180,40 +134,38 @@ class CompiledDefinition:
             combo = tuple((v // m**j) % m for j in range(depth))
             classes.append((combo, False))
 
-        rows = []
-        for core in range(self.n_nodes):
-            for combo, exhausted in classes:
-                out: list = []
-                self._walk(core, list(combo), exhausted, 0, [], Fraction(1), out)
-                merged: dict = {}
-                order = []
-                for weight, ev, na, nb, con, push in out:
-                    key = (ev, na, nb, con, push)
-                    if key not in merged:
-                        merged[key] = Fraction(0)
-                        order.append(key)
-                    merged[key] += weight
-                rows.append([(merged[k], *k) for k in order])
+        successors = sorted({q for succ in self._succ.values() for q in succ} - {0})
+        starts = [(0, c) for c in range(len(classes))] + [(q, 0) for q in successors]
+        rows = {}
+        for q, c in starts:
+            combo, exhausted = classes[c]
+            out: list = []
+            self._walk(q, list(combo), exhausted, 0, [], Fraction(1), out)
+            merged: dict = {}
+            for weight, *outcome in out:
+                key = tuple(outcome)
+                merged[key] = merged.get(key, 0) + weight
+            rows[q * len(classes) + c] = [(w, *k) for k, w in merged.items()]
         return classes, rows
 
     def _build_tables(self) -> None:
+        m = self.n_syms
         depth = 0
         while True:
-            # every row has at least one outcome, so the row count bounds
-            # the table size before any row of this depth is built
-            _check_table_size(self.n_nodes * sum(self.n_syms**k for k in range(depth + 1)))
+            # the row-id space, which the dense per-row lookups span, is
+            # held to the limit before any row of this depth is built
+            _check_table_size(self.n_states * sum(m**k for k in range(depth + 1)))
             try:
                 classes, rows = self._enumerate(depth)
                 break
             except _NeedDeeperSuffix:
                 depth += 1
-                if depth > self.n_nodes + 1:
+                if depth > self.n_states + 1:
                     raise RuntimeError("entry-suffix depth failed to stabilize")
-        _check_table_size(sum(len(r) for r in rows))
+        _check_table_size(sum(len(r) for r in rows.values()))
         self.suffix_depth = depth
         self.n_classes = len(classes)
 
-        m = self.n_syms
         offsets = [0] * (depth + 1)
         for length in range(1, depth + 1):
             offsets[length] = offsets[length - 1] + m ** (length - 1)
@@ -227,9 +179,9 @@ class CompiledDefinition:
         n_push: list[int] = []
         push_rows: list[tuple[int, ...]] = []
         self.max_push = max(
-            (len(o[5]) for row in rows for o in row), default=0
+            (len(o[5]) for row in rows.values() for o in row), default=0
         )
-        for row_id, row in enumerate(rows):
+        for row_id, row in rows.items():
             total = Fraction(0)
             for k, (weight, e, na, nb, con, push) in enumerate(row):
                 total += weight
@@ -258,9 +210,12 @@ class CompiledDefinition:
         # tree output that turns right
         next_core = np.concatenate([self._next_a, self._next_b]).astype(np.int64)
         self._next_row = next_core * self.n_classes
-        self._row_last = np.cumsum([len(r) for r in rows]) - 1
-        # below this draw, `row + u` stays below `row + 1` for every row
-        self._u_safe = 1.0 - float(np.spacing(float(len(rows))))
+        # last outcome of each built row; other row ids are never held
+        n_rows = self.n_states * self.n_classes
+        self._row_last = np.zeros(n_rows, dtype=np.int64)
+        self._row_last[list(rows)] = np.cumsum([len(r) for r in rows.values()]) - 1
+        # below this draw, `row + u` stays below `row + 1` for every row id
+        self._u_safe = 1.0 - float(np.spacing(float(n_rows)))
         # class of a stack after pushing symbol s onto one of class c, at
         # s * n_classes + c: s becomes the top digit, and at full depth the
         # deepest known symbol drops out; cells hold class ids in the
@@ -292,7 +247,7 @@ class CompiledDefinition:
         n_out = len(self._keys)
         keys, is_out, next_row = self._keys, self._is_out, self._next_row
 
-        row = np.zeros(runs, dtype=np.int64)  # closure row: core * n_classes + class
+        row = np.zeros(runs, dtype=np.int64)  # closure row: state * n_classes + class
         if tree and word is not None:
             pre, per, dirs = word
             turn = dirs * n_out  # successor-table offset of each word letter

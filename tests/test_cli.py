@@ -78,7 +78,7 @@ def test_check_duplicate_name_points_at_the_name(tmp_path, capsys):
 
 def nested_mk(depth):
     """A tree whose sampler needs an entry suffix `depth` symbols deep: its
-    closure table is too large to build from depth 13 on, while the exact
+    closure table is too large to build from depth 14 on, while the exact
     tier answers Unknown quickly."""
     inner = "t"
     for _ in range(depth):
@@ -96,6 +96,34 @@ def test_sampler_limit_exits_3_and_reports_the_rest(argv, tmp_path, capsys):
     doc = json.loads(captured.out)
     entries = doc["definitions"] if argv[0] == "check" else doc["simulations"]
     assert [e["name"] for e in entries] == ["s"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--mc-horizon", "10"],
+        ["check", "--mc-runs", "x"],
+        ["simulate", "--mc-runs", "0"],
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--tree-policy", "RX"],
+        ["solve", "--epsilon", "-1"],
+        ["solve", "--max-iter", "0"],
+        ["measure", "--bogus"],
+    ],
+)
+def test_usage_errors_exit_3_with_one_error_line(argv, tmp_path, capsys):
+    # an Unknown verdict, so that `check` reaches the sampler
+    path = write(
+        tmp_path,
+        "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))\n",
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    assert exc.value.code == 3
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "error:" in line and argv[1] in line
 
 
 def test_check_json_is_deterministic(corpus_file, capsys):

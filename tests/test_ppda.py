@@ -17,11 +17,18 @@ from asprod.ppda import (
     translate,
 )
 from asprod.semantics import DepthLimitError, Out, OutNode, Unfold, step
-from asprod.simulate import CompiledDefinition
+from asprod.simulate import EV_OUT, CompiledDefinition, _NeedDeeperSuffix
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, Mk, RecVar, Tail, subterms
 
-from conftest import CORPUS_TEXT, corpus, definitions, stream_definitions
+from conftest import (
+    CORPUS_TEXT,
+    corpus,
+    definitions,
+    seeded_random_definitions,
+    stream_definitions,
+)
+from test_simulate import READS_BOTH
 
 S34 = parse_definition("stream s = (a : s) (+ 3/4) tail(s)")
 T1 = parse_definition("tree t = left(t) (+ 1/4) mk(x, t, t)")
@@ -228,7 +235,7 @@ def _closure_distribution(d, compiled, row, stack_syms):
     from asprod.semantics import _wrap
 
     codes = "T" if d.kind is Kind.STREAM else "LR"
-    nodes = compiled._terms
+    nodes = compiled.ppda.states
     dist = {}
     for weight, ev, na, nb, con, push in row:
         remaining = stack_syms[: len(stack_syms) - con] + list(push)
@@ -257,26 +264,52 @@ def _step_distribution(d, term):
     return dist
 
 
-@pytest.mark.parametrize("name", sorted(CORPUS_TEXT))
+CLOSURE_INPUTS = {
+    **corpus(),
+    **{f"seeded{i}": d for i, d in enumerate(seeded_random_definitions(24))},
+    "reads_both": parse_definition(READS_BOTH),
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_INPUTS))
 def test_closure_rows_match_step_distributions(name):
     from asprod.semantics import _wrap
 
-    d = corpus()[name]
+    d = CLOSURE_INPUTS[name]
     compiled = CompiledDefinition(d)
     codes = "T" if d.kind is Kind.STREAM else "LR"
     m = compiled.n_syms
     classes, rows = compiled._enumerate(compiled.suffix_depth)
-    for core in range(compiled.n_nodes):
-        for cls_id, (combo, exhausted) in enumerate(classes):
-            row = rows[core * len(classes) + cls_id]
-            # unexhausted classes must be valid for any symbols further down
-            pads = [()] if exhausted else [(0,), (m - 1, 0)]
-            for pad in pads:
-                stack_syms = list(pad) + list(reversed(combo))
-                term = _wrap([codes[s] for s in stack_syms], compiled._terms[core])
-                expected = _step_distribution(d, term)
-                actual = _closure_distribution(d, compiled, row, stack_syms)
-                assert actual == expected, (name, core, combo, exhausted, pad)
+    for row_id, row in rows.items():
+        core, cls_id = divmod(row_id, len(classes))
+        combo, exhausted = classes[cls_id]
+        # unexhausted classes must be valid for any symbols further down
+        pads = [()] if exhausted else [(0,), (m - 1, 0)]
+        for pad in pads:
+            stack_syms = list(pad) + list(reversed(combo))
+            term = _wrap([codes[s] for s in stack_syms], compiled.ppda.states[core])
+            expected = _step_distribution(d, term)
+            actual = _closure_distribution(d, compiled, row, stack_syms)
+            assert actual == expected, (name, core, combo, exhausted, pad)
+
+
+@pytest.mark.parametrize("name", list(CLOSURE_INPUTS))
+def test_closure_rows_are_closed_under_successors(name):
+    compiled = CompiledDefinition(CLOSURE_INPUTS[name])
+    depth = compiled.suffix_depth
+    # raises _NeedDeeperSuffix if some built row needs a deeper suffix
+    classes, rows = compiled._enumerate(depth)
+    n = len(classes)
+    assert list(rows) == sorted(rows)
+    for row in rows.values():
+        for _, ev, na, nb, _, _ in row:
+            if ev == EV_OUT:
+                assert na * n in rows and nb * n in rows
+            else:
+                assert all(c in rows for c in range(n))
+    if depth > 0:  # the chosen depth is the least that suffices
+        with pytest.raises(_NeedDeeperSuffix):
+            compiled._enumerate(depth - 1)
 
 
 @settings(max_examples=100, deadline=None)

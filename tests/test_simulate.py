@@ -160,6 +160,20 @@ def test_run_batch_matches_reference_with_wide_class_ids():
         assert_same(compiled, 7, 600, seed=11, policy=policy)
 
 
+def test_nested_mk_builds_only_reachable_rows():
+    # twelve nested constructors need an entry suffix twelve symbols deep;
+    # a lane holds the body under any class, but every other state only
+    # under the empty class, so most of the row-id space is never built
+    inner = "t"
+    for _ in range(12):
+        inner = f"mk(a, {inner}, t)"
+    compiled = CompiledDefinition(parse_definition(f"tree t = left(left(t)) (+ 1/2) {inner}"))
+    assert compiled.suffix_depth == 12
+    assert len(compiled._keys) < 20_000
+    for policy in POLICIES:
+        assert_same(compiled, 7, 600, seed=11, policy=policy)
+
+
 class _AlmostOne:
     """A generator stub whose every draw is the largest double below one."""
 
