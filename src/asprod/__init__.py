@@ -27,13 +27,11 @@ from .semantics import (
     OutNode,
     PeriodicWord,
     SamplerLimitError,
-    Trace,
     UNIFORM,
     Unfold,
     monte_carlo,
     parse_policy,
     prefix_distribution,
-    sample_run,
     step,
 )
 from .ppda import (
@@ -43,9 +41,7 @@ from .ppda import (
     Ppda,
     cross_validate,
     export,
-    is_outputting,
     observable_distribution,
-    ppda_step,
     translate,
 )
 from .eqsys import (

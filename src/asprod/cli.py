@@ -356,14 +356,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_numeric(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=_positive_float, default=1e-9)
-    parser.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
+    parser.add_argument("--epsilon", type=_positive_float, default=AnalyzerConfig.epsilon)
+    parser.add_argument("--max-iter", type=_int_at_least(1), default=AnalyzerConfig.max_iter)
 
 
 def _add_mc(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mc-runs", type=_int_at_least(1), default=200)
-    parser.add_argument("--mc-horizon", type=_int_at_least(100), default=10_000)
-    parser.add_argument("--seed", type=_int_at_least(0), default=0xA5F)
+    parser.add_argument("--mc-runs", type=_int_at_least(1), default=AnalyzerConfig.mc_runs)
+    parser.add_argument("--mc-horizon", type=_int_at_least(100), default=AnalyzerConfig.mc_horizon)
+    parser.add_argument("--seed", type=_int_at_least(0), default=AnalyzerConfig.seed)
     parser.add_argument(
         "--tree-policy",
         type=_policy,

@@ -24,6 +24,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .eqsys import (
+    DEFAULT_EPSILON,
+    DEFAULT_MAX_ITER,
     Head,
     HeadClass,
     SubReturn,
@@ -162,8 +164,8 @@ def buchi_verdict(g: GroundChain) -> BuchiResult:
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    epsilon: float = 1e-9
-    max_iter: int = 100_000
+    epsilon: float = DEFAULT_EPSILON
+    max_iter: int = DEFAULT_MAX_ITER
     mc_runs: int = 200
     mc_horizon: int = 10_000
     seed: int = 0xA5F

@@ -27,7 +27,6 @@ from typing import Optional, Sequence, Union
 
 from .graphs import strongly_connected_components
 from .ppda import Ppda
-from .simplex import nonnegative_contraction_feasible
 
 VarKey = tuple[int, str, int]  # (state, symbol, landing state)
 Head = tuple[int, str]
@@ -65,9 +64,6 @@ class EqSystem:
     heads: tuple[Head, ...]
     state_names: tuple[str, ...]
     alphabet: tuple[str, ...]
-
-    def index(self) -> dict[VarKey, int]:
-        return {v: i for i, v in enumerate(self.variables)}
 
     def head_vars(self) -> dict[Head, list[int]]:
         out: dict[Head, list[int]] = {h: [] for h in self.heads}
@@ -423,14 +419,43 @@ class Unknown:
 HeadClass = Union[AlmostSureReturn, SubReturn, Unknown]
 
 
+def nonnegative_contraction_feasible(b: Sequence[Sequence[Fraction]]) -> bool:
+    """Decide whether the nonnegative rational matrix B has spectral radius
+    at most one, that is, whether I - B is an M-matrix.  For irreducible B
+    this is the same as some v >= 1 satisfying B v <= v.
+
+    Precondition: B is irreducible; then the answer is exact.  For any B,
+    True still proves spectral radius at most one, but False may be wrong.
+    Gaussian elimination without pivoting runs on I - B in exact rational
+    arithmetic: every pivot must be positive, or zero with nothing below it
+    left to eliminate.  For irreducible B this says that every pivot is
+    positive except that the last may be zero (Berman & Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).
+    """
+    n = len(b)
+    a = [
+        [(ONE if i == j else ZERO) - Fraction(x) for j, x in enumerate(row)]
+        for i, row in enumerate(b)
+    ]
+    for k in range(n):
+        pivot = a[k][k]
+        below = [i for i in range(k + 1, n) if a[i][k]]
+        if pivot < 0 or (pivot == 0 and below):
+            return False
+        for i in below:
+            factor = a[i][k] / pivot
+            for j in range(k + 1, n):
+                a[i][j] -= factor * a[k][j]
+    return True
+
+
 def spectral_le_one(b: Sequence[Sequence[Fraction]]) -> bool:
     """Exactly decide whether a nonnegative rational matrix has spectral
     radius at most one.
 
-    Decided as rational feasibility of {B v <= v, v >= 1}: a positive vector
-    contracted by B bounds the spectral radius by one, and for irreducible B
-    the converse holds as well.  Reducible inputs must be SCC-decomposed by
-    the caller, otherwise only the feasible direction is conclusive.
+    Decided by `nonnegative_contraction_feasible`, exact for irreducible B.
+    Reducible inputs must be SCC-decomposed by the caller, otherwise only
+    the True answer is conclusive.
     """
     for row in b:
         for entry in row:

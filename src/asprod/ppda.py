@@ -149,20 +149,6 @@ def apply_move(c: Config, m: Move) -> Config:
     return Config(m.target, m.push + rest)
 
 
-def ppda_step(p: Ppda, c: Config) -> dict[Config, Fraction]:
-    """One-step distribution over successor configurations."""
-    out: dict[Config, Fraction] = {}
-    for m in p.rows[(c.state, c.top)]:
-        succ = apply_move(c, m)
-        out[succ] = out.get(succ, Fraction(0)) + m.prob
-    return out
-
-
-def is_outputting(p: Ppda, c: Config) -> bool:
-    """True exactly on constructor states with an empty stack."""
-    return p.is_constructor(c.state) and not c.stack
-
-
 # ---------------------------------------------------------------------------
 # observable-layer expansion and cross-validation against the term semantics
 

@@ -15,7 +15,6 @@ fixed ultimately-periodic word over {L, R}.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -267,83 +266,6 @@ def _merge(
     for seq, q in sub.items():
         key = (event,) + seq
         res[key] = res.get(key, Fraction(0)) + pr * q
-
-
-# ---------------------------------------------------------------------------
-# seeded sampling
-
-
-@dataclass(frozen=True)
-class Trace:
-    """One sampled run: per-step events, and the directions consumed at tree
-    outputs."""
-
-    events: tuple[Event, ...]
-    directions: tuple[str, ...] = ()
-
-    @property
-    def output_count(self) -> int:
-        return sum(1 for e in self.events if e is not None)
-
-
-def sample_run(
-    d: Definition,
-    horizon: int,
-    seed: int,
-    policy: Policy | None = None,
-) -> Trace:
-    """Deterministically sample `horizon` steps; trees default to UNIFORM."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if d.kind is Kind.TREE and policy is None:
-        policy = UNIFORM
-    rng = random.Random(seed)
-    body_ds, body_core = _split(d.body)
-    ds = list(body_ds)
-    core = body_core
-    events: list[Event] = []
-    dirs: list[str] = []
-    out_i = 0
-    for _ in range(horizon):
-        while True:
-            if isinstance(core, Choice):
-                # float < Fraction compares exactly
-                branch = core.left if rng.random() < core.prob else core.right
-                sub_ds, core = _split(branch)
-                ds.extend(sub_ds)
-            elif isinstance(core, Cons):
-                if ds:
-                    ds.pop()
-                    sub_ds, core = _split(core.tail)
-                    ds.extend(sub_ds)
-                else:
-                    events.append(core.label)
-                    sub_ds, core = _split(core.tail)
-                    ds.extend(sub_ds)
-                    break
-            elif isinstance(core, Mk):
-                if ds:
-                    child = core.left if ds.pop() == "L" else core.right
-                    sub_ds, core = _split(child)
-                    ds.extend(sub_ds)
-                else:
-                    if isinstance(policy, PeriodicWord):
-                        direction = policy.direction(out_i)
-                    else:
-                        direction = "L" if rng.random() < 0.5 else "R"
-                    dirs.append(direction)
-                    out_i += 1
-                    events.append(core.label)
-                    child = core.left if direction == "L" else core.right
-                    sub_ds, core = _split(child)
-                    ds.extend(sub_ds)
-                    break
-            else:  # RecVar: unfold silently, keeping the pending context
-                events.append(None)
-                ds.extend(body_ds)
-                core = body_core
-                break
-    return Trace(tuple(events), tuple(dirs))
 
 
 # ---------------------------------------------------------------------------

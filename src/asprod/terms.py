@@ -76,8 +76,6 @@ class Right:
 
 Term = Union[RecVar, Choice, Cons, Tail, Mk, Left, Right]
 
-CONSTRUCTORS = (Cons, Mk)
-DESTRUCTORS = (Tail, Left, Right)
 _STREAM_ONLY = (Cons, Tail)
 _TREE_ONLY = (Mk, Left, Right)
 
@@ -150,26 +148,3 @@ def subterms_of(t: Term) -> tuple[Term, ...]:
 def subterms(d: Definition) -> tuple[Term, ...]:
     """Distinct subterms of the body, pre-order; the body itself comes first."""
     return subterms_of(d.body)
-
-
-def substitute(t: Term, replacement: Term) -> Term:
-    """Replace every RecVar occurrence in `t` by `replacement`."""
-    if isinstance(t, RecVar):
-        return replacement
-    if isinstance(t, Choice):
-        return Choice(t.prob, substitute(t.left, replacement), substitute(t.right, replacement))
-    if isinstance(t, Cons):
-        return Cons(t.label, substitute(t.tail, replacement))
-    if isinstance(t, Tail):
-        return Tail(substitute(t.arg, replacement))
-    if isinstance(t, Mk):
-        return Mk(t.label, substitute(t.left, replacement), substitute(t.right, replacement))
-    if isinstance(t, Left):
-        return Left(substitute(t.arg, replacement))
-    return Right(substitute(t.arg, replacement))
-
-
-def count_nodes(t: Term, kinds: tuple[type, ...]) -> int:
-    total = 1 if isinstance(t, kinds) else 0
-    return total + sum(count_nodes(c, kinds) for c in children(t))
-

@@ -485,6 +485,70 @@ def test_spectral_matches_numeric_radius(rows):
     assert spectral_le_one(b) == (radius <= 1.0)
 
 
+def irreducible_weights(n):
+    """n x n nonnegative integer weights holding the cycle 0 -> 1 -> ... -> 0
+    (a self-loop when n is 1), so every matrix drawn is irreducible."""
+    def close_cycle(rows):
+        return [[x + (j == (i + 1) % n) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+    row = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n).map(close_cycle)
+
+
+def scaled_stochastic(rows, c):
+    """c times the rows normalized to sum one: spectral radius exactly c."""
+    return [[c * F(x, sum(row)) for x in row] for row in rows]
+
+
+TINY = F(1, 2**30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(irreducible_weights))
+def test_contraction_kernel_is_exact_at_radius_one(rows):
+    assert eqsys.nonnegative_contraction_feasible(scaled_stochastic(rows, F(1)))
+    assert not eqsys.nonnegative_contraction_feasible(scaled_stochastic(rows, 1 + TINY))
+    assert eqsys.nonnegative_contraction_feasible(scaled_stochastic(rows, 1 - TINY))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_contraction_kernel_true_bounds_the_radius_of_reducible_matrices(data):
+    # block upper-triangular with diagonal blocks c * S, S stochastic and
+    # irreducible, then rows and columns permuted alike: the spectral radius
+    # is exactly the largest c.  Numeric eigenvalues confirm it only
+    # loosely: those of a defective matrix err by about eps ** (1 / n).
+    radii = (F(0), F(1, 2), 1 - TINY, F(1), 1 + TINY, F(2))
+    blocks = data.draw(
+        st.lists(st.tuples(st.integers(1, 3), st.sampled_from(radii)), min_size=1, max_size=3)
+    )
+    n = sum(size for size, _ in blocks)
+    b = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for size, c in blocks:
+        block = scaled_stochastic(data.draw(irreducible_weights(size)), c)
+        for i in range(size):
+            b[start + i][start : start + size] = block[i]
+            for j in range(start + size, n):
+                b[start + i][j] = F(data.draw(st.integers(0, 3)), 2)
+        start += size
+    perm = data.draw(st.permutations(range(n)))
+    b = [[b[i][j] for j in perm] for i in perm]
+    radius = max(c for _, c in blocks)
+    assert abs(max(abs(np.linalg.eigvals(np.array(b, dtype=float)))) - radius) < 1e-3
+    answer = eqsys.nonnegative_contraction_feasible(b)
+    if answer:
+        assert radius <= 1
+    if radius < 1:
+        assert answer
+
+
+def test_contraction_kernel_on_the_jordan_block():
+    # reducible, spectral radius one, and no v >= 1 with B v <= v: the
+    # elimination still answers True, which bounds the radius correctly
+    assert eqsys.nonnegative_contraction_feasible([[F(1), F(1)], [F(0), F(1)]])
+
+
 # ---------------------------------------------------------------------------
 # SMT export and the optional solver subprocess
 

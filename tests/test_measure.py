@@ -6,14 +6,17 @@ from hypothesis import given, settings
 
 from asprod.measure import Tier1, measure, measure_term, tier1_verdict
 from asprod.syntax import parse_definition
-from asprod.terms import (
-    CONSTRUCTORS,
-    DESTRUCTORS,
-    Choice,
-    count_nodes,
-)
+from asprod.terms import Choice, Cons, Left, Mk, Right, Tail, Term, children
 
 from conftest import definitions, probabilities, stream_terms
+
+CONSTRUCTORS = (Cons, Mk)
+DESTRUCTORS = (Tail, Left, Right)
+
+
+def count_nodes(t: Term, kinds: tuple[type, ...]) -> int:
+    total = 1 if isinstance(t, kinds) else 0
+    return total + sum(count_nodes(c, kinds) for c in children(t))
 
 
 def drift_stream(p: Fraction):

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from asprod.ppda import (
     Config,
     Move,
+    Ppda,
+    apply_move,
     cross_validate,
     export,
-    is_outputting,
-    ppda_step,
     translate,
 )
 from asprod.semantics import DepthLimitError, Out, OutNode, Unfold, step
@@ -95,6 +95,20 @@ def test_translate_self_loop():
     assert len(p.states) == 1
     assert p.rows[(0, None)] == (Move(Fraction(1), 0, ()),)
     assert p.rows[(0, "tl")] == (Move(Fraction(1), 0, ("tl",)),)
+
+
+def ppda_step(p: Ppda, c: Config) -> dict[Config, Fraction]:
+    """One-step distribution over successor configurations."""
+    out: dict[Config, Fraction] = {}
+    for m in p.rows[(c.state, c.top)]:
+        succ = apply_move(c, m)
+        out[succ] = out.get(succ, Fraction(0)) + m.prob
+    return out
+
+
+def is_outputting(p: Ppda, c: Config) -> bool:
+    """True exactly on constructor states with an empty stack."""
+    return p.is_constructor(c.state) and not c.stack
 
 
 def test_ppda_step_applies_moves():

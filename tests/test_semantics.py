@@ -1,5 +1,7 @@
 """One-step distributions, prefix distributions, samplers, Monte Carlo."""
 
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,20 +10,34 @@ from hypothesis import given, settings
 
 from asprod.measure import measure
 from asprod.semantics import (
+    Event,
     McHint,
     McReport,
     Out,
     PeriodicWord,
+    Policy,
     UNIFORM,
     Unfold,
+    _split,
     monte_carlo,
     parse_policy,
     prefix_distribution,
-    sample_run,
     step,
 )
 from asprod.syntax import parse_definition
-from asprod.terms import Cons, InvalidDefinition, RecVar, Tail
+from asprod.terms import (
+    Choice,
+    Cons,
+    Definition,
+    InvalidDefinition,
+    Kind,
+    Left,
+    Mk,
+    RecVar,
+    Right,
+    Tail,
+    Term,
+)
 
 from conftest import corpus, stream_terms, tree_terms
 
@@ -125,6 +141,83 @@ def test_prefix_distribution_fixed_word_tree():
     assert left_only == {("x", None, "x"): Fraction(1)}
     right_only = prefix_distribution(t, 3, parse_policy("R"))
     assert right_only == {("x", None, None): Fraction(1)}
+
+
+# ---------------------------------------------------------------------------
+# seeded sampling: a per-run term-level reference for `monte_carlo`
+
+
+@dataclass(frozen=True)
+class Trace:
+    """One sampled run: per-step events, and the directions consumed at tree
+    outputs."""
+
+    events: tuple[Event, ...]
+    directions: tuple[str, ...] = ()
+
+    @property
+    def output_count(self) -> int:
+        return sum(1 for e in self.events if e is not None)
+
+
+def sample_run(
+    d: Definition,
+    horizon: int,
+    seed: int,
+    policy: Policy | None = None,
+) -> Trace:
+    """Deterministically sample `horizon` steps; trees default to UNIFORM."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if d.kind is Kind.TREE and policy is None:
+        policy = UNIFORM
+    rng = random.Random(seed)
+    body_ds, body_core = _split(d.body)
+    ds = list(body_ds)
+    core = body_core
+    events: list[Event] = []
+    dirs: list[str] = []
+    out_i = 0
+    for _ in range(horizon):
+        while True:
+            if isinstance(core, Choice):
+                # float < Fraction compares exactly
+                branch = core.left if rng.random() < core.prob else core.right
+                sub_ds, core = _split(branch)
+                ds.extend(sub_ds)
+            elif isinstance(core, Cons):
+                if ds:
+                    ds.pop()
+                    sub_ds, core = _split(core.tail)
+                    ds.extend(sub_ds)
+                else:
+                    events.append(core.label)
+                    sub_ds, core = _split(core.tail)
+                    ds.extend(sub_ds)
+                    break
+            elif isinstance(core, Mk):
+                if ds:
+                    child = core.left if ds.pop() == "L" else core.right
+                    sub_ds, core = _split(child)
+                    ds.extend(sub_ds)
+                else:
+                    if isinstance(policy, PeriodicWord):
+                        direction = policy.direction(out_i)
+                    else:
+                        direction = "L" if rng.random() < 0.5 else "R"
+                    dirs.append(direction)
+                    out_i += 1
+                    events.append(core.label)
+                    child = core.left if direction == "L" else core.right
+                    sub_ds, core = _split(child)
+                    ds.extend(sub_ds)
+                    break
+            else:  # RecVar: unfold silently, keeping the pending context
+                events.append(None)
+                ds.extend(body_ds)
+                core = body_core
+                break
+    return Trace(tuple(events), tuple(dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +331,26 @@ def test_monte_carlo_respects_measure_direction_on_drift_family():
         assert mc.hint is expected
 
 
+def substitute(t: Term, replacement: Term) -> Term:
+    """Replace every RecVar occurrence in `t` by `replacement`."""
+    if isinstance(t, RecVar):
+        return replacement
+    if isinstance(t, Choice):
+        return Choice(t.prob, substitute(t.left, replacement), substitute(t.right, replacement))
+    if isinstance(t, Cons):
+        return Cons(t.label, substitute(t.tail, replacement))
+    if isinstance(t, Tail):
+        return Tail(substitute(t.arg, replacement))
+    if isinstance(t, Mk):
+        return Mk(t.label, substitute(t.left, replacement), substitute(t.right, replacement))
+    if isinstance(t, Left):
+        return Left(substitute(t.arg, replacement))
+    return Right(substitute(t.arg, replacement))
+
+
 def test_unfold_is_substitution_of_the_body():
     # the silent step replaces the recursion variable under the pending
     # context, i.e. it is exactly capture-free substitution of the body
-    from asprod.terms import substitute
-
     term = Tail(Tail(RecVar()))
     dist = step(S12, term)
     assert dist == {Unfold(substitute(term, S12.body)): Fraction(1)}
