@@ -6,12 +6,19 @@ Subcommands: `check` runs the full three-tier decision per definition,
 solutions and head classifications.
 
 Exit codes for `check`: 0 all ASP, 1 some definition is not ASP, 2 some
-verdict is Unknown, 3 input errors, including a definition too large for the
-Monte Carlo sampler (the other definitions are still reported).  A usage
-error, such as an unknown flag or a flag value out of range, exits 3 from
-every subcommand, with one `error:` line on stderr.  JSON reports are
+verdict is Unknown, 3 input errors, including a term nested more than
+`syntax.MAX_NESTING` levels deep and a definition too large for the Monte
+Carlo sampler (the other definitions are still reported).  A usage error,
+such as an unknown flag or a flag value out of range, exits 3 from every
+subcommand, with one `error:` line on stderr.  JSON reports are
 byte-deterministic for fixed inputs, flags and seed; wall-clock timings
 appear only in the human-readable output.
+
+`check` renders each definition's report as soon as the definition is
+decided and lets its analysis go; the document is written after the last
+one.  Memory therefore grows by the rendered text alone (about 2.3 KB per
+JSON entry on the bias families), not by the analyses, and an analysis
+that raises leaves stdout empty rather than holding a truncated document.
 """
 
 from __future__ import annotations
@@ -173,6 +180,27 @@ def _verdict_json(d: Definition, v: Verdict) -> dict:
     }
 
 
+def _render_entry(entry) -> str:
+    """`entry` as `json.dumps(doc, sort_keys=True, indent=2)` renders it as
+    an element of the list under the document's one key.  The four-space
+    indent is safe because a JSON string holds no raw newline."""
+    return "    " + json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
+
+
+def _write_document(key: str, rendered: list[str]) -> None:
+    """Write `{key: [...]}` to stdout, byte for byte as `json.dumps(...,
+    sort_keys=True, indent=2)` and a newline, from entries rendered by
+    `_render_entry`."""
+    out = sys.stdout
+    if not rendered:
+        out.write(json.dumps({key: []}, indent=2) + "\n")
+        return
+    out.write("{\n  " + json.dumps(key) + ": [\n")
+    for i, text in enumerate(rendered):
+        out.write(text if i == 0 else ",\n" + text)
+    out.write("\n  ]\n}\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -181,22 +209,23 @@ def cmd_check(args) -> int:
     defs, had_error = _load(args.files)
     config = _config_from_args(args)
 
-    results = []
+    # Each definition's report is rendered when it is decided, so its
+    # analysis can be freed; the text is written only after the last one.
+    rendered: list[str] = []
+    outcomes: set[AspResult] = set()
     for path, d in defs:
         start = time.perf_counter()
         try:
-            verdict = decide_asp(d, config)
+            v = decide_asp(d, config)
         except SamplerLimitError as exc:
             print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
             had_error = True
             continue
-        results.append((d, verdict, time.perf_counter() - start))
-
-    if args.json:
-        doc = {"definitions": [_verdict_json(d, v) for d, v, _ in results]}
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for d, v, elapsed in results:
+        elapsed = time.perf_counter() - start
+        outcomes.add(v.result)
+        if args.json:
+            rendered.append(_render_entry(_verdict_json(d, v)))
+        else:
             line = (
                 f"{d.name}: {_RESULT_TEXT[v.result]}  "
                 f"[{_TIER_TEXT[v.tier.value]}]  measure={v.measure}"
@@ -204,12 +233,15 @@ def cmd_check(args) -> int:
             )
             if v.mc is not None:
                 line += f"  mc_hint={v.mc.hint.value}"
-            line += f"  ({elapsed * 1000:.0f} ms)"
-            print(line)
+            rendered.append(line + f"  ({elapsed * 1000:.0f} ms)\n")
+
+    if args.json:
+        _write_document("definitions", rendered)
+    else:
+        sys.stdout.writelines(rendered)
 
     if had_error:
         return EXIT_INPUT_ERROR
-    outcomes = {v.result for _, v, _ in results}
     if AspResult.NOT_ASP in outcomes:
         return EXIT_NOT_ASP
     if AspResult.UNKNOWN in outcomes:
@@ -226,7 +258,7 @@ def cmd_measure(args) -> int:
 
 def cmd_simulate(args) -> int:
     defs, had_error = _load(args.files)
-    reports = []
+    rendered: list[str] = []
     for path, d in defs:
         try:
             mc = monte_carlo(d, args.mc_runs, args.mc_horizon, args.seed, policy=args.tree_policy)
@@ -234,17 +266,18 @@ def cmd_simulate(args) -> int:
             print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
             had_error = True
             continue
-        reports.append((d, mc))
-    if args.json:
-        doc = {"simulations": [dict(_mc_json(mc), name=d.name) for d, mc in reports]}
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for d, mc in reports:
-            print(
+        if args.json:
+            rendered.append(_render_entry(dict(_mc_json(mc), name=d.name)))
+        else:
+            rendered.append(
                 f"{d.name}: runs={mc.runs} horizon={mc.horizon} seed={mc.seed} "
                 f"mean_rate={mc.mean_rate:.6f} tail_silence={mc.tail_silence:.4f} "
-                f"slope={mc.cum_slope:.6f} hint={mc.hint.value}"
+                f"slope={mc.cum_slope:.6f} hint={mc.hint.value}\n"
             )
+    if args.json:
+        _write_document("simulations", rendered)
+    else:
+        sys.stdout.writelines(rendered)
     return EXIT_INPUT_ERROR if had_error else EXIT_OK
 
 

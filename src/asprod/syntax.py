@@ -34,6 +34,14 @@ from .terms import (
 KEYWORDS = frozenset({"stream", "tree", "tail", "mk", "left", "right"})
 _SYMBOLS = frozenset("=():,/+")
 
+# Deepest nesting a term may have.  Each parenthesis, constructor, destructor
+# and choice opens one level.  Parsing, validation, the drift measure,
+# printing, translation and the sampler all recurse on the term.  At this
+# depth each of them stays within the interpreter's default recursion limit
+# of 1000 frames with 300 frames already on the caller's stack; at 300 levels,
+# comparing two equal halves in validation does not.
+MAX_NESTING = 200
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
@@ -146,21 +154,22 @@ class _Parser:
         if name_tok.text in KEYWORDS:
             raise self.error(f"{name_tok.text!r} is reserved", name_tok)
         self.expect("=")
-        body = self.parse_expr(name_tok.text, kind)
+        body = self.parse_expr(name_tok.text, kind, 0)
         try:
             return Definition(name_tok.text, kind, body).validate()
         except InvalidDefinition as exc:
             raise self.error(str(exc), name_tok) from exc
 
     # choice := atom [ "(" "+" prob ")" choice ]   (right-associative)
-    def parse_expr(self, name: str, kind: Kind) -> Term:
-        left = self.parse_atom(name, kind)
+    # `depth` counts the levels that enclose the term.
+    def parse_expr(self, name: str, kind: Kind, depth: int) -> Term:
+        left = self.parse_atom(name, kind, depth)
         if self.peek().kind == "(" and self.peek(1).kind == "+":
             self.next()
             self.next()
             p = self.parse_prob()
             self.expect(")")
-            right = self.parse_expr(name, kind)
+            right = self.parse_expr(name, kind, depth + 1)
             if p == 1:
                 return left
             if p == 0:
@@ -188,11 +197,13 @@ class _Parser:
             raise self.error("probability out of range", tok)
         return value
 
-    def parse_atom(self, name: str, kind: Kind) -> Term:
+    def parse_atom(self, name: str, kind: Kind, depth: int) -> Term:
         tok = self.peek()
+        if depth > MAX_NESTING:
+            raise self.error(f"term nested more than {MAX_NESTING} levels deep")
         if tok.kind == "(":
             self.next()
-            inner = self.parse_expr(name, kind)
+            inner = self.parse_expr(name, kind, depth + 1)
             self.expect(")")
             return inner
         if tok.kind != "ident":
@@ -203,14 +214,14 @@ class _Parser:
             self._require_kind(kind, Kind.STREAM, tok)
             self.next()
             self.expect("(")
-            arg = self.parse_expr(name, kind)
+            arg = self.parse_expr(name, kind, depth + 1)
             self.expect(")")
             return Tail(arg)
         if word in ("left", "right"):
             self._require_kind(kind, Kind.TREE, tok)
             self.next()
             self.expect("(")
-            arg = self.parse_expr(name, kind)
+            arg = self.parse_expr(name, kind, depth + 1)
             self.expect(")")
             return Left(arg) if word == "left" else Right(arg)
         if word == "mk":
@@ -221,9 +232,9 @@ class _Parser:
             if label.text in KEYWORDS:
                 raise self.error(f"{label.text!r} is reserved", label)
             self.expect(",")
-            left = self.parse_expr(name, kind)
+            left = self.parse_expr(name, kind, depth + 1)
             self.expect(",")
-            right = self.parse_expr(name, kind)
+            right = self.parse_expr(name, kind, depth + 1)
             self.expect(")")
             return Mk(label.text, left, right)
         if word in ("stream", "tree"):
@@ -234,7 +245,7 @@ class _Parser:
             self._require_kind(kind, Kind.STREAM, tok)
             self.next()
             self.next()
-            tail = self.parse_atom(name, kind)
+            tail = self.parse_atom(name, kind, depth + 1)
             return Cons(word, tail)
         self.next()
         if word != name:

@@ -1,13 +1,21 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asprod import cli
 from asprod.cli import main
+from asprod.syntax import MAX_NESTING
 
 from conftest import CORPUS_TEXT
 
@@ -17,6 +25,10 @@ def corpus_file(tmp_path):
     path = tmp_path / "corpus.defs"
     path.write_text("\n".join(CORPUS_TEXT.values()) + "\n")
     return str(path)
+
+
+# a multi-exit stream whose exact tier answers Unknown
+UNKNOWN_STREAM = "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))\n"
 
 
 def write(tmp_path, text, name="defs.defs"):
@@ -32,7 +44,7 @@ def test_check_exit_codes(tmp_path, capsys):
     assert main(["check", not_asp, "--no-tier3"]) == 1
     unknown = write(
         tmp_path,
-        "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))\n",
+        UNKNOWN_STREAM,
         "unk.defs",
     )
     assert main(["check", unknown, "--no-tier3"]) == 2
@@ -88,14 +100,88 @@ def nested_mk(depth):
 
 @pytest.mark.parametrize("argv", [["check", "--json"], ["simulate", "--json"]])
 def test_sampler_limit_exits_3_and_reports_the_rest(argv, tmp_path, capsys):
-    path = write(tmp_path, nested_mk(14) + "stream s = a : s\n")
+    # `u` reaches the sampler in `check`, so both reports carry floats
+    path = write(tmp_path, UNKNOWN_STREAM + nested_mk(14) + "stream s = a : s\n")
     code = main([*argv, path, "--mc-runs", "5", "--mc-horizon", "200"])
     captured = capsys.readouterr()
     assert code == 3
     assert f"{path}: t: error: closure table too large" in captured.err
-    doc = json.loads(captured.out)
-    entries = doc["definitions"] if argv[0] == "check" else doc["simulations"]
-    assert [e["name"] for e in entries] == ["s"]
+    key = "definitions" if argv[0] == "check" else "simulations"
+    entries = json.loads(captured.out)[key]
+    assert [e["name"] for e in entries] == ["u", "s"]
+    assert captured.out == json.dumps({key: entries}, sort_keys=True, indent=2) + "\n"
+
+
+def deep_stream(name, depth):
+    return f"stream {name} = " + "a : " * depth + name + "\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "--json"], ["measure"]])
+def test_nesting_limit_exits_3_and_reports_the_rest(argv, tmp_path, capsys):
+    at_limit = write(tmp_path, deep_stream("deep", MAX_NESTING), "deep.defs")
+    past = write(tmp_path, deep_stream("deeper", MAX_NESTING + 1), "deeper.defs")
+    good = write(tmp_path, "stream s = a : s\n", "good.defs")
+    code = main([*argv, at_limit, past, good])
+    captured = capsys.readouterr()
+    assert code == 3
+    col = len("stream deeper = ") + 4 * (MAX_NESTING + 1) + 1  # the innermost `deeper`
+    assert captured.err.splitlines() == [
+        f"{past}:1:{col}: error: term nested more than {MAX_NESTING} levels deep"
+    ]
+    if argv[0] == "check":
+        names = [e["name"] for e in json.loads(captured.out)["definitions"]]
+    else:
+        names = [line.split()[0] for line in captured.out.splitlines()]
+    assert names == ["deep", "s"]
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(st.sampled_from('a"\\\n\té€😀 ')),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.sampled_from('ab"\n é')), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["definitions", "simulations", 'k\n"é']), st.lists(json_values, max_size=4))
+def test_document_writer_matches_json_dumps(key, entries):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._write_document(key, [cli._render_entry(e) for e in entries])
+    assert out.getvalue() == json.dumps({key: entries}, sort_keys=True, indent=2) + "\n"
+
+
+def test_check_memory_does_not_grow_with_the_analysis(tmp_path):
+    """Each definition's analysis is freed once its report is rendered, so
+    the peak grows by the rendered text alone: about 3.5 KB per definition
+    here, where keeping every verdict to the end cost about 16.9 KB."""
+    n = 50
+
+    def peak(copies):
+        path = write(
+            tmp_path,
+            "".join(
+                "stream {0} = (a : {0}) (+ {1}/{2}) tail({0})\n".format(f"s{c}_{k}", k, n + 1)
+                for c in range(copies)
+                for k in range(1, n + 1)
+            ),
+        )
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                main(["check", "--json", "--no-tier3", path])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    peak(1)  # warm-up: imports numpy and fills the interpreter's caches
+    per_definition = (peak(4) - peak(1)) / (3 * n)
+    assert per_definition < 8 * 1024
 
 
 @pytest.mark.parametrize(
@@ -115,7 +201,7 @@ def test_usage_errors_exit_3_with_one_error_line(argv, tmp_path, capsys):
     # an Unknown verdict, so that `check` reaches the sampler
     path = write(
         tmp_path,
-        "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))\n",
+        UNKNOWN_STREAM,
     )
     with pytest.raises(SystemExit) as exc:
         main([argv[0], path, *argv[1:]])
@@ -215,7 +301,7 @@ def test_smt_solver_env_var_is_consulted(tmp_path, capsys, monkeypatch):
     solver.chmod(0o755)
     unknown = write(
         tmp_path,
-        "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))\n",
+        UNKNOWN_STREAM,
         "unk.defs",
     )
     monkeypatch.setenv("ASP_SMT_SOLVER", str(solver))

@@ -6,7 +6,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from asprod.syntax import ParseError, parse_definition, parse_file, pretty_print
+from asprod.decide import AnalyzerConfig, decide_asp
+from asprod.measure import measure
+from asprod.ppda import translate
+from asprod.semantics import SamplerLimitError
+from asprod.simulate import CompiledDefinition
+from asprod.syntax import MAX_NESTING, ParseError, parse_definition, parse_file, pretty_print
 from asprod.terms import (
     Choice,
     Cons,
@@ -158,3 +163,41 @@ def test_parser_totality_on_arbitrary_text(text):
         return
     for d in defs:
         assert d.validate() == d
+
+
+def _nested(depth: int) -> dict[str, str]:
+    """Definitions whose deepest term sits `depth` levels down, one for each
+    way of nesting."""
+    half = depth // 2
+    return {
+        "cons": "stream s = " + "a : " * depth + "s",
+        "parenthesized_cons": "stream s = " + "(a : " * half + "s" + ")" * half,
+        "parentheses": "stream s = " + "(" * depth + "s" + ")" * depth,
+        "tail": "stream s = " + "tail(" * depth + "s" + ")" * depth,
+        "choice": "stream s = " + "a : s (+ 1/2) " * depth + "s",
+        # equal halves, merged by a structural comparison as deep as they are
+        "equal_choice": "stream s = {0} (+ 1/2) {0}".format(
+            "tail(" * (depth - 1) + "s" + ")" * (depth - 1)
+        ),
+        "left": "tree t = " + "left(" * depth + "t" + ")" * depth,
+        "mk": "tree t = " + "mk(a, t, " * depth + "t" + ")" * depth,
+        "equal_mk": "tree t = mk(a, {0}, {0})".format(
+            "left(" * (depth - 1) + "t" + ")" * (depth - 1)
+        ),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_nested(2)))
+def test_every_stage_survives_the_deepest_accepted_term(shape):
+    d = parse_definition(_nested(MAX_NESTING)[shape])
+    measure(d)
+    pretty_print(d)
+    translate(d)
+    try:
+        CompiledDefinition(d)
+    except SamplerLimitError:
+        pass
+    decide_asp(d, AnalyzerConfig(run_tier3=False))
+    if shape != "parenthesized_cons":  # one more level is a lone "(a :"
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_file(_nested(MAX_NESTING + 1)[shape])
