@@ -89,6 +89,10 @@ def _load(paths: list[str]) -> tuple[list[tuple[str, Definition]], bool]:
             print(f"{path}: error: {exc.strerror or exc}", file=sys.stderr)
             had_error = True
             continue
+        except UnicodeDecodeError as exc:
+            print(f"{path}: error: not UTF-8: {exc.reason} at byte {exc.start}", file=sys.stderr)
+            had_error = True
+            continue
         try:
             for d in parse_file(text):
                 defs.append((path, d))

@@ -12,8 +12,10 @@ The exact classification decides, per excursion head (q, X), whether the
 return probability equals one (AlmostSureReturn), is provably below one
 (SubReturn, where possible with a machine-checked pre-fixed-point
 certificate), or is not determined by the implemented criteria (Unknown,
-with numeric lower-bound evidence attached).  All classification logic is
-exact rational arithmetic; floating point is used only for reported values.
+with numeric lower-bound evidence attached).  Every verdict is checked in
+exact rational arithmetic, but the certificate candidates are Newton values
+rounded up, so which heads get a certificate can depend on the last bits of
+those floating-point values.
 """
 
 from __future__ import annotations
@@ -196,7 +198,8 @@ def clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# numeric solvers (reporting only; decisions never rest on these values)
+# numeric solvers (Kleene values are reported; Newton values seed the
+# certificate candidates, each of which is then checked exactly)
 
 
 def kleene_solve(
@@ -489,16 +492,21 @@ def classify_heads(
 ) -> dict[Head, HeadClass]:
     """Three-valued, exact classification of every excursion head.
 
-    Heads with no surviving variables return with probability zero.  When
-    every head has at most one surviving landing state and every surviving
-    equation has total coefficient mass one (verified, not assumed), the
-    dependency blocks are classified exactly bottom-up: a block touching a
-    sub-one block is sub-one, and a self-contained block is almost-sure
-    exactly when the Jacobian at the all-ones fixed point has spectral
-    radius at most one.  Outside that regime, heads get certified SubReturn
-    where a certificate verifies, an optional SMT query otherwise, and
-    honest Unknown as the fallback.  Certificates for all heads that need
-    one come from a single `subreturn_certificates` walk per system.
+    Heads with no surviving variables return with probability zero.  The
+    dependency blocks are then visited bottom-up, and a block is decided
+    exactly when each of its variables is the only surviving variable of its
+    head and each variable it reads outside itself lies in a block already
+    decided.  In such a block every push leaves one surviving monomial, so
+    each equation has mass at most one.  The block is sub-one when it reads
+    a sub-one block or one of its equations has mass below one; otherwise it
+    is almost-sure exactly when it has no self-dependency or the Jacobian at
+    the all-ones fixed point has spectral radius at most one.
+
+    Every head not decided almost-sure takes part in a single
+    `subreturn_certificates` walk.  A head then gets the first of:
+    AlmostSureReturn if decided almost-sure, SubReturn with a verified
+    certificate, SubReturn without one if decided sub-one, the optional SMT
+    query, and honest Unknown with Kleene evidence.
 
     `newton_values` are the system's `newton_solve` values and `kleene` its
     `kleene_solve` (values, iterations), for a caller that already has them;
@@ -516,53 +524,41 @@ def classify_heads(
     if not live:
         return result
 
-    def certificates(heads: list[Head]) -> dict[Head, Optional[tuple[Fraction, ...]]]:
-        if not heads:
-            return {}
-        newton = newton_solve(s, epsilon) if newton_values is None else newton_values
-        return subreturn_certificates(s, heads, newton)
-
-    single_exit = all(len(head_vars[h]) <= 1 for h in live)
-    mass_one = all(eq.mass_at_one() == 1 for eq in s.equations)
-
-    if single_exit and mass_one:
-        n = len(s.variables)
-        deps = _dependencies(s)
-        almost_sure = [False] * n
-        for comp in strongly_connected_components(
-            list(range(n)), lambda v: deps[v]
+    n = len(s.variables)
+    deps = _dependencies(s)
+    sole = {vs[0] for vs in head_vars.values() if len(vs) == 1}
+    almost_sure: list[Optional[bool]] = [None] * n  # None: not decided exactly
+    for comp in strongly_connected_components(list(range(n)), lambda v: deps[v]):
+        members = set(comp)
+        outside = {f for v in comp for f in deps[v] if f not in members}
+        if not members <= sole or any(almost_sure[f] is None for f in outside):
+            continue
+        if not all(almost_sure[f] for f in outside) or any(
+            s.equations[v].mass_at_one() < 1 for v in comp
         ):
-            members = set(comp)
-            external_sub = any(
-                f not in members and not almost_sure[f]
-                for v in comp
-                for m in s.equations[v].monomials
-                for f in m.factors
-            )
-            if external_sub:
-                verdict = False
-            elif len(comp) == 1 and comp[0] not in deps[comp[0]]:
-                verdict = True  # no self-dependency: value is F(1) = 1
-            else:
-                jac = _internal_jacobian_at_one(s, comp)
-                verdict = spectral_le_one(jac)
-            for v in comp:
-                almost_sure[v] = verdict
+            verdict = False
+        elif len(comp) == 1 and comp[0] not in deps[comp[0]]:
+            verdict = True  # no self-dependency: value is F(1) = 1
+        else:
+            verdict = spectral_le_one(_internal_jacobian_at_one(s, comp))
+        for v in comp:
+            almost_sure[v] = verdict
 
-        certs = certificates([h for h in live if not almost_sure[head_vars[h][0]]])
-        for h in live:
-            if h in certs:
-                result[h] = SubReturn(certificate=certs[h])
-            else:
-                result[h] = AlmostSureReturn()
-        return result
-
-    # genuine multi-exit (or mass lost to cleaning): certificates, then the
-    # optional SMT backend, then Unknown with Kleene evidence
-    certs = certificates(live)
+    exact = {h: almost_sure[head_vars[h][0]] if len(head_vars[h]) == 1 else None for h in live}
+    uncertain = [h for h in live if not exact[h]]
+    certs: dict[Head, Optional[tuple[Fraction, ...]]] = {}
+    if uncertain:
+        newton = newton_solve(s, epsilon) if newton_values is None else newton_values
+        certs = subreturn_certificates(s, uncertain, newton)
     for h in live:
+        if exact[h]:
+            result[h] = AlmostSureReturn()
+            continue
         if certs[h] is not None:
             result[h] = SubReturn(certificate=certs[h])
+            continue
+        if exact[h] is False:
+            result[h] = SubReturn(certificate=None)
             continue
         if smt_solver:
             answer = run_smt_solver(smt_export(s, h), smt_solver)

@@ -166,10 +166,9 @@ class CompiledDefinition:
         self.suffix_depth = depth
         self.n_classes = len(classes)
 
-        offsets = [0] * (depth + 1)
+        offsets = [0] * (depth + 1)  # first class id of each known-suffix length
         for length in range(1, depth + 1):
             offsets[length] = offsets[length - 1] + m ** (length - 1)
-        self._class_offset = np.array(offsets, dtype=np.int64)
 
         keys: list[float] = []
         ev: list[int] = []

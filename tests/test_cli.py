@@ -318,6 +318,34 @@ def test_missing_file_exits_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "measure"])
+def test_file_that_is_not_utf8_exits_3_and_reports_the_rest(command, tmp_path, capsys):
+    good = write(tmp_path, "stream s = a : s\n", "good.defs")
+    bad = tmp_path / "bad.defs"
+    bad.write_bytes(b"stream t = a : t\n\xff\n")
+    argv = [command, str(bad), good] + (["--no-tier3"] if command == "check" else [])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines() == [f"{bad}: error: not UTF-8: invalid start byte at byte 17"]
+    assert captured.out.splitlines()[0].startswith("s: ASP" if command == "check" else "s 1")
+
+
+@pytest.mark.parametrize("command", ["measure", "ppda"])
+def test_commands_without_the_numeric_tier_do_not_import_numpy(command):
+    # importing numpy costs about 0.13 s of start-up in every such process
+    corpus = Path(__file__).resolve().parents[1] / "defs" / "paper_examples.defs"
+    script = (
+        "import contextlib, io, sys\n"
+        "from asprod.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main([{command!r}, {str(corpus)!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
     from asprod import cli, eqsys
 

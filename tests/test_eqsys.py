@@ -31,6 +31,7 @@ from asprod.eqsys import (
     smt_export,
     spectral_le_one,
     subreturn_candidate,
+    subreturn_certificates,
 )
 from asprod.ppda import Ppda, translate
 from asprod.syntax import parse_definition
@@ -329,13 +330,19 @@ def test_classify_zero_return_heads_get_trivial_certificates():
     assert classes[(cons, "tl")] == AlmostSureReturn()
 
 
+MULTI_EXIT = parse_definition(
+    "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
+)
+
+
 def test_classify_never_contradicts_certificates():
-    for name in ("s14", "s12", "s34", "strap", "t1", "t2"):
-        cleaned, _ = clean(build_system(translate(corpus()[name])))
-        newton = newton_solve(cleaned)
-        for head, cls in classify_heads(cleaned).items():
-            if isinstance(cls, AlmostSureReturn):
-                assert subreturn_candidate(cleaned, head, newton) is None, (name, head)
+    named = [corpus()[name] for name in ("s14", "s12", "s34", "strap", "t1", "t2")]
+    for d in [*named, MULTI_EXIT, *seeded_random_definitions(24)]:
+        cleaned, _ = clean(build_system(translate(d)))
+        classes = classify_heads(cleaned)
+        as_heads = [h for h, c in classes.items() if isinstance(c, AlmostSureReturn)]
+        certs = subreturn_certificates(cleaned, as_heads, newton_solve(cleaned))
+        assert all(c is None for c in certs.values()), d
 
 
 def reference_candidate(s, head, newton):
@@ -405,16 +412,18 @@ def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system):
     assert calls <= len(CERT_BUMPS) * (CERT_REFINE + 1) * len(system.equations)
 
 
-MULTI_EXIT = parse_definition(
-    "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
-)
-
-
 def test_classify_multi_exit_falls_back_honestly():
-    cleaned, _ = clean(build_system(translate(MULTI_EXIT)))
+    p = translate(MULTI_EXIT)
+    cleaned, _ = clean(build_system(p))
     classes = classify_heads(cleaned)
-    kinds = {type(c).__name__ for c in classes.values()}
-    assert "Unknown" in kinds
+    by_state = {p.state_names[q]: c for (q, _), c in classes.items()}
+    # the constructor heads read no multi-exit head, so their blocks are
+    # decided exactly; the two-exit head and every head reading it are not
+    for name in ("a : u", "b : u", "d : u", "a : b : u", "c : d : u"):
+        assert by_state[name] == AlmostSureReturn(), name
+    two_exit = p.state_names.index("a : b : u (+ 1/2) c : d : u")
+    assert len(cleaned.head_vars()[(two_exit, "tl")]) == 2
+    assert isinstance(classes[(two_exit, "tl")], Unknown)
     for cls in classes.values():
         if isinstance(cls, Unknown):
             assert 0.0 <= cls.kleene_lower <= 1.0 + 1e-9
@@ -430,8 +439,8 @@ def test_classify_heads_runs_kleene_only_for_unknown_heads(monkeypatch):
         return kleene_solve(*args, **kwargs)
 
     monkeypatch.setattr(eqsys, "kleene_solve", counting)
-    # equation mass 3/4, not one, so the multi-exit path runs; the least
-    # fixed point 1 - 1/sqrt(2) of each copy is certified below one
+    # equation mass 3/4, so each copy is decided sub-one, and its least
+    # fixed point 1 - 1/sqrt(2) is also certified below one
     lossy = EqSystem(
         variables=tuple((k, "tl", k) for k in range(3)),
         equations=tuple(Equation(F(1, 4), (Monomial(F(1, 2), (k, k)),)) for k in range(3)),

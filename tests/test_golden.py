@@ -1,6 +1,8 @@
 """Byte-identity of `check --json --no-tier3` against reports recorded at
-commit bf84c4b, and of `simulate --json` against reports recorded at
-edf398e, so that a refactor cannot change report bytes unnoticed.
+commit bf84c4b (the seeded batch re-recorded when the exact tier began to
+decide single-exit blocks in systems that also hold multi-exit heads), and
+of `simulate --json` against reports recorded at edf398e, so that a
+refactor cannot change report bytes unnoticed.
 
 The batch pins Unknown heads (with their `kleene_lower` floats) and
 certified SubReturn heads (with their certificates), not only verdicts.

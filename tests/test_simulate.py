@@ -51,11 +51,16 @@ def reference_run_batch(compiled, runs, horizon, seed, policy=None):
     out_idx = np.zeros(runs, dtype=np.int64)
     half = horizon // 2
     cap_margin = 128 * max(self.max_push, 1)
+    # the first class id of each known-suffix length: the classes of length
+    # k < depth number n_syms ** k and come before the longer ones
+    class_offset = np.zeros(depth + 1, dtype=np.int64)
+    for length in range(1, depth + 1):
+        class_offset[length] = class_offset[length - 1] + self.n_syms ** (length - 1)
 
     for step_i in range(horizon):
         # entry class: known suffix of min(height, depth) top symbols
         length = np.minimum(height, depth)
-        cid = self._class_offset[length]
+        cid = class_offset[length]
         if tree and depth > 0:
             for j in range(depth):
                 pos = np.maximum(height - 1 - j, 0)
