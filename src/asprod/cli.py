@@ -288,7 +288,14 @@ def cmd_simulate(args) -> int:
 def cmd_ppda(args) -> int:
     defs, had_error = _load(args.files)
     if args.format == "json":
-        doc = {d.name: json.loads(export(translate(d), "json")) for _, d in defs}
+        doc = {}
+        for path, d in defs:
+            if d.name in doc:  # the document is keyed by name: keep the first
+                message = f"error: duplicate definition name {d.name!r}"
+                print(f"{path}: {d.name}: {message}", file=sys.stderr)
+                had_error = True
+            else:
+                doc[d.name] = json.loads(export(translate(d), "json"))
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for _, d in defs:

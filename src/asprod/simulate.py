@@ -14,9 +14,15 @@ the observed event, the successor state, how many entry symbols the step
 consumed and which symbols it pushed.  Only rows a lane can reach are
 built: a silent step restarts at the body, state 0, under any entry class,
 and an output consumes the whole entry stack, so it leads to a constructor
-successor at the empty stack.  A step then only classifies the stack top,
-samples a row outcome, and applies the recorded stack delta.  Row
-probabilities are exact rationals until the final float conversion.
+successor at the empty stack.  One walk of the body covers every entry
+stack: where a constructor meets no pending destructor, the walk records an
+output, as the stack may end there, and goes on under each symbol the stack
+could hold next.  The suffix depth is one more than the deepest such read,
+and each class's row is read off the outcomes whose entry symbols fit it.
+Each constructor successor is walked once, at the empty stack.  A step then
+only classifies the stack top, samples a row outcome, and applies the
+recorded stack delta.  Row probabilities are exact rationals until the
+final float conversion.
 
 Randomness is drawn in blocks of `CHUNK` steps, `rng.random((chunk, draws,
 runs))`, which yields the same numbers in the same order as one
@@ -49,11 +55,6 @@ CHUNK = 256  # steps per block of random draws and of output tallies
 MAX_TABLE_OUTCOMES = 500_000
 
 
-class _NeedDeeperSuffix(Exception):
-    """A within-step walk consumed more entry symbols than the current class
-    depth provides."""
-
-
 def _grow(stack: np.ndarray, runs: int, needed: int) -> np.ndarray:
     """Extend a height-major class stack so at least `needed` heights exist."""
     wider = np.zeros(max(2 * len(stack), needed * runs), dtype=stack.dtype)
@@ -66,6 +67,15 @@ def _check_table_size(outcomes: int) -> None:
         raise SamplerLimitError(
             f"closure table too large for the sampler (over {MAX_TABLE_OUTCOMES} outcomes)"
         )
+
+
+def _merge(outcomes) -> list:
+    """A closure row from (weight, outcome) pairs: equal outcomes merged,
+    their weights summed, in order of first occurrence."""
+    merged: dict = {}
+    for weight, outcome in outcomes:
+        merged[outcome] = merged.get(outcome, 0) + weight
+    return [(w, *o) for o, w in merged.items()]
 
 
 def _policy_tables(policy: Policy | None):
@@ -97,78 +107,66 @@ class CompiledDefinition:
 
     # -- closure construction ------------------------------------------------
 
-    def _walk(self, q, known, exhausted, consumed, pushed, weight, out) -> None:
+    def _walk(self, q, read, pushed, weight, out, more) -> None:
+        """Append each outcome of a within-step walk from state `q` to `out`
+        with the entry symbols it read; `more` says whether the entry stack
+        may go on where the walk finds it."""
         p = self.ppda
         if p.is_recvar(q):
-            out.append((weight, EV_SILENT, 0, 0, consumed, tuple(pushed)))
+            out.append((read, weight, (EV_SILENT, 0, 0, len(read), tuple(pushed))))
         elif q not in self._succ:  # a choice or a destructor
             for m in p.rows[(q, None)]:
                 codes = [p.alphabet.index(x) for x in m.push]
-                self._walk(
-                    m.target, known, exhausted, consumed, pushed + codes, weight * m.prob, out
-                )
+                self._walk(m.target, read, pushed + codes, weight * m.prob, out, more)
         elif pushed:  # cancel the latest pending destructor
-            s = pushed[-1]
-            self._walk(self._succ[q][s], known, exhausted, consumed, pushed[:-1], weight, out)
-        elif known:  # consume an entry symbol
-            s = known[0]
-            self._walk(self._succ[q][s], known[1:], exhausted, consumed + 1, pushed, weight, out)
-        elif exhausted:  # output at the empty stack
+            self._walk(self._succ[q][pushed[-1]], read, pushed[:-1], weight, out, more)
+        else:  # output if the entry stack ends here, else read its next symbol
             succ = self._succ[q]
-            out.append((weight, EV_OUT, succ[0], succ[-1], consumed, ()))
-        else:
-            raise _NeedDeeperSuffix
+            out.append((read, weight, (EV_OUT, succ[0], succ[-1], len(read), ())))
+            if more:
+                for s in range(self.n_syms):
+                    self._walk(succ[s], read + (s,), pushed, weight, out, more)
 
-    def _enumerate(self, depth: int):
-        """Closure rows for entry classes of suffix depth `depth`, keyed by
-        row id (state * number of classes + class) in ascending order: the
-        body under every class, and every constructor successor under the
-        empty class."""
+    def _closure(self):
+        """The suffix depth, the entry classes and the closure rows by row id
+        (state * number of classes + class), ascending.  A class is a known
+        suffix and whether the stack ends below it; its row holds, in walk
+        order, the body's silent outcomes that read a prefix of the suffix
+        and, if the stack ends, the outputs that read all of it."""
         m = self.n_syms
-        classes: list[tuple[tuple[int, ...], bool]] = []
-        for length in range(depth):
-            for v in range(m**length):
-                combo = tuple((v // m**j) % m for j in range(length))
-                classes.append((combo, True))
-        for v in range(m**depth):
-            combo = tuple((v // m**j) % m for j in range(depth))
-            classes.append((combo, False))
-
-        successors = sorted({q for succ in self._succ.values() for q in succ} - {0})
-        starts = [(0, c) for c in range(len(classes))] + [(q, 0) for q in successors]
-        rows = {}
-        for q, c in starts:
-            combo, exhausted = classes[c]
-            out: list = []
-            self._walk(q, list(combo), exhausted, 0, [], Fraction(1), out)
-            merged: dict = {}
-            for weight, *outcome in out:
-                key = tuple(outcome)
-                merged[key] = merged.get(key, 0) + weight
-            rows[q * len(classes) + c] = [(w, *k) for k, w in merged.items()]
-        return classes, rows
+        body: list = []
+        self._walk(0, (), [], Fraction(1), body, True)
+        walks = {q: [] for q in sorted({q for succ in self._succ.values() for q in succ} - {0})}
+        for q, out in walks.items():
+            self._walk(q, (), [], Fraction(1), out, False)
+        reads = [len(r) for out in (body, *walks.values()) for r, _, o in out if o[0] == EV_OUT]
+        depth = max(reads, default=-1) + 1
+        # the row-id space, which the dense per-row lookups span, is held to
+        # the limit before any row is built
+        _check_table_size(self.n_states * sum(m**k for k in range(depth + 1)))
+        classes = [
+            (tuple((v // m**j) % m for j in range(length)), length < depth)
+            for length in range(depth + 1)
+            for v in range(m**length)
+        ]
+        rows = {
+            c: _merge(
+                (w, o)
+                for r, w, o in body
+                if known[: len(r)] == r and (o[0] == EV_SILENT or ended and r == known)
+            )
+            for c, (known, ended) in enumerate(classes)
+        }
+        for q, out in walks.items():
+            rows[q * len(classes)] = _merge((w, o) for _, w, o in out)
+        return depth, classes, rows
 
     def _build_tables(self) -> None:
         m = self.n_syms
-        depth = 0
-        while True:
-            # the row-id space, which the dense per-row lookups span, is
-            # held to the limit before any row of this depth is built
-            _check_table_size(self.n_states * sum(m**k for k in range(depth + 1)))
-            try:
-                classes, rows = self._enumerate(depth)
-                break
-            except _NeedDeeperSuffix:
-                depth += 1
-                if depth > self.n_states + 1:
-                    raise RuntimeError("entry-suffix depth failed to stabilize")
+        depth, classes, rows = self._closure()
         _check_table_size(sum(len(r) for r in rows.values()))
         self.suffix_depth = depth
         self.n_classes = len(classes)
-
-        offsets = [0] * (depth + 1)  # first class id of each known-suffix length
-        for length in range(1, depth + 1):
-            offsets[length] = offsets[length - 1] + m ** (length - 1)
 
         keys: list[float] = []
         ev: list[int] = []
@@ -216,15 +214,14 @@ class CompiledDefinition:
         # below this draw, `row + u` stays below `row + 1` for every row id
         self._u_safe = 1.0 - float(np.spacing(float(n_rows)))
         # class of a stack after pushing symbol s onto one of class c, at
-        # s * n_classes + c: s becomes the top digit, and at full depth the
-        # deepest known symbol drops out; cells hold class ids in the
-        # smallest dtype
+        # s * n_classes + c: s becomes the top of the known suffix, and at
+        # full depth the deepest known symbol drops out; cells hold class
+        # ids in the smallest dtype
         push_class = np.zeros((m, self.n_classes), dtype=np.min_scalar_type(self.n_classes - 1))
-        for length in range(depth + 1):
-            up = min(length + 1, depth)
-            for v in range(m**length):
-                for s in range(m):
-                    push_class[s, offsets[length] + v] = offsets[up] + (s + m * v) % m**up
+        index = {cls: c for c, cls in enumerate(classes)}
+        for c, (known, ended) in enumerate(classes):
+            for s in range(m):
+                push_class[s, c] = index[((s,) + known)[:depth], ended and len(known) + 1 < depth]
         self._push_class = push_class.ravel()
         self._push_syms = [
             self._push[:, j].astype(np.int64) * self.n_classes for j in range(self.max_push)

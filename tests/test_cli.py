@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from asprod import cli
 from asprod.cli import main
-from asprod.syntax import MAX_NESTING
+from asprod.ppda import export, translate
+from asprod.syntax import MAX_NESTING, parse_definition
 
 from conftest import CORPUS_TEXT
 
@@ -266,6 +267,19 @@ def test_ppda_json_export(tmp_path, capsys):
     assert set(doc) == {"s"}
     assert len(doc["s"]["states"]) == 1
     assert len(doc["s"]["transitions"]) == 2
+
+
+def test_ppda_json_keeps_the_first_of_two_files_defining_a_name(tmp_path, capsys):
+    first = tmp_path / "a.defs"
+    first.write_text("stream s = a : s\n")
+    later = tmp_path / "b.defs"
+    later.write_text("stream s = tail(s)\nstream u = a : u\n")
+    assert main(["ppda", str(first), str(later)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{later}: s: error: duplicate definition name 's'"]
+    doc = json.loads(captured.out)
+    assert set(doc) == {"s", "u"}
+    assert doc["s"] == json.loads(export(translate(parse_definition("stream s = a : s")), "json"))
 
 
 def test_ppda_graphviz_export(tmp_path, capsys):

@@ -17,7 +17,7 @@ from asprod.ppda import (
     translate,
 )
 from asprod.semantics import DepthLimitError, Out, OutNode, Unfold, step
-from asprod.simulate import EV_OUT, CompiledDefinition, _NeedDeeperSuffix
+from asprod.simulate import EV_OUT, CompiledDefinition
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, Mk, RecVar, Tail, subterms
 
@@ -282,6 +282,8 @@ CLOSURE_INPUTS = {
     **corpus(),
     **{f"seeded{i}": d for i, d in enumerate(seeded_random_definitions(24))},
     "reads_both": parse_definition(READS_BOTH),
+    # only a constructor successor reads the entry stack, at the empty stack
+    "successor_reads": parse_definition("stream s = tail(tail(a : b : s))"),
 }
 
 
@@ -293,7 +295,7 @@ def test_closure_rows_match_step_distributions(name):
     compiled = CompiledDefinition(d)
     codes = "T" if d.kind is Kind.STREAM else "LR"
     m = compiled.n_syms
-    classes, rows = compiled._enumerate(compiled.suffix_depth)
+    _, classes, rows = compiled._closure()
     for row_id, row in rows.items():
         core, cls_id = divmod(row_id, len(classes))
         combo, exhausted = classes[cls_id]
@@ -310,9 +312,8 @@ def test_closure_rows_match_step_distributions(name):
 @pytest.mark.parametrize("name", list(CLOSURE_INPUTS))
 def test_closure_rows_are_closed_under_successors(name):
     compiled = CompiledDefinition(CLOSURE_INPUTS[name])
-    depth = compiled.suffix_depth
-    # raises _NeedDeeperSuffix if some built row needs a deeper suffix
-    classes, rows = compiled._enumerate(depth)
+    depth, classes, rows = compiled._closure()
+    assert depth == compiled.suffix_depth
     n = len(classes)
     assert list(rows) == sorted(rows)
     for row in rows.values():
@@ -321,9 +322,15 @@ def test_closure_rows_are_closed_under_successors(name):
                 assert na * n in rows and nb * n in rows
             else:
                 assert all(c in rows for c in range(n))
-    if depth > 0:  # the chosen depth is the least that suffices
-        with pytest.raises(_NeedDeeperSuffix):
-            compiled._enumerate(depth - 1)
+    # the chosen depth is the least that suffices: some output consumed
+    # depth - 1 entry symbols, so a suffix one shorter could not tell
+    # whether the stack ends there
+    if depth > 0:
+        assert any(
+            ev == EV_OUT and con == depth - 1
+            for row in rows.values()
+            for _, ev, _, _, con, _ in row
+        )
 
 
 @settings(max_examples=100, deadline=None)

@@ -179,6 +179,35 @@ def test_nested_mk_builds_only_reachable_rows():
         assert_same(compiled, 7, 600, seed=11, policy=policy)
 
 
+def _walk_calls(text):
+    """Compile `text`, counting the calls of the closure walk."""
+    calls = []
+    walk = CompiledDefinition._walk
+
+    def counted(self, *args):
+        calls.append(None)
+        return walk(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CompiledDefinition, "_walk", counted)
+        compiled = CompiledDefinition(parse_definition(text))
+    return compiled, len(calls)
+
+
+def test_compile_walks_the_body_once():
+    # a chain of constructors reads one entry symbol per constructor, so
+    # its suffix depth is its length; the walk still visits each node once
+    chain, calls = _walk_calls("stream s = " + "a : " * 200 + "s")
+    assert chain.suffix_depth == 200
+    assert calls <= 1_000
+    inner = "t"
+    for _ in range(13):
+        inner = f"mk(a, {inner}, t)"
+    nested, calls = _walk_calls(f"tree t = left(left(t)) (+ 1/2) {inner}")
+    assert nested.suffix_depth == 13
+    assert calls <= 200
+
+
 class _AlmostOne:
     """A generator stub whose every draw is the largest double below one."""
 
@@ -194,7 +223,7 @@ def _last_outcome_walk(compiled, horizon, policy):
     rows located from the closure enumeration, not from the sampler's
     float keys; under the uniform policy a tree output turns left, as a
     coin draw of 0.5 or more does."""
-    classes, rows = compiled._enumerate(compiled.suffix_depth)
+    _, classes, rows = compiled._closure()
     index = {c: i for i, c in enumerate(classes)}
     word = None
     if compiled.kind is Kind.TREE and policy is not None:
