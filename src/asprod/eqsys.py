@@ -13,16 +13,21 @@ return probability equals one (AlmostSureReturn), is provably below one
 (SubReturn, where possible with a machine-checked pre-fixed-point
 certificate), or is not determined by the implemented criteria (Unknown,
 with numeric lower-bound evidence attached).  Every verdict is checked in
-exact rational arithmetic, but the certificate candidates are Newton values
-rounded up, so which heads get a certificate can depend on the last bits of
-those floating-point values.
+exact rational arithmetic.  The certificate candidates are Newton values
+bumped along d = (I - J)^-1 1, which gains slack in every equation at first
+order where a uniform bump gains none on unit-mass equations, so which heads
+get a certificate no longer hinges on the last bits of those floating-point
+values.  Newton runs in plain Python floats; this module never imports
+numpy.
 """
 
 from __future__ import annotations
 
+import math
 import subprocess
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -76,6 +81,20 @@ class EqSystem:
     def var_name(self, i: int) -> str:
         q, x, q2 = self.variables[i]
         return f"[{self.state_names[q]}, {x}, {self.state_names[q2]}]"
+
+    @cached_property
+    def dependencies(self) -> list[set[int]]:
+        """The variables each equation reads."""
+        return [{f for m in eq.monomials for f in m.factors} for eq in self.equations]
+
+    @cached_property
+    def blocks(self) -> list[list[int]]:
+        """The strongly connected blocks of the dependency graph, bottom-up:
+        every variable a block reads lies in it or in an earlier block.
+        Computed once per system, for classification, Newton and the
+        certificate direction alike."""
+        deps = self.dependencies
+        return strongly_connected_components(range(len(self.variables)), deps.__getitem__)
 
 
 def build_system(p: Ppda) -> EqSystem:
@@ -230,10 +249,176 @@ def kleene_solve(
     return x, max_iter
 
 
-def _dependencies(s: EqSystem) -> list[set[int]]:
-    return [
-        {f for m in eq.monomials for f in m.factors} for eq in s.equations
-    ]
+class NewtonValues(list):
+    """The values `newton_solve` returns, a list of floats, carrying the
+    direction a certificate search bumps them along (see
+    `certificate_direction`), solved with each block's last Newton
+    factorization."""
+
+    def __init__(self, values: list[float], direction: list[float]):
+        super().__init__(values)
+        self.direction = direction
+
+
+def _block_rows(s: EqSystem, comp: Sequence[int], local: dict[int, int], values):
+    """The block's equations in floats, with every variable read outside the
+    block fixed at its value: per variable, its constant, its linear terms
+    (coef, j) and its quadratic terms (coef, j, k), over local indices."""
+    rows = []
+    for v in comp:
+        eq = s.equations[v]
+        const = float(eq.const)
+        lin: list[tuple[float, int]] = []
+        quad: list[tuple[float, int, int]] = []
+        for m in eq.monomials:
+            coef = float(m.coef)
+            inner = []
+            for f in m.factors:
+                if f in local:
+                    inner.append(local[f])
+                else:
+                    coef *= values[f]
+            if not inner:
+                const += coef
+            elif len(inner) == 1:
+                lin.append((coef, inner[0]))
+            else:
+                quad.append((coef, inner[0], inner[1]))
+        rows.append((const, lin, quad))
+    return rows
+
+
+def _image(rows, x: list[float]) -> list[float]:
+    out = []
+    for const, lin, quad in rows:
+        total = const
+        for coef, j in lin:
+            total += coef * x[j]
+        for coef, j, k in quad:
+            total += coef * x[j] * x[k]
+        out.append(total)
+    return out
+
+
+def _newton_matrix(rows, x: list[float]) -> list[dict[int, float]]:
+    """I - J(x), the Jacobian taken over the block's own variables, as one
+    sparse row {column: entry} per variable."""
+    a = []
+    for r, (_, lin, quad) in enumerate(rows):
+        row = {r: 1.0}
+        for coef, j in lin:
+            row[j] = row.get(j, 0.0) - coef
+        for coef, j, k in quad:
+            row[j] = row.get(j, 0.0) - coef * x[k]
+            row[k] = row.get(k, 0.0) - coef * x[j]
+        a.append(row)
+    return a
+
+
+_LU = list[tuple[int, list[tuple[int, float]], float, list[tuple[int, float]]]]
+
+
+def _factor(a: list[dict[int, float]]) -> Optional[_LU]:
+    """Sparse Gaussian elimination with partial pivoting, in place.
+
+    Column k is eliminated at step k, with the pivot of largest magnitude
+    among the rows not yet used (the lowest row on ties).  Returns, per
+    step, the pivot row, its multipliers (column, factor), its pivot and its
+    entries right of the pivot; or None if the matrix is singular.  The
+    systems are sparse and fill in little, so the cost follows the nonzero
+    entries, not the cube of the size.
+    """
+    n = len(a)
+    rows_with: list[set[int]] = [set() for _ in range(n)]
+    for i, row in enumerate(a):
+        for j in row:
+            rows_with[j].add(i)
+    steps: _LU = []
+    for k in range(n):
+        candidates = rows_with[k]
+        p, big = -1, 0.0
+        for i in candidates:
+            size = abs(a[i][k])
+            if size > big or (size == big and size and i < p):
+                p, big = i, size
+        if p < 0:
+            return None
+        pivot_row = a[p]
+        upper = [(j, y) for j, y in pivot_row.items() if j > k]
+        for j, _ in upper:
+            rows_with[j].discard(p)
+        candidates.discard(p)
+        pivot = pivot_row[k]
+        for i in candidates:
+            row = a[i]
+            factor = row[k] / pivot
+            row[k] = factor
+            if factor:
+                for j, y in upper:
+                    if j not in row:
+                        row[j] = 0.0
+                        rows_with[j].add(i)
+                    row[j] -= factor * y
+        lower = [(j, y) for j, y in pivot_row.items() if j < k]
+        steps.append((p, lower, pivot, upper))
+    return steps
+
+
+def _lu_solve(lu: _LU, b: Sequence[float]) -> list[float]:
+    """Solve with a matrix factored by `_factor`."""
+    y: list[float] = []
+    for p, lower, _, _ in lu:
+        total = b[p]
+        for j, factor in lower:
+            total -= factor * y[j]
+        y.append(total)
+    for k in range(len(lu) - 1, -1, -1):
+        _, _, pivot, upper = lu[k]
+        total = y[k]
+        for j, entry in upper:
+            total -= entry * y[j]
+        y[k] = total / pivot
+    return y
+
+
+def _finite(xs: Sequence[float]) -> bool:
+    return all(math.isfinite(x) for x in xs)
+
+
+def _clip(xs) -> list[float]:
+    return [min(1.0, max(0.0, x)) for x in xs]
+
+
+def _block_direction(s, comp, local, lu, values, direction) -> list[float]:
+    """The block's part of (I - J)^-1 1, given the parts of the blocks it
+    reads in `direction`, or all ones if the solve fails.
+
+    `lu` is I - J over the block's own variables, factored by `_factor`, or
+    None if it was singular.
+    """
+    if lu is None:
+        return [1.0] * len(comp)
+    rhs = []
+    for v in comp:
+        total = 1.0
+        for m in s.equations[v].monomials:
+            fs = m.factors
+            for pos, f in enumerate(fs):
+                if f not in local:
+                    partial = float(m.coef)
+                    if len(fs) == 2:
+                        partial *= values[fs[1 - pos]]
+                    total += partial * direction[f]
+        rhs.append(total)
+    d = _lu_solve(lu, rhs)
+    if not _finite(d) or min(d) <= 0.0:
+        return [1.0] * len(comp)
+    return d
+
+
+def _scaled(direction: list[float]) -> list[float]:
+    top = max(direction, default=1.0)
+    return [x / top for x in direction]
 
 
 def newton_solve(
@@ -244,72 +429,68 @@ def newton_solve(
     """Decomposed Newton iteration, one strongly connected block at a time.
 
     Blocks are solved bottom-up in dependency order, starting from zero, so
-    iterates approach the least fixed point from below.  A singular Newton
-    matrix falls back to plain value iteration for that block.
+    iterates approach the least fixed point from below.  Each step solves
+    (I - J) dx = F(x) - x by Gaussian elimination with partial pivoting,
+    clips to [0, 1], and stops once max |dx| < epsilon.  A singular Newton
+    matrix or a step that is not finite falls back to plain value iteration
+    for that block.  The result is a `NewtonValues`: its direction reuses
+    each block's last factorization, one more back-substitution per block.
     """
-    import numpy as np
-
     n = len(s.variables)
-    deps = _dependencies(s)
     values = [0.0] * n
-    for comp in strongly_connected_components(list(range(n)), lambda v: deps[v]):
-        members = set(comp)
+    direction = [1.0] * n
+    for comp in s.blocks:
         local = {v: k for k, v in enumerate(comp)}
-        x = np.zeros(len(comp))
-
-        def f_and_jac(xv, with_jac=True):
-            fv = np.zeros(len(comp))
-            jac = np.zeros((len(comp), len(comp))) if with_jac else None
-            for v in comp:
-                eq = s.equations[v]
-                total = float(eq.const)
-                row = local[v]
-                for m in eq.monomials:
-                    coef = float(m.coef)
-                    vals = [
-                        xv[local[f]] if f in members else values[f] for f in m.factors
-                    ]
-                    prod = coef
-                    for value in vals:
-                        prod *= value
-                    total += prod
-                    if with_jac:
-                        for pos, f in enumerate(m.factors):
-                            if f in members:
-                                partial = coef
-                                for pos2, other in enumerate(vals):
-                                    if pos2 != pos:
-                                        partial *= other
-                                jac[row, local[f]] += partial
-                fv[row] = total
-            return fv, jac
-
-        converged = False
+        rows = _block_rows(s, comp, local, values)
+        x = [0.0] * len(comp)
+        lu = None
         for _ in range(max_iter):
-            fv, jac = f_and_jac(x)
-            try:
-                dx = np.linalg.solve(np.eye(len(comp)) - jac, fv - x)
-            except np.linalg.LinAlgError:
-                dx = None
-            if dx is None or not np.all(np.isfinite(dx)):
+            fx = _image(rows, x)
+            factored = _factor(_newton_matrix(rows, x))
+            dx = None if factored is None else _lu_solve(factored, [f - y for f, y in zip(fx, x)])
+            if dx is None or not _finite(dx):
                 # damping fallback: plain value iteration for this block
+                lu = None
                 for _ in range(DEFAULT_MAX_ITER):
-                    fv, _ = f_and_jac(x, with_jac=False)
-                    step = float(np.max(np.abs(fv - x)))
-                    x = np.clip(fv, 0.0, 1.0)
+                    fx = _image(rows, x)
+                    step = max(abs(f - y) for f, y in zip(fx, x))
+                    x = _clip(fx)
                     if step < epsilon:
                         break
-                converged = True
                 break
-            x = np.clip(x + dx, 0.0, 1.0)
-            if float(np.max(np.abs(dx))) < epsilon:
-                converged = True
+            lu = factored
+            x = _clip([y + d for y, d in zip(x, dx)])
+            if max(map(abs, dx)) < epsilon:
                 break
-        if not converged:
-            x = np.clip(x, 0.0, 1.0)
-        for v in comp:
-            values[v] = float(x[local[v]])
-    return values
+        for v, value in zip(comp, x):
+            values[v] = value
+        for v, dv in zip(comp, _block_direction(s, comp, local, lu, values, direction)):
+            direction[v] = dv
+    return NewtonValues(values, _scaled(direction))
+
+
+def certificate_direction(s: EqSystem, values: Sequence[float]) -> list[float]:
+    """The direction a certificate search bumps `values` along.
+
+    It is d = (I - J)^-1 1 with J the Jacobian at `values`, solved block by
+    block bottom-up and scaled to max d = 1; a block whose solve is
+    singular, not finite or not positive keeps d = 1.  On the least fixed
+    point x*, F(x* + t d) - (x* + t d) = -t (I - J) d + O(t^2) = -t 1 + O(t^2)
+    before scaling, so a small bump along d gains slack in every equation at
+    first order, where a uniform bump gains none on a variable whose
+    equation has unit mass.  Values from `newton_solve` carry their
+    direction already.
+    """
+    if isinstance(values, NewtonValues):
+        return values.direction
+    direction = [1.0] * len(s.variables)
+    for comp in s.blocks:
+        local = {v: k for k, v in enumerate(comp)}
+        x = [values[v] for v in comp]
+        lu = _factor(_newton_matrix(_block_rows(s, comp, local, values), x))
+        for v, dv in zip(comp, _block_direction(s, comp, local, lu, values, direction)):
+            direction[v] = dv
+    return _scaled(direction)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +538,9 @@ def subreturn_certificates(
 ) -> dict[Head, Optional[tuple[Fraction, ...]]]:
     """Search pre-fixed-point certificates for all `heads` in one walk.
 
-    For each bump, the Newton approximant is rounded up by the bump and
-    then contracted by up to CERT_REFINE applications of the system map F,
+    For each bump, the Newton approximant is raised by the bump times
+    `certificate_direction` (at most the bump, on the variables the
+    direction peaks at) and then contracted by up to CERT_REFINE applications of the system map F,
     capped at one.  Each step evaluates F once: F(c) <= c makes c a
     pre-fixed point, and min(1, F(c)) is the next candidate.  A head gets
     the first pre-fixed candidate, in (bump, step) order, whose return
@@ -369,10 +551,11 @@ def subreturn_certificates(
     however many heads there are.
     """
     head_vars = s.head_vars()
+    direction = [Fraction(d) for d in certificate_direction(s, newton_values)]
     result: dict[Head, Optional[tuple[Fraction, ...]]] = dict.fromkeys(heads)
     pending = list(result)
     for bump in CERT_BUMPS:
-        cand = [min(ONE, Fraction(v) + bump) for v in newton_values]
+        cand = [min(ONE, Fraction(v) + bump * d) for v, d in zip(newton_values, direction)]
         for _ in range(CERT_REFINE + 1):
             image = [evaluate(eq, cand) for eq in s.equations]
             if all(fc <= c for fc, c in zip(image, cand)):
@@ -493,7 +676,8 @@ def classify_heads(
     """Three-valued, exact classification of every excursion head.
 
     Heads with no surviving variables return with probability zero.  The
-    dependency blocks are then visited bottom-up, and a block is decided
+    dependency blocks (`s.blocks`, shared with Newton and the certificate
+    direction) are then visited bottom-up, and a block is decided
     exactly when each of its variables is the only surviving variable of its
     head and each variable it reads outside itself lies in a block already
     decided.  In such a block every push leaves one surviving monomial, so
@@ -524,11 +708,10 @@ def classify_heads(
     if not live:
         return result
 
-    n = len(s.variables)
-    deps = _dependencies(s)
+    deps = s.dependencies
     sole = {vs[0] for vs in head_vars.values() if len(vs) == 1}
-    almost_sure: list[Optional[bool]] = [None] * n  # None: not decided exactly
-    for comp in strongly_connected_components(list(range(n)), lambda v: deps[v]):
+    almost_sure: list[Optional[bool]] = [None] * len(s.variables)  # None: not decided
+    for comp in s.blocks:
         members = set(comp)
         outside = {f for v in comp for f in deps[v] if f not in members}
         if not members <= sole or any(almost_sure[f] is None for f in outside):

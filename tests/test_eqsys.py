@@ -1,6 +1,7 @@
 """Equation systems: construction, cleaning, solvers, certificates, exact
 classification, spectral test, SMT export, simulation cross-checks."""
 
+import math
 import os
 import stat
 from fractions import Fraction
@@ -33,6 +34,7 @@ from asprod.eqsys import (
     subreturn_candidate,
     subreturn_certificates,
 )
+from asprod.graphs import strongly_connected_components
 from asprod.ppda import Ppda, translate
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, RecVar, Tail
@@ -236,6 +238,88 @@ def test_newton_dominates_kleene_at_equal_budgets():
             assert all(n >= k - 1e-12 for n, k in zip(nw, kl)), (name, budget)
 
 
+def numpy_newton_solve(s, epsilon=eqsys.DEFAULT_EPSILON, max_iter=eqsys.NEWTON_MAX_ITER):
+    """Reference decomposed Newton: each step is one `np.linalg.solve` on
+    the block, with the same clip, stopping rule and value-iteration
+    fallback as `newton_solve`."""
+    n = len(s.variables)
+    deps = [{f for m in eq.monomials for f in m.factors} for eq in s.equations]
+    values = [0.0] * n
+    for comp in strongly_connected_components(list(range(n)), lambda v: deps[v]):
+        local = {v: k for k, v in enumerate(comp)}
+
+        def f_and_jac(xv):
+            fv = np.zeros(len(comp))
+            jac = np.zeros((len(comp), len(comp)))
+            for v in comp:
+                eq = s.equations[v]
+                fv[local[v]] += float(eq.const)
+                for m in eq.monomials:
+                    vals = [xv[local[f]] if f in local else values[f] for f in m.factors]
+                    fv[local[v]] += float(m.coef) * np.prod(vals)
+                    for pos, f in enumerate(m.factors):
+                        if f in local:
+                            others = vals[:pos] + vals[pos + 1 :]
+                            jac[local[v], local[f]] += float(m.coef) * np.prod(others)
+            return fv, jac
+
+        x = np.zeros(len(comp))
+        for _ in range(max_iter):
+            fv, jac = f_and_jac(x)
+            try:
+                dx = np.linalg.solve(np.eye(len(comp)) - jac, fv - x)
+            except np.linalg.LinAlgError:
+                dx = None
+            if dx is None or not np.all(np.isfinite(dx)):
+                for _ in range(eqsys.DEFAULT_MAX_ITER):
+                    fv, _ = f_and_jac(x)
+                    step = float(np.max(np.abs(fv - x)))
+                    x = np.clip(fv, 0.0, 1.0)
+                    if step < epsilon:
+                        break
+                break
+            x = np.clip(x + dx, 0.0, 1.0)
+            if float(np.max(np.abs(dx))) < epsilon:
+                break
+        for v in comp:
+            values[v] = float(x[local[v]])
+    return values
+
+
+def cleaned_systems():
+    return [
+        clean(build_system(translate(d)))[0]
+        for d in [*corpus().values(), *seeded_random_definitions(24)]
+    ]
+
+
+def test_newton_agrees_with_the_numpy_reference():
+    for s in cleaned_systems():
+        ours, ref = newton_solve(s), numpy_newton_solve(s)
+        assert all(abs(a - b) < 1e-12 for a, b in zip(ours, ref)), s.state_names
+
+
+def test_certificate_direction_solves_the_newton_system():
+    """d is (I - J)^-1 1 at the Newton values, scaled to max 1, whether it is
+    carried by `newton_solve`'s result or solved afresh for plain values."""
+    for s in cleaned_systems():
+        values = newton_solve(s)
+        n = len(values)
+        if not n:
+            continue
+        jac = np.zeros((n, n))
+        for i, eq in enumerate(s.equations):
+            for m in eq.monomials:
+                for pos, f in enumerate(m.factors):
+                    others = m.factors[:pos] + m.factors[pos + 1 :]
+                    jac[i, f] += float(m.coef) * np.prod([values[g] for g in others])
+        d = np.linalg.solve(np.eye(n) - jac, np.ones(n))
+        d /= d.max()
+        fresh = eqsys.certificate_direction(s, list(values))
+        assert np.allclose(fresh, d, rtol=1e-9, atol=1e-12), s.state_names
+        assert np.allclose(values.direction, d, rtol=1e-9, atol=1e-12), s.state_names
+
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -347,9 +431,11 @@ def test_classify_never_contradicts_certificates():
 
 def reference_candidate(s, head, newton):
     """The certificate search run for one head on its own: the first
-    (bump, step) candidate that `certify_subreturn` accepts."""
+    (bump, step) candidate, bumped along the certificate direction, that
+    `certify_subreturn` accepts."""
+    direction = eqsys.certificate_direction(s, newton)
     for bump in CERT_BUMPS:
-        cand = [min(F(1), F(v) + bump) for v in newton]
+        cand = [min(F(1), F(v) + bump * F(d)) for v, d in zip(newton, direction)]
         for _ in range(CERT_REFINE + 1):
             if certify_subreturn(s, head, cand):
                 return tuple(cand)
@@ -370,6 +456,30 @@ def test_shared_certificate_search_matches_per_head_search():
             assert cert == reference_candidate(cleaned, head, newton), (d, head)
             if cert is not None:
                 assert certify_subreturn(cleaned, head, cert), (d, head)
+
+
+# Two seeded definitions (`bench/workloads.stratified(60, seed, budget=20,
+# leaf_prob=0.15)`: g10 of seed 7, g47 of seed 17) whose certificates a
+# uniform bump of the Newton values made hinge on their last bits.
+ULP_FRAGILE = {
+    "g10": "stream g10 = ((((g10 (+ 1/3) g10) (+ 1/4) g10) (+ 2/3) ((g10 (+ 2/3) g10) "
+    "(+ 1/4) g10)) (+ 1/6) ((b : g10 (+ 1/3) (g10 (+ 11/12) g10)) (+ 1/3) tail(g10)))",
+    "g47": "tree g47 = (mk(b, g47, (mk(b, g47, g47) (+ 5/12) (g47 (+ 5/12) g47))) (+ 1/12) "
+    "(g47 (+ 5/6) right(mk(b, (g47 (+ 5/12) g47), left(g47)))))",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ULP_FRAGILE))
+def test_certificates_survive_lowering_every_newton_value_by_one_ulp(name):
+    cleaned, _ = clean(build_system(translate(parse_definition(ULP_FRAGILE[name]))))
+    newton = newton_solve(cleaned)
+    live = [h for h, vs in cleaned.head_vars().items() if vs]
+    certs = subreturn_certificates(cleaned, live, newton)
+    certified = [h for h in live if certs[h] is not None]
+    assert len(certified) >= 10
+    lowered = [math.nextafter(v, 0.0) for v in newton]
+    after = subreturn_certificates(cleaned, certified, lowered)
+    assert [h for h in certified if after[h] is None] == []
 
 
 def subcritical_copies(count):
