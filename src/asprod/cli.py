@@ -51,6 +51,8 @@ from .eqsys import (
 )
 from .measure import measure
 from .ppda import export, translate
+# `monte_carlo` is not called here, since `simulate` samples its definitions
+# in one batch, but bench/spans.py traces it as asprod.cli.monte_carlo
 from .semantics import McReport, SamplerLimitError, monte_carlo, parse_policy
 from .syntax import ParseError, parse_file
 from .terms import Definition
@@ -261,20 +263,35 @@ def cmd_measure(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import CompiledDefinition, monte_carlo_jobs
+
     defs, had_error = _load(args.files)
+    names: list[str] = []
+
+    def jobs():
+        # compiled as the batches take them, so only about one batch's
+        # tables are held at a time
+        nonlocal had_error
+        for path, d in defs:
+            try:
+                compiled = CompiledDefinition(d)
+            except SamplerLimitError as exc:
+                print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
+                had_error = True
+                continue
+            names.append(d.name)
+            yield compiled, args.seed
+
+    # the definitions are sampled together, in lockstep batches of lanes
+    reports = monte_carlo_jobs(jobs(), args.mc_runs, args.mc_horizon, policy=args.tree_policy)
     rendered: list[str] = []
-    for path, d in defs:
-        try:
-            mc = monte_carlo(d, args.mc_runs, args.mc_horizon, args.seed, policy=args.tree_policy)
-        except SamplerLimitError as exc:
-            print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
-            had_error = True
-            continue
+    # each report is taken before its name, which compiling its job appends
+    for mc, name in zip(reports, names):
         if args.json:
-            rendered.append(_render_entry(dict(_mc_json(mc), name=d.name)))
+            rendered.append(_render_entry(dict(_mc_json(mc), name=name)))
         else:
             rendered.append(
-                f"{d.name}: runs={mc.runs} horizon={mc.horizon} seed={mc.seed} "
+                f"{name}: runs={mc.runs} horizon={mc.horizon} seed={mc.seed} "
                 f"mean_rate={mc.mean_rate:.6f} tail_silence={mc.tail_silence:.4f} "
                 f"slope={mc.cum_slope:.6f} hint={mc.hint.value}\n"
             )

@@ -334,23 +334,9 @@ def monte_carlo(
     are deterministic per seed.  Raises SamplerLimitError when the
     definition's closure table is too large to build.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    if horizon < 100:
-        raise ValueError("horizon must be at least 100")
+    from .simulate import CompiledDefinition, monte_carlo_jobs
 
-    from .simulate import CompiledDefinition
-
-    counts, tail_counts, step_totals = CompiledDefinition(d).run_batch(
-        runs, horizon, seed, policy
-    )
-    return McReport.from_runs(
-        horizon,
-        seed,
-        tuple(int(c) for c in counts),
-        int((tail_counts == 0).sum()),
-        step_totals,
-    )
+    return next(monte_carlo_jobs([(CompiledDefinition(d), seed)], runs, horizon, policy))
 
 
 def _tail_slope(step_totals, runs: int, half: int) -> float:

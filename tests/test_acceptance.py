@@ -31,6 +31,7 @@ from asprod.semantics import (
     prefix_distribution,
     step,
 )
+from asprod.simulate import CompiledDefinition, monte_carlo_jobs
 from asprod.syntax import parse_definition, parse_file, pretty_print
 from asprod.terms import Kind
 
@@ -119,8 +120,10 @@ def test_criterion_4_tree_verdict_agrees_with_oracle():
     verdict = decide_asp(e2, AnalyzerConfig(run_tier3=False))
     assert verdict.tier1.value == "abstain"
     assert verdict.result is AspResult.ASP  # decided by the exact tier
-    for seed in (0xA5F, 1, 2):
-        mc = monte_carlo(e2, 500, 100_000, seed=seed)
+    seeds = (0xA5F, 1, 2)
+    compiled = CompiledDefinition(e2)  # the three seeds run as one lane batch
+    reports = monte_carlo_jobs([(compiled, seed) for seed in seeds], 500, 100_000)
+    for seed, mc in zip(seeds, reports):
         assert mc.hint is McHint.NO_EVIDENCE_AGAINST_ASP, seed
     _pass("4", "e2: exact ASP verdict matches the 3-seed sampling oracle")
 

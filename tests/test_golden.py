@@ -1,13 +1,17 @@
 """Byte-identity of `check --json --no-tier3` against reports recorded at
 commit bf84c4b (the seeded batch re-recorded when the exact tier began to
 decide single-exit blocks in systems that also hold multi-exit heads), and
-of `simulate --json` against reports recorded at edf398e, so that a
-refactor cannot change report bytes unnoticed.
+of `simulate --json` against reports recorded at edf398e (the paper
+examples) and at 52b8962 (the seeded batch), so that a refactor cannot
+change report bytes unnoticed.
 
 The batch pins Unknown heads (with their `kleene_lower` floats) and
 certified SubReturn heads (with their certificates), not only verdicts.
 The simulation reports pin the sampler's draws for the uniform and for a
-periodic tree policy.
+periodic tree policy.  The seeded batch's simulation was recorded while
+`simulate` still sampled one definition at a time; it mixes streams and
+trees at suffix depths 0 to 3, so it pins a mixed lane batch against the
+per-definition sampler.
 """
 
 import dataclasses
@@ -68,3 +72,11 @@ def test_paper_examples_simulation_matches_recorded_bytes(capsys, policy, golden
     capsys.readouterr()
     main([*argv, str(ROOT / "defs" / "paper_examples.defs")])
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_seeded_batch_simulation_matches_recorded_bytes(tmp_path, capsys):
+    path = tmp_path / "batch.defs"
+    path.write_text(batch_text())
+    capsys.readouterr()
+    main(["simulate", "--json", "--mc-runs", "64", "--mc-horizon", "3000", str(path)])
+    assert capsys.readouterr().out == (GOLDEN / "seeded_batch.simulate.json").read_text()

@@ -284,6 +284,12 @@ CLOSURE_INPUTS = {
     "reads_both": parse_definition(READS_BOTH),
     # only a constructor successor reads the entry stack, at the empty stack
     "successor_reads": parse_definition("stream s = tail(tail(a : b : s))"),
+    # successor walks pass a choice before their pending destructors cancel,
+    # and then share the walks of the states they reach
+    "shared_tail": parse_definition("stream s = a : tail((b : s) (+ 1/3) (c : tail(d : s)))"),
+    "shared_child": parse_definition(
+        "tree t = mk(a, left(mk(b, t, t) (+ 1/2) right(mk(c, t, left(t)))), t)"
+    ),
 }
 
 

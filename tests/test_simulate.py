@@ -1,21 +1,30 @@
 """The lane-batched sampler against the step loop it replaced.
 
 `reference_run_batch` is the earlier `CompiledDefinition.run_batch`, kept
-as it was: per-step `rng.random(runs)` draws, byte-matrix tree stacks and a
-gather per suffix depth.  The class-stack sampler must give exactly the same
-(counts, tail counts, step totals) for the same seed.
+as it was: per-step `rng.random(runs)` draws, byte-matrix tree stacks, a
+gather per suffix depth and a `searchsorted` pick over float keys, on
+tables built from the closure rows as the compiler once built them.  The
+batched sampler must give exactly the same (counts, tail counts, step
+totals) for the same seed, whether a job runs alone or with others.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from asprod import simulate
 from asprod.semantics import PeriodicWord, parse_policy
-from asprod.simulate import DEFAULT_STACK_CAP, EV_OUT, CompiledDefinition
+from asprod.simulate import (
+    DEFAULT_STACK_CAP,
+    EV_OUT,
+    CompiledDefinition,
+    run_jobs,
+)
 from asprod.syntax import parse_definition
 from asprod.terms import Kind
 
-from conftest import corpus, seeded_random_definitions
+from conftest import CORPUS_TEXT, corpus, seeded_random_definitions
 
 
 def _grow(stack: np.ndarray, needed: int) -> np.ndarray:
@@ -34,8 +43,41 @@ def _policy_tables(policy):
     return len(policy.prefix), len(policy.period), dirs
 
 
+class ReferenceTables:
+    """The earlier per-outcome tables: the outcomes of the row with id r
+    (state * number of classes + class) have keys r + their cumulative
+    weight, in ascending order, and name successor states, not rows."""
+
+    def __init__(self, compiled):
+        _, classes, rows = compiled._closure()
+        self.kind = compiled.kind
+        self.suffix_depth = compiled.suffix_depth
+        self.n_syms = compiled.n_syms
+        self.n_classes = len(classes)
+        self.max_push = compiled.max_push
+        keys, ev, next_a, next_b, consumed, n_push, push = ([] for _ in range(7))
+        for row_id, row in rows.items():
+            total = Fraction(0)
+            for k, (weight, e, na, nb, con, pushed) in enumerate(row):
+                total += weight
+                keys.append(row_id + (1.0 if k == len(row) - 1 else float(total)))
+                ev.append(e)
+                next_a.append(na)
+                next_b.append(nb)
+                consumed.append(con)
+                n_push.append(len(pushed))
+                push.append(pushed + (0,) * (self.max_push - len(pushed)))
+        self._keys = np.array(keys, dtype=np.float64)
+        self._ev = np.array(ev, dtype=np.int8)
+        self._next_a = np.array(next_a, dtype=np.int32)
+        self._next_b = np.array(next_b, dtype=np.int32)
+        self._consumed = np.array(consumed, dtype=np.int64)
+        self._n_push = np.array(n_push, dtype=np.int64)
+        self._push = np.array(push, dtype=np.int8).reshape(len(push), self.max_push)
+
+
 def reference_run_batch(compiled, runs, horizon, seed, policy=None):
-    self = compiled
+    self = ReferenceTables(compiled)
     rng = np.random.default_rng(seed)
     tree = self.kind is Kind.TREE
     policy_tab = _policy_tables(policy) if tree else None
@@ -120,11 +162,15 @@ SHAPES = [(1, 100), (7, 257), (200, 3000)]
 # the constructor reached through a pending `left` and the one reached
 # through a pending `right` behave differently, so every entry class counts
 READS_BOTH = "tree lr = (left(lr) (+ 1/2) right(lr)) (+ 2/5) mk(a, mk(b, lr, right(lr)), lr)"
+# the body's row at the empty class has cumulative weights 1/999000 and
+# 1/999, both inside the first guide cell
+SHARED_CELL = "stream s = (a : s (+ 1/1000) s) (+ 1/999) tail(s)"
 
 
 def _compiled_inputs():
     defs = list(corpus().values()) + seeded_random_definitions(24)
-    return [CompiledDefinition(d) for d in defs + [parse_definition(READS_BOTH)]]
+    extra = [parse_definition(READS_BOTH), parse_definition(SHARED_CELL)]
+    return [CompiledDefinition(d) for d in defs + extra]
 
 
 @pytest.fixture(scope="module")
@@ -174,9 +220,137 @@ def test_nested_mk_builds_only_reachable_rows():
         inner = f"mk(a, {inner}, t)"
     compiled = CompiledDefinition(parse_definition(f"tree t = left(left(t)) (+ 1/2) {inner}"))
     assert compiled.suffix_depth == 12
-    assert len(compiled._keys) < 20_000
+    assert len(compiled._cum) < 20_000
     for policy in POLICIES:
         assert_same(compiled, 7, 600, seed=11, policy=policy)
+
+
+def _many_small(k):
+    """A stream whose body emits into k distinct successors, tail^i(s) for
+    i < k, each with weight 1/10000, and else consumes."""
+    body = "tail(s)"
+    for i in reversed(range(k)):
+        body = f"(a : {'tail(' * i}s{')' * i}) (+ 1/{10000 - i}) ({body})"
+    return f"stream s = {body}"
+
+
+# forty cumulative weights inside the body row's first guide cell
+MANY_SMALL = _many_small(40)
+
+
+# a lane batch mixes every lane kind: streams at suffix depth 0 and above,
+# trees with a class stack and trees at depth 0, which keep none
+MIXED = [
+    "stream strap = tail(a : strap)",
+    "stream g6 = tail((tail(g6) (+ 7/12) g6))",
+    "stream s14 = (a : s14) (+ 1/4) tail(s14)",
+    "stream g0 = b : tail(a : b : (b : a : tail(tail(a : g0)) (+ 1/12) (a : g0 (+ 3/4) tail(g0))))",
+    SHARED_CELL,
+    "tree t2 = left(t2) (+ 1/4) mk(x, t2, left(t2))",
+    READS_BOTH,
+    "tree g3 = left((g3 (+ 11/12) right(left(right(g3)))))",
+    "tree g7 = right(mk(a, mk(a, right(mk(b, g7, g7)), g7 (+ 1/4) g7), mk(b, right(g7), g7)))",
+]
+
+
+@pytest.mark.parametrize("policy", [None, parse_policy("RRL|LR")])
+@pytest.mark.parametrize(
+    "max_lanes,batch_outcomes",
+    # at 20 lanes the jobs run two at a time; at 30 outcomes a batch closes
+    # once its definitions hold 30, so the larger ones run alone
+    [(simulate.MAX_LANES, simulate.BATCH_OUTCOMES), (20, simulate.BATCH_OUTCOMES), (90, 30)],
+)
+def test_batched_jobs_match_jobs_run_alone(monkeypatch, policy, max_lanes, batch_outcomes):
+    monkeypatch.setattr(simulate, "MAX_LANES", max_lanes)
+    monkeypatch.setattr(simulate, "BATCH_OUTCOMES", batch_outcomes)
+    compiled = [CompiledDefinition(parse_definition(text)) for text in MIXED + [MANY_SMALL]]
+    assert {(c.kind, c.suffix_depth > 0) for c in compiled} == {
+        (Kind.STREAM, False),
+        (Kind.STREAM, True),
+        (Kind.TREE, False),
+        (Kind.TREE, True),
+    }
+    # the tree kinds first, so the batch reorders its lanes by kind
+    jobs = [(c, seed) for seed in (7, 8) for c in reversed(compiled)]
+    taken = []
+
+    def lazily():
+        for job in jobs:
+            taken.append(job)
+            yield job
+
+    batched = []
+    for result in run_jobs(lazily(), 9, 700, policy):
+        batched.append(result)
+        # no job is taken before its batch runs, and a batch is at most
+        # `max_lanes` lanes
+        assert len(taken) < len(batched) + max_lanes // 9
+    assert len(batched) == len(jobs)
+    for (c, seed), got in zip(jobs, batched):
+        alone = c.run_batch(9, 700, seed, policy)
+        for g, w in zip(got, alone):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+    shared = compiled[MIXED.index(SHARED_CELL)]
+    assert simulate._guide(shared._cum, shared._row_len)[2] >= 2
+    assert_same(shared, 9, 700, seed=7, policy=None)
+    # a pick in the first cell of the body's row bisects forty outcomes
+    many = compiled[-1]
+    assert simulate._guide(many._cum, many._row_len)[2] >= 32
+    assert_same(many, 9, 700, seed=7, policy=None)
+
+
+def test_batches_close_at_the_lane_and_outcome_bounds(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_LANES", 40)
+    monkeypatch.setattr(simulate, "BATCH_OUTCOMES", 30)
+    compiled = [CompiledDefinition(parse_definition(text)) for text in MIXED + [MANY_SMALL]]
+    jobs = [(c, seed) for seed in (7, 8) for c in compiled]
+    batches = [list(b) for b in simulate._batches(iter(jobs), 9)]
+    assert [job for b in batches for job in b] == jobs
+    for b in batches:
+        outcomes = [len(c._cum) for c in {id(c): c for c, _ in b}.values()]
+        # at most four jobs of nine lanes, closed by a fourth job or by
+        # the definition that brought the batch to 30 outcomes
+        assert len(b) <= 4
+        assert sum(outcomes[:-1]) < 30
+        if b is not batches[-1]:
+            assert len(b) == 4 or sum(outcomes) >= 30
+    assert any(len(b) == 4 for b in batches) and any(len(b) < 4 for b in batches[:-1])
+    # a batch is emptied once the next is asked for, so its definitions can
+    # be freed while the next batch is compiled
+    taken = simulate._batches(iter(jobs), 9)
+    first = next(taken)
+    next(taken)
+    assert first == []
+
+
+@pytest.mark.parametrize("budget", [None, (1, 1)])
+def test_guide_picks_the_first_outcome_above_the_draw(monkeypatch, budget):
+    # the smallest budget leaves one cell per row, a search from the row's
+    # first outcome
+    if budget is not None:
+        monkeypatch.setattr(simulate, "GUIDE_ENTRIES", budget[0])
+        monkeypatch.setattr(simulate, "GUIDE_PER_OUTCOME", budget[1])
+    texts = MIXED + [MANY_SMALL] + list(CORPUS_TEXT.values())
+    for compiled in (CompiledDefinition(parse_definition(text)) for text in texts):
+        cum, row_len = compiled._cum, compiled._row_len
+        guide, cells, corrections = simulate._guide(cum, row_len)
+        row_last = np.cumsum(row_len) - 1
+        starts = row_last + 1 - row_len
+        for r, (start, length) in enumerate(zip(starts, row_len)):
+            row_cum = cum[start : start + length]
+            edges = np.concatenate([np.arange(cells) / cells, row_cum])
+            draws = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
+            draws = draws[(draws >= 0) & (draws < 1)]
+            rows = np.full(len(draws), r)
+            picks = guide[(draws * cells).astype(np.int64) * len(row_len) + r]
+            picks = simulate._search(picks, draws, cum, row_last, rows, corrections)
+            want = start + np.searchsorted(row_cum, draws, side="right")
+            np.testing.assert_array_equal(picks, want, err_msg=str(r))
+    if budget is not None:
+        assert cells == 1
+        for compiled in _compiled_inputs():
+            assert_same(compiled, 7, 257, seed=3, policy=parse_policy("RRL|LR"))
 
 
 def _walk_calls(text):
@@ -206,6 +380,11 @@ def test_compile_walks_the_body_once():
     nested, calls = _walk_calls(f"tree t = left(left(t)) (+ 1/2) {inner}")
     assert nested.suffix_depth == 13
     assert calls <= 200
+    # every constructor successor's walk cancels its way to the end of the
+    # body; the walks share each state's walk at the empty stack
+    shared, calls = _walk_calls("stream s = " + "a : tail(" * 100 + "s" + ")" * 100)
+    assert shared.suffix_depth == 1
+    assert calls <= 1_000
 
 
 class _AlmostOne:
