@@ -1,7 +1,7 @@
 """Almost-sure-productivity analysis for probabilistic stream and tree
-definitions: syntactic drift measure, exact small-step semantics, pushdown
-translation, pop-probability equation systems, and a three-tier decision
-procedure with Monte Carlo evidence."""
+definitions: syntactic drift measure, pushdown translation, pop-probability
+equation systems, and a three-tier decision procedure with Monte Carlo
+evidence."""
 
 from .terms import (
     Choice,
@@ -20,30 +20,15 @@ from .terms import (
 from .syntax import ParseError, format_term, parse_definition, parse_file, pretty_print
 from .measure import Tier1, measure, tier1_verdict
 from .semantics import (
-    DepthLimitError,
     McHint,
     McReport,
-    Out,
-    OutNode,
     PeriodicWord,
     SamplerLimitError,
     UNIFORM,
-    Unfold,
     monte_carlo,
     parse_policy,
-    prefix_distribution,
-    step,
 )
-from .ppda import (
-    Config,
-    CrossValidation,
-    Move,
-    Ppda,
-    cross_validate,
-    export,
-    observable_distribution,
-    translate,
-)
+from .ppda import Move, Ppda, export, translate
 from .eqsys import (
     AlmostSureReturn,
     EqSystem,

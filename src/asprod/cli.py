@@ -446,8 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_numeric(p_check)
     _add_mc(p_check)
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--no-tier3", action="store_true")
-    p_check.add_argument("--force-tier3", action="store_true")
+    tier3 = p_check.add_mutually_exclusive_group()
+    tier3.add_argument("--no-tier3", action="store_true")
+    tier3.add_argument("--force-tier3", action="store_true")
     p_check.add_argument("--smt-solver", default=None)
     p_check.set_defaults(func=cmd_check)
 

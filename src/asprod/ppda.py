@@ -10,7 +10,9 @@ onto the empty stack, two symbols = push over the re-pushed read symbol).
 A configuration whose state is a constructor and whose stack is empty is an
 outputting configuration: visiting it corresponds to emitting one output.
 Tree constructors at the empty stack move to either child with probability
-1/2, matching the uniform direction policy of the term semantics.
+1/2, matching the uniform direction policy (`semantics.UNIFORM`).  The
+reference term semantics in `tests/reference.py` checks the translation
+against this automaton's observable events.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Optional
 
 from . import syntax
 from .terms import Choice, Cons, Definition, Kind, Left, Mk, RecVar, Right, Tail, Term, subterms
-from .semantics import Event, DepthLimitError
 
 TL = "tl"
 LT = "lt"
@@ -30,24 +31,12 @@ RT = "rt"
 
 TopSymbol = Optional[str]  # None reads the empty stack
 
-CROSS_VALIDATE_MAX_DEPTH = 12
-
 
 @dataclass(frozen=True)
 class Move:
     prob: Fraction
     target: int
     push: tuple[str, ...]  # replaces the consumed top symbol; at most 2 long
-
-
-@dataclass(frozen=True)
-class Config:
-    state: int
-    stack: tuple[str, ...]  # top at index 0
-
-    @property
-    def top(self) -> TopSymbol:
-        return self.stack[0] if self.stack else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,15 +54,6 @@ class Ppda:
 
     def is_recvar(self, i: int) -> bool:
         return isinstance(self.states[i], RecVar)
-
-    def label(self, i: int) -> str:
-        t = self.states[i]
-        assert isinstance(t, (Cons, Mk))
-        return t.label
-
-    @property
-    def initial_config(self) -> Config:
-        return Config(self.initial, ())
 
 
 def translate(d: Definition) -> Ppda:
@@ -142,103 +122,6 @@ def _merge_moves(moves: list[Move]) -> tuple[Move, ...]:
             order.append(key)
         merged[key] += m.prob
     return tuple(Move(merged[k], k[0], k[1]) for k in order)
-
-
-def apply_move(c: Config, m: Move) -> Config:
-    rest = c.stack[1:] if c.stack else ()
-    return Config(m.target, m.push + rest)
-
-
-# ---------------------------------------------------------------------------
-# observable-layer expansion and cross-validation against the term semantics
-
-
-def _observable_moves(
-    p: Ppda, c: Config, memo: dict
-) -> dict[tuple[Event, Config], Fraction]:
-    """Distribution over the next observable event and the configuration
-    reached by it.
-
-    Output transitions (constructor state, empty stack) and unfold
-    transitions (recursion-variable state) are observable; choice resolution
-    and destructor bookkeeping are silent and are folded into the next
-    observable event.  The silent chain always descends to strict subterms,
-    so this recursion terminates.
-    """
-    cached = memo.get(c)
-    if cached is not None:
-        return cached
-    out: dict[tuple[Event, Config], Fraction] = {}
-    if p.is_constructor(c.state) and not c.stack:
-        label = p.label(c.state)
-        for m in p.rows[(c.state, None)]:
-            key = (label, apply_move(c, m))
-            out[key] = out.get(key, Fraction(0)) + m.prob
-    elif p.is_recvar(c.state):
-        for m in p.rows[(c.state, c.top)]:
-            key = (None, apply_move(c, m))
-            out[key] = out.get(key, Fraction(0)) + m.prob
-    else:
-        for m in p.rows[(c.state, c.top)]:
-            for key, q in _observable_moves(p, apply_move(c, m), memo).items():
-                out[key] = out.get(key, Fraction(0)) + m.prob * q
-    memo[c] = out
-    return out
-
-
-def observable_distribution(p: Ppda, depth: int) -> dict[tuple[Event, ...], Fraction]:
-    """Exact distribution over the first `depth` observable events of the
-    automaton, starting at the initial configuration."""
-    memo: dict = {}
-    frontier: dict[tuple[Config, tuple[Event, ...]], Fraction] = {
-        (p.initial_config, ()): Fraction(1)
-    }
-    for _ in range(depth):
-        nxt: dict[tuple[Config, tuple[Event, ...]], Fraction] = {}
-        for (c, seq), w in frontier.items():
-            for (ev, c2), q in _observable_moves(p, c, memo).items():
-                key = (c2, seq + (ev,))
-                nxt[key] = nxt.get(key, Fraction(0)) + w * q
-        frontier = nxt
-    dist: dict[tuple[Event, ...], Fraction] = {}
-    for (_, seq), w in frontier.items():
-        dist[seq] = dist.get(seq, Fraction(0)) + w
-    return dist
-
-
-@dataclass(frozen=True)
-class CrossValidation:
-    equal: bool
-    depth: int
-    mismatches: tuple[tuple[tuple[Event, ...], Fraction, Fraction], ...]
-    sequences: int
-
-
-def cross_validate(d: Definition, depth: int) -> CrossValidation:
-    """Compare the exact depth-k event distribution computed from the term
-    semantics (uniform tree policy) against the one computed by expanding
-    the translated automaton.  Exact rational equality is required."""
-    if depth > CROSS_VALIDATE_MAX_DEPTH:
-        raise DepthLimitError(
-            f"depth {depth} exceeds bound {CROSS_VALIDATE_MAX_DEPTH}"
-        )
-    from .semantics import UNIFORM, prefix_distribution
-
-    policy = UNIFORM if d.kind is Kind.TREE else None
-    sem = prefix_distribution(d, depth, policy)
-    aut = observable_distribution(translate(d), depth)
-    mismatches = []
-    for seq in sorted(set(sem) | set(aut), key=repr):
-        a = sem.get(seq, Fraction(0))
-        b = aut.get(seq, Fraction(0))
-        if a != b:
-            mismatches.append((seq, a, b))
-    return CrossValidation(
-        equal=not mismatches,
-        depth=depth,
-        mismatches=tuple(mismatches),
-        sequences=len(set(sem) | set(aut)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Lane-batched numpy samplers.
 
-The per-run sampler in `semantics` is the readable reference; these compiled
-simulators run many seeded lanes in lockstep so that long-horizon Monte
-Carlo evidence stays cheap.
+The per-run term sampler `sample_run` in `tests/reference.py` is the
+readable reference, and `reference_run_batch` in `tests/test_simulate.py`
+the per-definition step loop these batches replaced; the compiled
+simulators here run many seeded lanes in lockstep so that long-horizon
+Monte Carlo evidence stays cheap.
 
 `CompiledDefinition` samples a definition's pPDA (`ppda.translate`) one
 whole term step per categorical draw.  The within-step walk over the
@@ -272,7 +274,7 @@ class CompiledDefinition:
         Returns (per-lane output counts, per-lane outputs in the second half,
         per-step output totals).
         """
-        return next(run_jobs([(self, seed)], runs, horizon, policy))
+        return next(run_jobs([(self, seed)], runs, horizon, policy))[1]
 
 
 def monte_carlo_jobs(
@@ -293,20 +295,16 @@ def monte_carlo_jobs(
             int((tail_counts == 0).sum()),
             step_totals,
         )
-        for job, (counts, tail_counts, step_totals) in _run_jobs(jobs, runs, horizon, policy)
+        for job, (counts, tail_counts, step_totals) in run_jobs(jobs, runs, horizon, policy)
     )
 
 
 def run_jobs(jobs: Iterable, runs: int, horizon: int, policy: Policy | None = None):
     """Simulate `runs` lanes of each job, a (compiled definition, seed)
     pair, for `horizon` steps, in lockstep batches (`_batches`); trees
-    follow `policy`.  Yields what `run_batch` returns for each job, in job
-    order, so a caller that summarizes each result as it comes holds one
-    job's step totals in floats at a time."""
-    return (result for _, result in _run_jobs(jobs, runs, horizon, policy))
-
-
-def _run_jobs(jobs: Iterable, runs: int, horizon: int, policy: Policy | None):
+    follow `policy`.  Yields each job with what `run_batch` returns for it,
+    in job order, so a caller that summarizes each result as it comes holds
+    one job's step totals in floats at a time."""
     for batch in _batches(jobs, runs):
         yield from zip(batch, _run_lanes(batch, runs, horizon, policy))
 

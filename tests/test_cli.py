@@ -196,6 +196,7 @@ def test_check_memory_does_not_grow_with_the_analysis(tmp_path):
         ["solve", "--epsilon", "-1"],
         ["solve", "--max-iter", "0"],
         ["measure", "--bogus"],
+        ["check", "--no-tier3", "--force-tier3"],
     ],
 )
 def test_usage_errors_exit_3_with_one_error_line(argv, tmp_path, capsys):

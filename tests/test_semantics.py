@@ -1,7 +1,5 @@
 """One-step distributions, prefix distributions, samplers, Monte Carlo."""
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -10,27 +8,18 @@ from hypothesis import given, settings
 
 from asprod.measure import measure
 from asprod.semantics import (
-    Event,
     McHint,
     McReport,
-    Out,
     PeriodicWord,
-    Policy,
     UNIFORM,
-    Unfold,
-    _split,
     monte_carlo,
     parse_policy,
-    prefix_distribution,
-    step,
 )
 from asprod.syntax import parse_definition
 from asprod.terms import (
     Choice,
     Cons,
-    Definition,
     InvalidDefinition,
-    Kind,
     Left,
     Mk,
     RecVar,
@@ -40,6 +29,15 @@ from asprod.terms import (
 )
 
 from conftest import corpus, stream_terms, tree_terms
+from reference import (
+    Out,
+    Unfold,
+    canon,
+    direction,
+    prefix_distribution,
+    sample_run,
+    step,
+)
 
 S12 = parse_definition("stream s = (a : s) (+ 1/2) tail(s)")
 SREC = parse_definition("stream s = s")
@@ -117,18 +115,11 @@ def test_prefix_distribution_requires_tree_policy():
     assert sum(prefix_distribution(t, 2, UNIFORM).values()) == 1
 
 
-def test_prefix_distribution_depth_bound():
-    from asprod.semantics import DepthLimitError
-
-    with pytest.raises(DepthLimitError):
-        prefix_distribution(S12, 17)
-
-
 def test_periodic_word_policy():
     w = parse_policy("LR")
-    assert [w.direction(i) for i in range(5)] == ["L", "R", "L", "R", "L"]
+    assert [direction(w, i) for i in range(5)] == ["L", "R", "L", "R", "L"]
     w2 = parse_policy("R|L")
-    assert [w2.direction(i) for i in range(4)] == ["R", "L", "L", "L"]
+    assert [direction(w2, i) for i in range(4)] == ["R", "L", "L", "L"]
     assert parse_policy("uniform") is UNIFORM
 
 
@@ -141,83 +132,6 @@ def test_prefix_distribution_fixed_word_tree():
     assert left_only == {("x", None, "x"): Fraction(1)}
     right_only = prefix_distribution(t, 3, parse_policy("R"))
     assert right_only == {("x", None, None): Fraction(1)}
-
-
-# ---------------------------------------------------------------------------
-# seeded sampling: a per-run term-level reference for `monte_carlo`
-
-
-@dataclass(frozen=True)
-class Trace:
-    """One sampled run: per-step events, and the directions consumed at tree
-    outputs."""
-
-    events: tuple[Event, ...]
-    directions: tuple[str, ...] = ()
-
-    @property
-    def output_count(self) -> int:
-        return sum(1 for e in self.events if e is not None)
-
-
-def sample_run(
-    d: Definition,
-    horizon: int,
-    seed: int,
-    policy: Policy | None = None,
-) -> Trace:
-    """Deterministically sample `horizon` steps; trees default to UNIFORM."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if d.kind is Kind.TREE and policy is None:
-        policy = UNIFORM
-    rng = random.Random(seed)
-    body_ds, body_core = _split(d.body)
-    ds = list(body_ds)
-    core = body_core
-    events: list[Event] = []
-    dirs: list[str] = []
-    out_i = 0
-    for _ in range(horizon):
-        while True:
-            if isinstance(core, Choice):
-                # float < Fraction compares exactly
-                branch = core.left if rng.random() < core.prob else core.right
-                sub_ds, core = _split(branch)
-                ds.extend(sub_ds)
-            elif isinstance(core, Cons):
-                if ds:
-                    ds.pop()
-                    sub_ds, core = _split(core.tail)
-                    ds.extend(sub_ds)
-                else:
-                    events.append(core.label)
-                    sub_ds, core = _split(core.tail)
-                    ds.extend(sub_ds)
-                    break
-            elif isinstance(core, Mk):
-                if ds:
-                    child = core.left if ds.pop() == "L" else core.right
-                    sub_ds, core = _split(child)
-                    ds.extend(sub_ds)
-                else:
-                    if isinstance(policy, PeriodicWord):
-                        direction = policy.direction(out_i)
-                    else:
-                        direction = "L" if rng.random() < 0.5 else "R"
-                    dirs.append(direction)
-                    out_i += 1
-                    events.append(core.label)
-                    child = core.left if direction == "L" else core.right
-                    sub_ds, core = _split(child)
-                    ds.extend(sub_ds)
-                    break
-            else:  # RecVar: unfold silently, keeping the pending context
-                events.append(None)
-                ds.extend(body_ds)
-                core = body_core
-                break
-    return Trace(tuple(events), tuple(dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +273,8 @@ def test_unfold_is_substitution_of_the_body():
 def test_periodic_policy_canon_is_coherent():
     w = PeriodicWord(period="LR", prefix="RRL")
     for n in range(40):
-        assert w.direction(w.canon(n)) == w.direction(n)
-        assert w.canon(w.canon(n) + 1) == w.canon(n + 1)
+        assert direction(w, canon(w, n)) == direction(w, n)
+        assert canon(w, canon(w, n) + 1) == canon(w, n + 1)
 
 
 def test_fixed_word_evidence_for_second_tree_example():

@@ -280,7 +280,8 @@ def test_batched_jobs_match_jobs_run_alone(monkeypatch, policy, max_lanes, batch
             yield job
 
     batched = []
-    for result in run_jobs(lazily(), 9, 700, policy):
+    for job, result in run_jobs(lazily(), 9, 700, policy):
+        assert job == jobs[len(batched)]  # each result comes with its job, in job order
         batched.append(result)
         # no job is taken before its batch runs, and a batch is at most
         # `max_lanes` lanes
