@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from asprod import AnalyzerConfig, decide_asp, parse_file
+from asprod import AnalyzerConfig, Tier3Mode, decide_asp, parse_file
 from asprod.eqsys import AlmostSureReturn, SubReturn
 
 DEFAULT_FILE = Path(__file__).resolve().parent.parent / "defs" / "paper_examples.defs"
@@ -35,7 +35,7 @@ def main() -> int:
     parser.add_argument("--tier3", action="store_true", help="attach Monte Carlo evidence")
     args = parser.parse_args()
 
-    config = AnalyzerConfig(force_tier3=args.tier3)
+    config = AnalyzerConfig(tier3=Tier3Mode.ALWAYS if args.tier3 else Tier3Mode.WHEN_UNKNOWN)
     header = f"{'name':10} {'kind':7} {'measure':>8} {'tier1':8} {'heads':14} {'exact':16} {'verdict':8} {'ms':>6}"
     print(header)
     print("-" * len(header))

@@ -14,7 +14,7 @@ import csv
 import sys
 from fractions import Fraction
 
-from asprod import AnalyzerConfig, decide_asp, monte_carlo, parse_definition
+from asprod import AnalyzerConfig, Tier3Mode, decide_asp, monte_carlo, parse_definition
 from asprod.eqsys import build_system, clean, kleene_solve
 from asprod.ppda import translate
 from asprod.terms import RecVar
@@ -22,7 +22,7 @@ from asprod.terms import RecVar
 
 def analyze(template: str, p: Fraction, use_mc: bool):
     d = parse_definition(template.format(p=p))
-    v = decide_asp(d, AnalyzerConfig(run_tier3=False))
+    v = decide_asp(d, AnalyzerConfig(tier3=Tier3Mode.NEVER))
     automaton = translate(d)
     rec = automaton.states.index(RecVar())
     cleaned, _ = clean(build_system(automaton))

@@ -54,6 +54,7 @@ from .decide import (
     GroundChain,
     InternalInconsistencyError,
     Tier,
+    Tier3Mode,
     Verdict,
     buchi_verdict,
     decide_asp,

@@ -35,6 +35,7 @@ from .decide import (
     AnalyzerConfig,
     AspResult,
     ExactAnalysis,
+    Tier3Mode,
     Verdict,
     decide_asp,
     smt_solver_from_env,
@@ -112,8 +113,7 @@ def _config_from_args(args) -> AnalyzerConfig:
         mc_runs=args.mc_runs,
         mc_horizon=args.mc_horizon,
         seed=args.seed,
-        run_tier3=not args.no_tier3,
-        force_tier3=args.force_tier3,
+        tier3=args.tier3,
         smt_solver=args.smt_solver or smt_solver_from_env(),
         tree_policy=args.tree_policy,
     )
@@ -447,10 +447,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc(p_check)
     p_check.add_argument("--json", action="store_true")
     tier3 = p_check.add_mutually_exclusive_group()
-    tier3.add_argument("--no-tier3", action="store_true")
-    tier3.add_argument("--force-tier3", action="store_true")
+    for flag, mode in (("--no-tier3", Tier3Mode.NEVER), ("--force-tier3", Tier3Mode.ALWAYS)):
+        tier3.add_argument(flag, dest="tier3", action="store_const", const=mode)
     p_check.add_argument("--smt-solver", default=None)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, tier3=Tier3Mode.WHEN_UNKNOWN)
 
     p_measure = sub.add_parser("measure", help="print drift measures")
     _add_common(p_measure)

@@ -60,6 +60,12 @@ class Tier(Enum):
     STATISTICAL_ONLY = "statistical_only"
 
 
+class Tier3Mode(Enum):
+    NEVER = "never"
+    WHEN_UNKNOWN = "when_unknown"
+    ALWAYS = "always"
+
+
 class InternalInconsistencyError(RuntimeError):
     """The sufficient criterion and the exact analysis disagreed (a bug trap,
     not a property of the input)."""
@@ -169,8 +175,7 @@ class AnalyzerConfig:
     mc_runs: int = 200
     mc_horizon: int = 10_000
     seed: int = 0xA5F
-    run_tier3: bool = True  # Monte Carlo evidence when the verdict is Unknown
-    force_tier3: bool = False  # always gather Monte Carlo evidence
+    tier3: Tier3Mode = Tier3Mode.WHEN_UNKNOWN  # when to gather Monte Carlo evidence
     smt_solver: Optional[str] = None
     tree_policy: Optional[Policy] = None  # samplers default to uniform
 
@@ -224,7 +229,7 @@ def decide_asp(d: Definition, config: AnalyzerConfig | None = None) -> Verdict:
     """
     config = config or AnalyzerConfig()
     drift = measure(d)
-    t1 = tier1_verdict(d)
+    t1 = tier1_verdict(drift)
     tier2 = exact_analysis(d, config)
 
     if t1 is Tier1.ASP:
@@ -242,11 +247,12 @@ def decide_asp(d: Definition, config: AnalyzerConfig | None = None) -> Verdict:
         result, tier = AspResult.UNKNOWN, Tier.EXACT
 
     mc: Optional[McReport] = None
-    if (result is AspResult.UNKNOWN and config.run_tier3) or config.force_tier3:
+    unknown = result is AspResult.UNKNOWN
+    if config.tier3 is Tier3Mode.ALWAYS or (unknown and config.tier3 is Tier3Mode.WHEN_UNKNOWN):
         mc = monte_carlo(
             d, config.mc_runs, config.mc_horizon, config.seed, policy=config.tree_policy
         )
-        if result is AspResult.UNKNOWN:
+        if unknown:
             tier = Tier.STATISTICAL_ONLY
 
     return Verdict(

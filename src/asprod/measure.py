@@ -38,6 +38,6 @@ def measure(d: Definition) -> Fraction:
     return measure_term(d.body)
 
 
-def tier1_verdict(d: Definition) -> Tier1:
+def tier1_verdict(drift: Fraction) -> Tier1:
     """ASP iff the drift is strictly positive; otherwise no information."""
-    return Tier1.ASP if measure(d) > 0 else Tier1.ABSTAIN
+    return Tier1.ASP if drift > 0 else Tier1.ABSTAIN

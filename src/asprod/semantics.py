@@ -141,7 +141,4 @@ def _tail_slope(step_totals, runs: int, half: int) -> float:
         return 0.0
     x = np.arange(curve.size, dtype=float)
     x -= x.mean()
-    denom = float((x * x).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((x * (curve - curve.mean())).sum() / denom)
+    return float((x * (curve - curve.mean())).sum() / (x * x).sum())

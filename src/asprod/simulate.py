@@ -32,14 +32,14 @@ rationals until the final float conversion.
 lockstep batches of lanes over the concatenated tables of their
 definitions.  It takes the jobs as they come, and a batch is bounded in
 lanes and in table outcomes, so a caller that compiles its definitions
-lazily holds the tables of about one batch at a time.  There are three
-kinds of lanes.  Streams that read the stack keep it as a counter of
-pending destructors.  Trees that read it keep a class stack: one flat,
-height-major array for the batch whose cell at height h holds the entry
-class of the lane's stack cut to height h (cell 0 is the empty class), so
-the entry class is a single gather and a push is a lookup in a (class
-below, symbol) table; the cells hold class ids in the smallest dtype.
-Definitions at suffix depth 0 keep no stack at all.  A step picks each
+lazily holds the tables of about one batch at a time.  A job at suffix
+depth 0 gets no lanes: no built row of its definition outputs, so its
+result is all zeros.  Stream lanes keep their stack as a counter of pending
+destructors, tree lanes as a class stack: one flat, height-major array for
+the batch whose cell at height h holds the entry class of the lane's stack
+cut to height h (cell 0 is the empty class), so the entry class is a
+single gather and a push is a lookup in a (class below, symbol) table; the
+cells hold class ids in the smallest dtype.  A step picks each
 lane's outcome from its row's guide table (Chen & Asau, 1974): entry ⌊u·G⌋
 of the row is the first outcome whose cumulative weight exceeds ⌊u·G⌋/G,
 and a branchless bisection over the next few outcomes, at most as many as a
@@ -48,7 +48,7 @@ the first outcome whose cumulative weight exceeds u (`_search`).  Each
 row's last cumulative weight is exactly 1.0 and u < 1, so a pick never
 leaves its row.
 
-Each job draws from its own generator, in blocks of steps,
+Each job with lanes draws from its own generator, in blocks of steps,
 `rng.random((steps, draws, runs))`, which yields the same numbers in the
 same order as one `rng.random(runs)` call per draw per step.  So a job's
 results depend neither on the block size nor on the other jobs of its
@@ -80,9 +80,6 @@ BATCH_OUTCOMES = 1 << 14  # outcomes that close a batch, so its tables stay smal
 GUIDE_CELLS = 64  # most guide entries per row; cells are powers of two, so u * cells is exact
 GUIDE_ENTRIES, GUIDE_PER_OUTCOME = 1 << 16, 4  # the guide table's size budget
 MAX_TABLE_OUTCOMES = 500_000
-
-# lane kinds, in the order their lanes sit in a batch
-COUNTER, STACKLESS_STREAM, STACKLESS_TREE, CLASS_STACK = range(4)
 
 
 def _grow(stack: np.ndarray, runs: int, needed: int) -> np.ndarray:
@@ -304,9 +301,16 @@ def run_jobs(jobs: Iterable, runs: int, horizon: int, policy: Policy | None = No
     pair, for `horizon` steps, in lockstep batches (`_batches`); trees
     follow `policy`.  Yields each job with what `run_batch` returns for it,
     in job order, so a caller that summarizes each result as it comes holds
-    one job's step totals in floats at a time."""
+    one job's step totals in floats at a time.  A job at suffix depth 0
+    cannot output: it gets zeros, without lanes or a generator."""
     for batch in _batches(jobs, runs):
-        yield from zip(batch, _run_lanes(batch, runs, horizon, policy))
+        # started by the first job with lanes, so a batch without any runs none
+        sampled = _run_lanes([job for job in batch if job[0].suffix_depth], runs, horizon, policy)
+        for job in batch:
+            if job[0].suffix_depth:
+                yield job, next(sampled)
+            else:
+                yield job, (np.zeros(runs, np.int64), np.zeros(runs, np.int64), np.zeros(horizon))
 
 
 def _batches(jobs: Iterable, runs: int):
@@ -329,13 +333,6 @@ def _batches(jobs: Iterable, runs: int):
             batch, defs, outcomes = [], set(), 0
     if batch:
         yield batch
-
-
-def _lane_kind(c: CompiledDefinition) -> int:
-    """How `c`'s lanes keep their stack; at suffix depth 0 no row reads it."""
-    if c.kind is Kind.STREAM:
-        return COUNTER if c.suffix_depth > 0 else STACKLESS_STREAM
-    return CLASS_STACK if c.suffix_depth > 0 else STACKLESS_TREE
 
 
 def _guide(cum: np.ndarray, row_len: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -400,21 +397,20 @@ def _push_column(c: CompiledDefinition, j: int) -> np.ndarray:
 
 
 def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
-    """One lockstep batch of `run_jobs`.  Lanes sit by kind (`_lane_kind`),
-    each job's lanes together; every table is the concatenation of those of
-    the batch's distinct definitions, with rows and outcomes renumbered."""
-    order = sorted(range(len(jobs)), key=lambda i: _lane_kind(jobs[i][0]))
+    """One lockstep batch of `run_jobs`, over jobs at suffix depth 1 or
+    more.  Stream lanes, which keep a counter, sit before tree lanes, which
+    keep a class stack, each job's lanes together; every table is the
+    concatenation of those of the batch's distinct definitions, with rows
+    and outcomes renumbered."""
+    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0].kind is Kind.TREE)
     lane_jobs = [jobs[i] for i in order]
-    kinds = [_lane_kind(c) for c, _ in lane_jobs]
     defs = list({id(c): c for c, _ in lane_jobs}.values())
     row_at = dict(zip(map(id, defs), np.cumsum([0] + [len(c._row_len) for c in defs])))
     n_rows = sum(len(c._row_len) for c in defs)
     n_out = sum(len(c._cum) for c in defs)
     n_lanes = runs * len(jobs)
-    counter_end = runs * kinds.count(COUNTER)
-    tree_start = counter_end + runs * kinds.count(STACKLESS_STREAM)
-    stack_start = n_lanes - runs * kinds.count(CLASS_STACK)
-    n_stack = n_lanes - stack_start
+    tree_start = runs * sum(c.kind is Kind.STREAM for c, _ in jobs)
+    n_trees = n_lanes - tree_start
 
     cum = np.concatenate([c._cum for c in defs])
     row_len = np.concatenate([c._row_len for c in defs])
@@ -432,31 +428,31 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
     )
     row = np.repeat([row_at[id(c)] for c, _ in lane_jobs], runs)
 
-    if counter_end:
-        height = np.zeros(counter_end, dtype=np.int64)
-        depth = np.repeat([c.suffix_depth for c, _ in lane_jobs], runs)[:counter_end]
+    if tree_start:
+        height = np.zeros(tree_start, dtype=np.int64)
+        depth = np.repeat([c.suffix_depth for c, _ in lane_jobs], runs)[:tree_start]
         delta = np.concatenate([c._n_push - c._consumed for c in defs])
-    if n_stack:
-        stack_defs = [c for c in defs if _lane_kind(c) == CLASS_STACK]
+    if n_trees:
+        tree_defs = [c for c in defs if c.kind is Kind.TREE]
         table_at = dict(
-            zip(map(id, stack_defs), np.cumsum([0] + [len(c._push_class) for c in stack_defs]))
+            zip(map(id, tree_defs), np.cumsum([0] + [len(c._push_class) for c in tree_defs]))
         )
-        dtype = np.min_scalar_type(max(c.n_classes for c in stack_defs) - 1)
-        push_class = np.concatenate([c._push_class for c in stack_defs]).astype(dtype)
-        max_push = max(c.max_push for c in stack_defs)
+        dtype = np.min_scalar_type(max(c.n_classes for c in tree_defs) - 1)
+        push_class = np.concatenate([c._push_class for c in tree_defs]).astype(dtype)
+        max_push = max(c.max_push for c in tree_defs)
         push_syms = [
             np.concatenate([table_at.get(id(c), 0) + _push_column(c, j) for c in defs])
             for j in range(max_push)
         ]
-        pops = np.concatenate([c._consumed for c in defs]) * n_stack
-        pushes = np.concatenate([c._n_push for c in defs]) * n_stack
-        # class stack, height-major: cell h * n_stack + i holds the class of
-        # stack lane i's stack cut to height h; cell 0 is the empty class
-        stack = np.zeros(DEFAULT_STACK_CAP * n_stack, dtype=dtype)
-        top = np.arange(n_stack)  # cell of each stack lane's top
+        pops = np.concatenate([c._consumed for c in defs]) * n_trees
+        pushes = np.concatenate([c._n_push for c in defs]) * n_trees
+        # class stack, height-major: cell h * n_trees + i holds the class of
+        # tree lane i's stack cut to height h; cell 0 is the empty class
+        stack = np.zeros(DEFAULT_STACK_CAP * n_trees, dtype=dtype)
+        top = np.arange(n_trees)  # cell of each tree lane's top
 
-    word = _policy_tables(policy) if tree_start < n_lanes else None
-    coins = tree_start < n_lanes and word is None
+    word = _policy_tables(policy) if n_trees else None
+    coins = n_trees > 0 and word is None
     steps = max(1, BLOCK_LANE_STEPS // n_lanes)
     u = np.empty((steps, n_lanes), dtype=np.float64)
     cells = np.empty((steps, n_lanes), dtype=np.int64)
@@ -467,7 +463,7 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
         pre, per, dirs = word
         turn = dirs * n_out  # successor-table offset of each word letter
         advance = np.append(np.arange(1, pre + per), pre)  # next word position
-        place = np.zeros(n_lanes - tree_start, dtype=np.int64)  # word position of each tree lane
+        place = np.zeros(n_trees, dtype=np.int64)  # word position of each tree lane
         steer = np.zeros(n_lanes, dtype=np.int64)
     rngs = [np.random.default_rng(seed) for _, seed in lane_jobs]
 
@@ -494,10 +490,10 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
         u[:n] *= cells_per_row
         cells[:n] = u[:n]  # truncated: the guide cell
         cells[:n] *= n_rows
-        if n_stack:
-            needed = int(top.max()) // n_stack + (n + 1) * max_push + 1
-            if needed * n_stack > len(stack):
-                stack = _grow(stack, n_stack, needed)
+        if n_trees:
+            needed = int(top.max()) // n_trees + (n + 1) * max_push + 1
+            if needed * n_trees > len(stack):
+                stack = _grow(stack, n_trees, needed)
 
         for t in range(n):
             draw = u[t]
@@ -511,19 +507,19 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
                 row = next_row.take(pick + steer)
             else:
                 row = next_row.take(pick)
-            if counter_end:
-                height += delta.take(pick[:counter_end])
-                row[:counter_end] += np.minimum(height, depth)
-            if n_stack:
-                mine = pick[stack_start:]
+            if tree_start:
+                height += delta.take(pick[:tree_start])
+                row[:tree_start] += np.minimum(height, depth)
+            if n_trees:
+                mine = pick[tree_start:]
                 base = top - pops.take(mine)
                 cls = stack.take(base)
                 # cells above the new top are dead until a push writes them
                 for j in range(max_push):
                     cls = push_class.take(cls + push_syms[j].take(mine))
-                    stack[base + (j + 1) * n_stack] = cls
+                    stack[base + (j + 1) * n_trees] = cls
                 top = base + pushes.take(mine)
-                row[stack_start:] += stack.take(top)
+                row[tree_start:] += stack.take(top)
 
         done = outs[:n]
         step_totals[:, first : first + n] = np.add.reduceat(done, starts, axis=1, dtype=np.int64).T
@@ -532,8 +528,6 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
             tail_counts += done[max(half - first, 0) :].sum(axis=0)
 
     del u, cells, outs  # the blocks are not needed while the results are read
-    lane_of = {i: j for j, i in enumerate(order)}
-    for i in range(len(jobs)):
-        j = lane_of[i]
+    for j in np.argsort(order):  # the lane place of each job, in job order
         lanes = slice(j * runs, (j + 1) * runs)
         yield counts[lanes], tail_counts[lanes], step_totals[j].astype(np.float64)

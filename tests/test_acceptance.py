@@ -96,9 +96,9 @@ def test_criterion_3_trap_regression():
     d = parse_definition("stream s = tail(a : s)")
     assert measure(d) == 0
     code_input = pretty_print(d)
-    from asprod.decide import AnalyzerConfig, AspResult, decide_asp
+    from asprod.decide import AnalyzerConfig, AspResult, Tier3Mode, decide_asp
 
-    v = decide_asp(parse_definition(code_input), AnalyzerConfig(run_tier3=False))
+    v = decide_asp(parse_definition(code_input), AnalyzerConfig(tier3=Tier3Mode.NEVER))
     assert v.result is AspResult.NOT_ASP
     mc = monte_carlo(d, 50, 2000, seed=11)
     assert sum(mc.output_counts) == 0  # simulation confirms: never an output
@@ -109,10 +109,10 @@ def test_criterion_3_trap_regression():
 
 
 def test_criterion_4_tree_verdict_agrees_with_oracle():
-    from asprod.decide import AnalyzerConfig, AspResult, decide_asp
+    from asprod.decide import AnalyzerConfig, AspResult, Tier3Mode, decide_asp
 
     e2 = parse_definition("tree e2 = left(e2) (+ 1/4) mk(x, e2, left(e2))")
-    verdict = decide_asp(e2, AnalyzerConfig(run_tier3=False))
+    verdict = decide_asp(e2, AnalyzerConfig(tier3=Tier3Mode.NEVER))
     assert verdict.tier1.value == "abstain"
     assert verdict.result is AspResult.ASP  # decided by the exact tier
     seeds = (0xA5F, 1, 2)

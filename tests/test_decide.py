@@ -10,6 +10,7 @@ from asprod.decide import (
     BuchiResult,
     GroundChain,
     Tier,
+    Tier3Mode,
     buchi_verdict,
     decide_asp,
     exact_analysis,
@@ -24,7 +25,7 @@ from asprod.terms import Cons, RecVar, Tail
 
 from conftest import EXPECTED_VERDICT, corpus, definitions
 
-FAST = AnalyzerConfig(run_tier3=False)
+FAST = AnalyzerConfig(tier3=Tier3Mode.NEVER)
 
 
 def _chain(name):
@@ -210,13 +211,13 @@ def test_unknown_verdict_runs_tier3():
     assert v.result is AspResult.UNKNOWN
     assert v.tier is Tier.STATISTICAL_ONLY
     assert v.mc is not None  # evidence attached, never a proof
-    off = decide_asp(u, AnalyzerConfig(run_tier3=False))
+    off = decide_asp(u, AnalyzerConfig(tier3=Tier3Mode.NEVER))
     assert off.result is AspResult.UNKNOWN
     assert off.tier is Tier.EXACT and off.mc is None
 
 
 def test_force_tier3_attaches_evidence_to_decided_verdicts():
-    cfg = AnalyzerConfig(force_tier3=True, mc_runs=20, mc_horizon=500)
+    cfg = AnalyzerConfig(tier3=Tier3Mode.ALWAYS, mc_runs=20, mc_horizon=500)
     v = decide_asp(corpus()["spure"], cfg)
     assert v.result is AspResult.ASP and v.tier is Tier.MEASURE
     assert v.mc is not None and v.mc.hint is McHint.NO_EVIDENCE_AGAINST_ASP

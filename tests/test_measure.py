@@ -41,10 +41,10 @@ def test_tree_examples():
 
 
 def test_tier1_verdicts():
-    assert tier1_verdict(drift_stream(Fraction(3, 4))) is Tier1.ASP
-    assert tier1_verdict(drift_stream(Fraction(1, 2))) is Tier1.ABSTAIN
+    assert tier1_verdict(measure(drift_stream(Fraction(3, 4)))) is Tier1.ASP
+    assert tier1_verdict(measure(drift_stream(Fraction(1, 2)))) is Tier1.ABSTAIN
     e2 = parse_definition("tree t = left(t) (+ 1/4) mk(x, t, left(t))")
-    assert tier1_verdict(e2) is Tier1.ABSTAIN
+    assert tier1_verdict(measure(e2)) is Tier1.ABSTAIN
 
 
 @settings(max_examples=200, deadline=None)

@@ -238,8 +238,8 @@ def _many_small(k):
 MANY_SMALL = _many_small(40)
 
 
-# a lane batch mixes every lane kind: streams at suffix depth 0 and above,
-# trees with a class stack and trees at depth 0, which keep none
+# a batch mixes both lane kinds, streams with a counter and trees with a
+# class stack, and jobs at suffix depth 0 of either kind, which get no lanes
 MIXED = [
     "stream strap = tail(a : strap)",
     "stream g6 = tail((tail(g6) (+ 7/12) g6))",
@@ -299,6 +299,40 @@ def test_batched_jobs_match_jobs_run_alone(monkeypatch, policy, max_lanes, batch
     many = compiled[-1]
     assert simulate._guide(many._cum, many._row_len)[2] >= 32
     assert_same(many, 9, 700, seed=7, policy=None)
+
+
+@pytest.mark.parametrize("policy", [None, parse_policy("RRL|LR")])
+def test_jobs_that_cannot_output_get_no_generator(monkeypatch, policy):
+    compiled = [CompiledDefinition(parse_definition(text)) for text in MIXED]
+    jobs = [(c, seed) for seed, c in enumerate(compiled)]
+    silent = [(c, seed) for c, seed in jobs if c.suffix_depth == 0]
+    assert {(c.kind, c.suffix_depth > 0) for c in compiled} == {
+        (Kind.STREAM, False),
+        (Kind.STREAM, True),
+        (Kind.TREE, False),
+        (Kind.TREE, True),
+    }
+    # no built row of a definition at suffix depth 0 outputs
+    assert not any(c._is_out.any() for c, _ in silent)
+    want = {seed: reference_run_batch(c, 9, 300, seed, policy) for c, seed in silent}
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(simulate.np.random, "default_rng", recorded)
+    got = {seed: result for (_, seed), result in run_jobs(jobs, 9, 300, policy)}
+    assert sorted(seeded) == [seed for c, seed in jobs if c.suffix_depth > 0]
+    # a batch of such jobs alone runs no lanes at all
+    alone = {seed: result for (_, seed), result in run_jobs(silent, 9, 300, policy)}
+    assert len(seeded) == len(jobs) - len(silent)
+    for results in (got, alone):
+        for seed, w in want.items():
+            for g, r in zip(results[seed], w):
+                assert g.dtype == r.dtype
+                np.testing.assert_array_equal(g, r)
 
 
 def test_batches_close_at_the_lane_and_outcome_bounds(monkeypatch):

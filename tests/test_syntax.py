@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from asprod.decide import AnalyzerConfig, decide_asp
+from asprod.decide import AnalyzerConfig, Tier3Mode, decide_asp
 from asprod.measure import measure
 from asprod.ppda import translate
 from asprod.semantics import SamplerLimitError
@@ -197,7 +197,7 @@ def test_every_stage_survives_the_deepest_accepted_term(shape):
         CompiledDefinition(d)
     except SamplerLimitError:
         pass
-    decide_asp(d, AnalyzerConfig(run_tier3=False))
+    decide_asp(d, AnalyzerConfig(tier3=Tier3Mode.NEVER))
     if shape != "parenthesized_cons":  # one more level is a lone "(a :"
         with pytest.raises(ParseError, match="nested more than"):
             parse_file(_nested(MAX_NESTING + 1)[shape])
