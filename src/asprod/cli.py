@@ -3,7 +3,9 @@
 Subcommands: `check` runs the full three-tier decision per definition,
 `measure` prints drift measures, `simulate` prints Monte Carlo reports,
 `ppda` exports the translated automata, `solve` prints equation-system
-solutions and head classifications.
+solutions and the head classes `check` decides with, from the same exact
+analysis.  The exact tier's numerics have no flags: floating point only
+chooses what is checked, and every decision is checked exactly.
 
 Exit codes for `check`: 0 all ASP, 1 some definition is not ASP, 2 some
 verdict is Unknown, 3 input errors, including a term nested more than
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -38,18 +39,10 @@ from .decide import (
     Tier3Mode,
     Verdict,
     decide_asp,
+    exact_analysis,
     smt_solver_from_env,
 )
-from .eqsys import (
-    AlmostSureReturn,
-    SubReturn,
-    Unknown,
-    build_system,
-    classify_heads,
-    clean,
-    kleene_solve,
-    newton_solve,
-)
+from .eqsys import AlmostSureReturn, SubReturn, Unknown
 from .measure import measure
 from .ppda import export, translate
 # `monte_carlo` is not called here, since `simulate` samples its definitions
@@ -108,8 +101,6 @@ def _load(paths: list[str]) -> tuple[list[tuple[str, Definition]], bool]:
 def _config_from_args(args) -> AnalyzerConfig:
     """The analyzer configuration of `check`'s flags."""
     return AnalyzerConfig(
-        epsilon=args.epsilon,
-        max_iter=args.max_iter,
         mc_runs=args.mc_runs,
         mc_horizon=args.mc_horizon,
         seed=args.seed,
@@ -322,22 +313,15 @@ def cmd_ppda(args) -> int:
 
 def cmd_solve(args) -> int:
     defs, had_error = _load(args.files)
-    smt = args.smt_solver or smt_solver_from_env()
+    config = AnalyzerConfig(smt_solver=args.smt_solver or smt_solver_from_env())
     for _, d in defs:
-        system = build_system(translate(d))
-        cleaned, _ = clean(system)
-        kleene, iters = kleene_solve(cleaned, args.epsilon, args.max_iter)
-        newton = newton_solve(cleaned, args.epsilon)
-        classes = classify_heads(
-            cleaned,
-            epsilon=args.epsilon,
-            max_iter=args.max_iter,
-            smt_solver=smt,
-            newton_values=newton,
-            kleene=(kleene, iters),
-        )
+        # the classes `check` decides with, and the numerics behind them
+        analysis = exact_analysis(d, config)
+        cleaned = analysis.system
+        kleene, iters = cleaned.kleene
+        newton = cleaned.newton
         print(
-            f"{d.name}: {len(system.variables)} variables, "
+            f"{d.name}: {len(analysis.positivity)} variables, "
             f"{len(cleaned.variables)} surviving (kleene: {iters} iterations)"
         )
         for i in range(len(cleaned.variables)):
@@ -346,8 +330,8 @@ def cmd_solve(args) -> int:
                 f"newton={newton[i]:.12f}"
             )
         names = cleaned.state_names
-        for (q, x) in sorted(classes):
-            cls = classes[(q, x)]
+        for (q, x) in sorted(analysis.classes):
+            cls = analysis.classes[(q, x)]
             if isinstance(cls, AlmostSureReturn):
                 text = "AlmostSureReturn"
             elif isinstance(cls, SubReturn):
@@ -395,16 +379,6 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
-    return value
-
-
 def _policy(text: str):
     try:
         return parse_policy(text)
@@ -416,11 +390,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("files", nargs="+", help="definition files")
 
 
-def _add_numeric(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=_positive_float, default=AnalyzerConfig.epsilon)
-    parser.add_argument("--max-iter", type=_int_at_least(1), default=AnalyzerConfig.max_iter)
-
-
 def _add_mc(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mc-runs", type=_int_at_least(1), default=AnalyzerConfig.mc_runs)
     parser.add_argument("--mc-horizon", type=_int_at_least(100), default=AnalyzerConfig.mc_horizon)
@@ -429,7 +398,8 @@ def _add_mc(parser: argparse.ArgumentParser) -> None:
         "--tree-policy",
         type=_policy,
         default=None,
-        help="'uniform', a period like 'LR', or 'prefix|period'",
+        help="'uniform', a period like 'LR', or 'prefix|period'; steers only the"
+        " sampler (tier 3): tiers 1 and 2 answer for the uniform policy",
     )
 
 
@@ -443,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide ASP per definition")
     _add_common(p_check)
-    _add_numeric(p_check)
     _add_mc(p_check)
     p_check.add_argument("--json", action="store_true")
     tier3 = p_check.add_mutually_exclusive_group()
@@ -469,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="equation-system solutions")
     _add_common(p_solve)
-    _add_numeric(p_solve)
     p_solve.add_argument("--smt-solver", default=None)
     p_solve.set_defaults(func=cmd_solve)
 

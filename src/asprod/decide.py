@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .eqsys import (
-    DEFAULT_EPSILON,
-    DEFAULT_MAX_ITER,
+    EqSystem,
     Head,
     HeadClass,
     SubReturn,
@@ -170,8 +169,6 @@ def buchi_verdict(g: GroundChain) -> BuchiResult:
 
 @dataclass(frozen=True)
 class AnalyzerConfig:
-    epsilon: float = DEFAULT_EPSILON
-    max_iter: int = DEFAULT_MAX_ITER
     mc_runs: int = 200
     mc_horizon: int = 10_000
     seed: int = 0xA5F
@@ -189,6 +186,8 @@ class ExactAnalysis:
     buchi: BuchiResult
     classes: dict[Head, HeadClass]
     chain: GroundChain
+    system: EqSystem  # the cleaned system the classes were decided on
+    positivity: dict[VarKey, bool]  # every variable of the built system
 
 
 def exact_analysis(d: Definition, config: AnalyzerConfig | None = None) -> ExactAnalysis:
@@ -198,14 +197,9 @@ def exact_analysis(d: Definition, config: AnalyzerConfig | None = None) -> Exact
     p = translate(d)
     system = build_system(p)
     cleaned, positivity = clean(system)
-    classes = classify_heads(
-        cleaned,
-        epsilon=config.epsilon,
-        max_iter=config.max_iter,
-        smt_solver=config.smt_solver,
-    )
+    classes = classify_heads(cleaned, smt_solver=config.smt_solver)
     chain = ground_chain(p, classes, positivity)
-    return ExactAnalysis(buchi=buchi_verdict(chain), classes=classes, chain=chain)
+    return ExactAnalysis(buchi_verdict(chain), classes, chain, cleaned, positivity)
 
 
 @dataclass(frozen=True, eq=False)

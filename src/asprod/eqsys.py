@@ -96,6 +96,17 @@ class EqSystem:
         deps = self.dependencies
         return strongly_connected_components(range(len(self.variables)), deps.__getitem__)
 
+    @cached_property
+    def newton(self) -> NewtonValues:
+        """`newton_solve` at its defaults, computed once per system."""
+        return newton_solve(self)
+
+    @cached_property
+    def kleene(self) -> tuple[list[float], int]:
+        """`kleene_solve` at its defaults, (values, iterations), computed
+        once per system."""
+        return kleene_solve(self)
+
 
 def build_system(p: Ppda) -> EqSystem:
     """Assemble the pop-probability system of a translated automaton.
@@ -665,14 +676,7 @@ def _internal_jacobian_at_one(
     return jac
 
 
-def classify_heads(
-    s: EqSystem,
-    epsilon: float = DEFAULT_EPSILON,
-    max_iter: int = DEFAULT_MAX_ITER,
-    smt_solver: Optional[str] = None,
-    newton_values: Optional[Sequence[float]] = None,
-    kleene: Optional[tuple[Sequence[float], int]] = None,
-) -> dict[Head, HeadClass]:
+def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, HeadClass]:
     """Three-valued, exact classification of every excursion head.
 
     Heads with no surviving variables return with probability zero.  The
@@ -692,10 +696,9 @@ def classify_heads(
     certificate, SubReturn without one if decided sub-one, the optional SMT
     query, and honest Unknown with Kleene evidence.
 
-    `newton_values` are the system's `newton_solve` values and `kleene` its
-    `kleene_solve` (values, iterations), for a caller that already has them;
-    by default each is computed when first needed: Newton for a certificate
-    search, Kleene for the first Unknown head.
+    The numerics are the system's own `s.newton` and `s.kleene`, each solved
+    at the module defaults when first needed (Newton for a certificate
+    search, Kleene for the first Unknown head) and kept for the next reader.
     """
     head_vars = s.head_vars()
     result: dict[Head, HeadClass] = {}
@@ -731,8 +734,7 @@ def classify_heads(
     uncertain = [h for h in live if not exact[h]]
     certs: dict[Head, Optional[tuple[Fraction, ...]]] = {}
     if uncertain:
-        newton = newton_solve(s, epsilon) if newton_values is None else newton_values
-        certs = subreturn_certificates(s, uncertain, newton)
+        certs = subreturn_certificates(s, uncertain, s.newton)
     for h in live:
         if exact[h]:
             result[h] = AlmostSureReturn()
@@ -751,9 +753,7 @@ def classify_heads(
             if answer == "unsat":
                 result[h] = AlmostSureReturn()
                 continue
-        if kleene is None:
-            kleene = kleene_solve(s, epsilon, max_iter)
-        values, iterations = kleene
+        values, iterations = s.kleene
         lower = sum(values[i] for i in head_vars[h])
         result[h] = Unknown(kleene_lower=lower, iterations=iterations)
     return result

@@ -374,7 +374,7 @@ def test_commands_without_the_numeric_tier_do_not_import_numpy(command):
 
 
 def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
-    from asprod import cli, eqsys
+    from asprod import eqsys
 
     calls = 0
     real = eqsys.kleene_solve
@@ -384,7 +384,6 @@ def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
         calls += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "kleene_solve", counting)
     monkeypatch.setattr(eqsys, "kleene_solve", counting)
     corpus = Path(__file__).resolve().parents[1] / "defs" / "paper_examples.defs"
     path = tmp_path / "solve.defs"

@@ -540,6 +540,30 @@ def test_classify_multi_exit_falls_back_honestly():
             assert cls.iterations >= 1
 
 
+def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
+    # x = x^2/2 + (1/2 - 2^-60) has mass below one, and the chain y_k = y_(k-1)
+    # reads it, so every head is decided sub-one.  x* lies within 2^-29 of
+    # one, so both bumps cap the candidate at one, and each refinement step
+    # lowers the chain by one link only: heads beyond CERT_REFINE links keep
+    # a candidate of one and get no certificate.
+    n = CERT_REFINE + 3  # x, then y_1 ... y_(CERT_REFINE + 2)
+    equations = [Equation(F(1, 2) - F(1, 2**60), (Monomial(F(1, 2), (0, 0)),))]
+    equations += [Equation(F(0), (Monomial(F(1), (k - 1,)),)) for k in range(1, n)]
+    system = EqSystem(
+        variables=tuple((k, "tl", k) for k in range(n)),
+        equations=tuple(equations),
+        heads=tuple((k, "tl") for k in range(n)),
+        state_names=tuple(f"y{k}" for k in range(n)),
+        alphabet=("tl",),
+    )
+    classes = classify_heads(system)
+    for k in range(CERT_REFINE):
+        cert = classes[(k, "tl")].certificate
+        assert cert and certify_subreturn(system, (k, "tl"), cert), k
+    for k in range(CERT_REFINE, n):
+        assert classes[(k, "tl")] == SubReturn(certificate=None), k
+
+
 def test_classify_heads_runs_kleene_only_for_unknown_heads(monkeypatch):
     calls = 0
 
@@ -566,8 +590,8 @@ def test_classify_heads_runs_kleene_only_for_unknown_heads(monkeypatch):
     classes = classify_heads(cleaned)
     assert sum(isinstance(c, Unknown) for c in classes.values()) > 1
     assert calls == 1  # once per system, not once per Unknown head
-    given = classify_heads(cleaned, kleene=kleene_solve(cleaned))
-    assert calls == 1 and given == classes
+    again = classify_heads(cleaned)  # the system keeps its Kleene values
+    assert calls == 1 and again == classes
 
 
 # ---------------------------------------------------------------------------

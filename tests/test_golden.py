@@ -12,10 +12,14 @@ periodic tree policy.  The seeded batch's simulation was recorded while
 `simulate` still sampled one definition at a time; it mixes streams and
 trees at suffix depths 0 to 3, so it pins a mixed lane batch against the
 per-definition sampler.
+
+`solve` prints the head classes of the same exact analysis `check` reports,
+so on both inputs the two commands must agree head for head.
 """
 
 import dataclasses
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -59,6 +63,49 @@ def test_seeded_batch_pins_unknown_and_certified_heads():
     heads = [h for d in doc["definitions"] if d["tier2"] for h in d["tier2"]["heads"]]
     assert any(h["class"] == "unknown" for h in heads)
     assert any(h["class"] == "sub_return" and h["certificate"] for h in heads)
+
+
+def solve_text(cls: dict, variables: list[str], head: str) -> str:
+    """The text `solve` prints for a head whose `check --json` entry is
+    `cls`, given the names of the surviving variables in their order."""
+    if cls["class"] == "almost_sure_return":
+        return "AlmostSureReturn"
+    if cls["class"] == "unknown":
+        return f"Unknown (kleene lower {cls['kleene_lower']:.6f})"
+    cert = cls["certificate"]
+    if cert is None:
+        return "SubReturn (no certificate)"
+    if not cert:
+        return "SubReturn (return probability 0)"
+    assert len(cert) == len(variables)
+    total = sum(Fraction(c) for c, v in zip(cert, variables) if v.startswith(f"[{head}, "))
+    return f"SubReturn (certificate sum {total.numerator}/{total.denominator})"
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["paper-examples", "seeded-batch"])
+def test_solve_prints_the_head_classes_check_reports(tmp_path, capsys, batch):
+    path = ROOT / "defs" / "paper_examples.defs"
+    if batch:
+        path = tmp_path / "batch.defs"
+        path.write_text(batch_text())
+    definitions = json.loads(check_json(path, capsys))["definitions"]
+    assert main(["solve", str(path)]) == 0
+    printed = []  # per definition: its header, surviving variables and head lines
+    for line in capsys.readouterr().out.splitlines():
+        if not line.startswith("  "):
+            printed.append((line, [], []))
+        elif line.startswith("  head ("):
+            printed[-1][2].append(line[len("  head (") :])
+        else:
+            printed[-1][1].append(line[2:])
+    assert len(printed) == len(definitions)
+    for d, (header, variables, lines) in zip(definitions, printed):
+        assert header.startswith(f"{d['name']}: ")
+        heads = d["tier2"]["heads"]
+        assert len(lines) == len(heads), d["name"]
+        for cls, line in zip(heads, lines):
+            head = f"{cls['state']}, {cls['symbol']}"
+            assert line == f"{head}): {solve_text(cls, variables, head)}", d["name"]
 
 
 @pytest.mark.parametrize(
