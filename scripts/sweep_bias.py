@@ -15,23 +15,18 @@ import sys
 from fractions import Fraction
 
 from asprod import AnalyzerConfig, Tier3Mode, decide_asp, monte_carlo, parse_definition
-from asprod.eqsys import build_system, clean, kleene_solve
-from asprod.ppda import translate
-from asprod.terms import RecVar
 
 
 def analyze(template: str, p: Fraction, use_mc: bool):
     d = parse_definition(template.format(p=p))
     v = decide_asp(d, AnalyzerConfig(tier3=Tier3Mode.NEVER))
-    automaton = translate(d)
-    rec = automaton.states.index(RecVar())
-    cleaned, _ = clean(build_system(automaton))
-    values, _ = kleene_solve(cleaned)
-    # return mass of an excursion entered at the recursion state
+    # return mass of an excursion entered at the recursion state, read off
+    # the Kleene values of the cleaned system the verdict was decided on
+    system = v.tier2.system
+    rec = system.state_names.index(d.name)
+    values, _ = system.kleene
     ret = sum(
-        values[i]
-        for i, (q, x, _) in enumerate(cleaned.variables)
-        if (q, x) == (rec, "tl")
+        values[i] for i, (q, x, _) in enumerate(system.variables) if (q, x) == (rec, "tl")
     )
     rate = None
     if use_mc:

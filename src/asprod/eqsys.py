@@ -17,8 +17,13 @@ exact rational arithmetic.  The certificate candidates are Newton values
 bumped along d = (I - J)^-1 1, which gains slack in every equation at first
 order where a uniform bump gains none on unit-mass equations, so which heads
 get a certificate no longer hinges on the last bits of those floating-point
-values.  Newton runs in plain Python floats; this module never imports
-numpy.
+values.  The candidates lie on the grid of multiples of 2^-64: each is a
+vector of integer numerators over 2^64, each equation is scaled once to
+integer coefficients, and every comparison of the search is one exact
+integer comparison, so no denominator grows past 2^64.  Positivity cleaning
+is a worklist over the monomials each variable unblocks, linear in the size
+of the system.  Newton runs in plain Python floats; this module never
+imports numpy.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ DEFAULT_MAX_ITER = 100_000
 NEWTON_MAX_ITER = 200
 CERT_BUMPS = (Fraction(1, 2**20), Fraction(1, 2**10))
 CERT_REFINE = 6
+GRID = 2**64  # certificate values are multiples of 1 / GRID
 SMT_TIMEOUT_S = 60.0
 
 
@@ -187,23 +193,40 @@ def clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
     """Remove variables whose least-fixed-point value is zero.
 
     Positivity is the least boolean fixed point: a variable is positive iff
-    its constant is positive or some monomial has all factors positive.
+    its constant is positive or some monomial has all factors positive.  It
+    is computed by a worklist: each monomial counts its distinct factors not
+    yet known positive, and a variable that turns positive decrements every
+    monomial waiting on it; a monomial reaching zero makes its equation's
+    variable positive.  Each variable and each monomial is handled once.
     Monomials mentioning removed variables are dropped; the least fixed
     point of the surviving variables is unchanged.
     """
     n = len(s.variables)
-    positive = [eq.const > 0 for eq in s.equations]
-    changed = True
-    while changed:
-        changed = False
-        for i, eq in enumerate(s.equations):
-            if positive[i]:
-                continue
-            for m in eq.monomials:
-                if all(positive[f] for f in m.factors):
-                    positive[i] = True
-                    changed = True
-                    break
+    positive = [eq.const.numerator > 0 for eq in s.equations]
+    owner: list[int] = []  # per monomial: the variable whose equation holds it
+    waiting: list[int] = []  # per monomial: its distinct factors not yet positive
+    watchers: list[list[int]] = [[] for _ in range(n)]  # per variable: monomials on it
+    work: list[int] = []  # turned positive, monomials waiting on it not yet told
+    for i, eq in enumerate(s.equations):
+        if positive[i]:
+            continue
+        for m in eq.monomials:
+            missing = {f for f in m.factors if not positive[f]}
+            if not missing:
+                positive[i] = True
+                work.append(i)
+                break
+            for f in missing:
+                watchers[f].append(len(owner))
+            owner.append(i)
+            waiting.append(len(missing))
+    while work:
+        for k in watchers[work.pop()]:
+            waiting[k] -= 1
+            i = owner[k]
+            if not waiting[k] and not positive[i]:
+                positive[i] = True
+                work.append(i)
 
     keep = [i for i in range(n) if positive[i]]
     remap = {old: new for new, old in enumerate(keep)}
@@ -542,6 +565,63 @@ def subreturn_candidate(
     return subreturn_certificates(s, [head], newton_values)[head]
 
 
+def _grid_rows(s: EqSystem) -> list[tuple[int, list, list, int]]:
+    """Each equation scaled to integers on the certificate grid.
+
+    With L the lcm of the denominators of the equation's constant and
+    coefficients, and a candidate c = N / GRID, the row is
+    (L const GRID^2, [(L a GRID, f)], [(L a, f, g)], L GRID), so that
+    T = L const GRID^2 + sum L a N_f GRID + sum L a N_f N_g equals
+    L GRID^2 F(c) and F(c) <= c holds exactly when T <= L GRID N.
+    """
+    rows = []
+    for eq in s.equations:
+        scale = math.lcm(eq.const.denominator, *(m.coef.denominator for m in eq.monomials))
+        const = eq.const.numerator * (scale // eq.const.denominator) * GRID * GRID
+        lin: list[tuple[int, int]] = []
+        quad: list[tuple[int, int, int]] = []
+        for m in eq.monomials:
+            a = m.coef.numerator * (scale // m.coef.denominator)
+            if len(m.factors) == 1:
+                lin.append((a * GRID, m.factors[0]))
+            else:
+                quad.append((a, *m.factors))
+        rows.append((const, lin, quad, scale * GRID))
+    return rows
+
+
+def _grid_start(values: Sequence[float], direction: Sequence[float], bump: Fraction) -> list[int]:
+    """The numerators of min(1, v + bump d) rounded up to the grid,
+    computed exactly from the floating-point v and d (the bump lies on the
+    grid)."""
+    lift = int(bump * GRID)
+    out = []
+    for v, d in zip(values, direction):
+        p, q = v.as_integer_ratio()
+        pd, qd = d.as_integer_ratio()
+        # v GRID + d lift = (p GRID qd + pd lift q) / (q qd)
+        out.append(min(GRID, -(-(p * GRID * qd + pd * lift * q) // (q * qd))))
+    return out
+
+
+def _grid_step(rows, n: list[int]) -> tuple[bool, list[int]]:
+    """One application of F on the grid: whether the candidate with
+    numerators `n` is a pre-fixed point, and the numerators of
+    min(1, F(c)) rounded up to the grid, min(GRID, ceil(T / (L GRID)))."""
+    pre_fixed = True
+    image = []
+    for (const, lin, quad, unit), own in zip(rows, n):
+        t = const
+        for a, f in lin:
+            t += a * n[f]
+        for a, f, g in quad:
+            t += a * n[f] * n[g]
+        if t > unit * own:
+            pre_fixed = False
+        image.append(min(GRID, -(-t // unit)))
+    return pre_fixed, image
+
+
 def subreturn_certificates(
     s: EqSystem,
     heads: Sequence[Head],
@@ -549,38 +629,48 @@ def subreturn_certificates(
 ) -> dict[Head, Optional[tuple[Fraction, ...]]]:
     """Search pre-fixed-point certificates for all `heads` in one walk.
 
-    For each bump, the Newton approximant is raised by the bump times
-    `certificate_direction` (at most the bump, on the variables the
-    direction peaks at) and then contracted by up to CERT_REFINE applications of the system map F,
-    capped at one.  Each step evaluates F once: F(c) <= c makes c a
-    pre-fixed point, and min(1, F(c)) is the next candidate.  A head gets
-    the first pre-fixed candidate, in (bump, step) order, whose return
-    mass at the head is below one, so `certify_subreturn` accepts every
-    certificate returned; heads no candidate serves map to None.  The walk
-    stops once every head has a certificate, and at most
+    The walk runs on the grid of multiples of 1 / GRID = 2^-64, in plain
+    integers: a candidate is a list of numerators N over GRID, each at most
+    GRID.  For each bump, the start is the Newton approximant raised by the
+    bump times `certificate_direction` (at most the bump, on the variables
+    the direction peaks at), rounded up to the grid exactly from the
+    floating-point values and capped at one.  It is then contracted by up to
+    CERT_REFINE applications of the system map F (see `_grid_rows`), each
+    result rounded up to the grid and capped at one.  Each step evaluates F
+    once: F(c) <= c, one integer comparison per equation, makes c a
+    pre-fixed point.  A head gets the first pre-fixed candidate, in (bump,
+    step) order, whose numerators at the head sum below GRID, that is whose
+    return mass is below one, so `certify_subreturn` accepts every
+    certificate returned; heads no candidate serves map to None.  A
+    certificate is a tuple of Fractions with denominators dividing 2^64,
+    built only when some head takes its candidate.  The walk stops once
+    every head has a certificate, and at most
     len(CERT_BUMPS) * (CERT_REFINE + 1) applications of F are made,
     however many heads there are.
     """
     head_vars = s.head_vars()
-    direction = [Fraction(d) for d in certificate_direction(s, newton_values)]
+    direction = certificate_direction(s, newton_values)
+    rows = _grid_rows(s)
     result: dict[Head, Optional[tuple[Fraction, ...]]] = dict.fromkeys(heads)
     pending = list(result)
     for bump in CERT_BUMPS:
-        cand = [min(ONE, Fraction(v) + bump * d) for v, d in zip(newton_values, direction)]
+        n = _grid_start(newton_values, direction, bump)
         for _ in range(CERT_REFINE + 1):
-            image = [evaluate(eq, cand) for eq in s.equations]
-            if all(fc <= c for fc, c in zip(image, cand)):
-                frozen = tuple(cand)
+            pre_fixed, image = _grid_step(rows, n)
+            if pre_fixed:
+                frozen = None
                 still = []
                 for h in pending:
-                    if sum((cand[i] for i in head_vars.get(h, ())), ZERO) < 1:
+                    if sum(n[i] for i in head_vars.get(h, ())) < GRID:
+                        if frozen is None:
+                            frozen = tuple(Fraction(x, GRID) for x in n)
                         result[h] = frozen
                     else:
                         still.append(h)
                 pending = still
                 if not pending:
                     return result
-            cand = [min(ONE, fc) for fc in image]
+            n = image
     return result
 
 

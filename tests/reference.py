@@ -3,8 +3,9 @@
 The exact small-step term semantics (`step`), its finite-depth trace
 distributions (`prefix_distribution`), the same distributions read off the
 translated pPDA (`observable_distribution`), their comparison
-(`cross_validate`), and a per-run term sampler (`sample_run`).  None of it
-runs on a command of the package; it is slow, exact and readable.
+(`cross_validate`), a per-run term sampler (`sample_run`), and positivity
+cleaning by repeated full passes (`fixed_point_clean`).  None of it runs on
+a command of the package; it is slow, exact and readable.
 
 Each step of a definition either emits one output symbol or silently unfolds
 the recursion; even when several constructors are exposed at once only the
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from asprod.eqsys import EqSystem, Equation, Monomial, VarKey
 from asprod.ppda import Move, Ppda, translate
 from asprod.semantics import UNIFORM, PeriodicWord, Policy
 from asprod.terms import (
@@ -377,3 +379,49 @@ def sample_run(
                 core = body_core
                 break
     return Trace(tuple(events), tuple(dirs))
+
+
+# ---------------------------------------------------------------------------
+# positivity cleaning
+
+
+def fixed_point_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
+    """`eqsys.clean` by its definition: repeat full passes over every
+    equation until no variable turns positive, where a variable is positive
+    iff its constant is positive or some monomial has all factors positive;
+    then drop the variables that stayed zero and the monomials that read
+    them."""
+    n = len(s.variables)
+    positive = [eq.const > 0 for eq in s.equations]
+    changed = True
+    while changed:
+        changed = False
+        for i, eq in enumerate(s.equations):
+            if positive[i]:
+                continue
+            for m in eq.monomials:
+                if all(positive[f] for f in m.factors):
+                    positive[i] = True
+                    changed = True
+                    break
+
+    keep = [i for i in range(n) if positive[i]]
+    remap = {old: new for new, old in enumerate(keep)}
+    new_eqs = []
+    for i in keep:
+        eq = s.equations[i]
+        monos = tuple(
+            Monomial(m.coef, tuple(remap[f] for f in m.factors))
+            for m in eq.monomials
+            if all(positive[f] for f in m.factors)
+        )
+        new_eqs.append(Equation(eq.const, monos))
+    cleaned = EqSystem(
+        variables=tuple(s.variables[i] for i in keep),
+        equations=tuple(new_eqs),
+        heads=s.heads,
+        state_names=s.state_names,
+        alphabet=s.alphabet,
+    )
+    positivity = {s.variables[i]: positive[i] for i in range(n)}
+    return cleaned, positivity

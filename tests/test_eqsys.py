@@ -40,6 +40,7 @@ from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
 from conftest import corpus, definitions, seeded_random_definitions
+from reference import fixed_point_clean
 
 
 F = Fraction
@@ -168,6 +169,26 @@ def test_clean_is_identity_on_constant_system():
     assert cleaned.variables == s.variables
     assert cleaned.equations == s.equations
     assert positivity == {(0, "tl", 0): True}
+
+
+def assert_clean_matches_fixed_point(d):
+    system = build_system(translate(d))
+    cleaned, positivity = clean(system)
+    expected, expected_positivity = fixed_point_clean(system)
+    assert cleaned.variables == expected.variables
+    assert cleaned.equations == expected.equations
+    assert positivity == expected_positivity
+
+
+@settings(max_examples=150, deadline=None)
+@given(definitions())
+def test_worklist_clean_matches_the_fixed_point(d):
+    assert_clean_matches_fixed_point(d)
+
+
+def test_worklist_clean_matches_the_fixed_point_on_the_seeded_batch():
+    for d in seeded_random_definitions(48):
+        assert_clean_matches_fixed_point(d)
 
 
 # ---------------------------------------------------------------------------
@@ -429,17 +450,23 @@ def test_classify_never_contradicts_certificates():
         assert all(c is None for c in certs.values()), d
 
 
+def on_grid(x):
+    """`x` rounded up to a multiple of 2^-64, capped at one."""
+    return min(F(1), F(math.ceil(x * 2**64), 2**64))
+
+
 def reference_candidate(s, head, newton):
-    """The certificate search run for one head on its own: the first
-    (bump, step) candidate, bumped along the certificate direction, that
+    """The certificate search run for one head on its own, in Fractions:
+    the first (bump, step) candidate, bumped along the certificate
+    direction and rounded up to the 2^-64 grid at every step, that
     `certify_subreturn` accepts."""
     direction = eqsys.certificate_direction(s, newton)
     for bump in CERT_BUMPS:
-        cand = [min(F(1), F(v) + bump * F(d)) for v, d in zip(newton, direction)]
+        cand = [on_grid(F(v) + bump * F(d)) for v, d in zip(newton, direction)]
         for _ in range(CERT_REFINE + 1):
             if certify_subreturn(s, head, cand):
                 return tuple(cand)
-            cand = [min(F(1), evaluate(eq, cand)) for eq in s.equations]
+            cand = [on_grid(evaluate(eq, cand)) for eq in s.equations]
     return None
 
 
@@ -482,6 +509,19 @@ def test_certificates_survive_lowering_every_newton_value_by_one_ulp(name):
     assert [h for h in certified if after[h] is None] == []
 
 
+def test_certificate_denominators_divide_two_to_the_64():
+    defs = [*corpus().values(), MULTI_EXIT, *seeded_random_definitions(24)]
+    defs += [parse_definition(text) for text in ULP_FRAGILE.values()]
+    certified = 0
+    for d in defs:
+        cleaned, _ = clean(build_system(translate(d)))
+        for cls in classify_heads(cleaned).values():
+            if isinstance(cls, SubReturn) and cls.certificate:
+                certified += 1
+                assert all(2**64 % c.denominator == 0 for c in cls.certificate), d
+    assert certified > 0
+
+
 def subcritical_copies(count):
     """`count` independent copies of SUBCRITICAL, one head each."""
     return EqSystem(
@@ -508,18 +548,19 @@ def subcritical_copies(count):
     ids=["single-exit", "multi-exit"],
 )
 def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system):
-    calls = 0
+    calls = 0  # applications of F to a whole candidate, one per walk step
+    step = eqsys._grid_step
 
-    def counting(eq, values):
+    def counting(rows, n):
         nonlocal calls
         calls += 1
-        return evaluate(eq, values)
+        return step(rows, n)
 
-    monkeypatch.setattr(eqsys, "evaluate", counting)
+    monkeypatch.setattr(eqsys, "_grid_step", counting)
     classes = classify_heads(system)
     certified = [c for c in classes.values() if isinstance(c, SubReturn) and c.certificate]
     assert len(certified) >= 4
-    assert calls <= len(CERT_BUMPS) * (CERT_REFINE + 1) * len(system.equations)
+    assert 0 < calls <= len(CERT_BUMPS) * (CERT_REFINE + 1)
 
 
 def test_classify_multi_exit_falls_back_honestly():
@@ -560,6 +601,8 @@ def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
     for k in range(CERT_REFINE):
         cert = classes[(k, "tl")].certificate
         assert cert and certify_subreturn(system, (k, "tl"), cert), k
+        # found by refinement steps, whose images are rounded up to the grid
+        assert cert == reference_candidate(system, (k, "tl"), system.newton), k
     for k in range(CERT_REFINE, n):
         assert classes[(k, "tl")] == SubReturn(certificate=None), k
 

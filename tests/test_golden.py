@@ -1,9 +1,13 @@
 """Byte-identity of `check --json --no-tier3` against reports recorded at
 commit bf84c4b (the seeded batch re-recorded when the exact tier began to
-decide single-exit blocks in systems that also hold multi-exit heads), and
-of `simulate --json` against reports recorded at edf398e (the paper
-examples) and at 52b8962 (the seeded batch), so that a refactor cannot
-change report bytes unnoticed.
+decide single-exit blocks in systems that also hold multi-exit heads) and
+re-recorded by the commit that follows 2636dbe, when the certificate search
+moved to the grid of multiples of 2^-64: only certificate strings changed,
+their denominators now dividing 2^64, and every other byte of both reports
+stayed the same.  It also checks byte-identity of `simulate --json`
+against reports recorded at edf398e (the paper examples) and at 52b8962
+(the seeded batch), so that a refactor cannot change report bytes
+unnoticed.
 
 The batch pins Unknown heads (with their `kleene_lower` floats) and
 certified SubReturn heads (with their certificates), not only verdicts.
