@@ -13,17 +13,20 @@ return probability equals one (AlmostSureReturn), is provably below one
 (SubReturn, where possible with a machine-checked pre-fixed-point
 certificate), or is not determined by the implemented criteria (Unknown,
 with numeric lower-bound evidence attached).  Every verdict is checked in
-exact rational arithmetic.  The certificate candidates are Newton values
-bumped along d = (I - J)^-1 1, which gains slack in every equation at first
-order where a uniform bump gains none on unit-mass equations, so which heads
-get a certificate no longer hinges on the last bits of those floating-point
-values.  The candidates lie on the grid of multiples of 2^-64: each is a
-vector of integer numerators over 2^64, each equation is scaled once to
-integer coefficients, and every comparison of the search is one exact
-integer comparison, so no denominator grows past 2^64.  Positivity cleaning
-is a worklist over the monomials each variable unblocks, linear in the size
-of the system.  Newton runs in plain Python floats; this module never
-imports numpy.
+exact arithmetic, on integers: each equation is scaled once to integer
+coefficients (`EqSystem.integer_form`), the mass test is one integer
+comparison on that form, and the spectral test eliminates the integer
+rows of I - J(1) without division.  The certificate candidates are Newton
+values bumped along d = (I - J)^-1 1, which gains slack in every equation
+at first order where a uniform bump gains none on unit-mass equations, so
+which heads get a certificate no longer hinges on the last bits of those
+floating-point values.  The candidates lie on the grid of multiples of
+2^-64: each is a vector of integer numerators over 2^64, read against the
+same integer form of each equation, and every comparison of the search is
+one exact integer comparison, so no denominator grows past 2^64.
+Positivity cleaning is a worklist over the monomials each variable
+unblocks, linear in the size of the system.  Newton runs in plain Python
+floats; this module never imports numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ VarKey = tuple[int, str, int]  # (state, symbol, landing state)
 Head = tuple[int, str]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -66,8 +68,10 @@ class Equation:
     const: Fraction
     monomials: tuple[Monomial, ...]
 
-    def mass_at_one(self) -> Fraction:
-        return self.const + sum((m.coef for m in self.monomials), ZERO)
+
+# An equation scaled to integers: (L, L const, [(L a, factors)]), with L the
+# lcm of the denominators of its constant and coefficients.
+IntegerEquation = tuple[int, int, list[tuple[int, tuple[int, ...]]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +105,24 @@ class EqSystem:
         certificate direction alike."""
         deps = self.dependencies
         return strongly_connected_components(range(len(self.variables)), deps.__getitem__)
+
+    @cached_property
+    def integer_form(self) -> list[IntegerEquation]:
+        """Each equation once in integers, (L, L const, [(L a, factors)])
+        with L the lcm of the denominators of its constant and
+        coefficients: L x = L const + sum L a prod(factors) holds exactly.
+        The mass test, the Jacobian at one and the certificate grid all
+        read this one form."""
+        out = []
+        for eq in self.equations:
+            c = eq.const
+            scale = math.lcm(c.denominator, *(m.coef.denominator for m in eq.monomials))
+            monos = [
+                (m.coef.numerator * (scale // m.coef.denominator), m.factors)
+                for m in eq.monomials
+            ]
+            out.append((scale, c.numerator * (scale // c.denominator), monos))
+        return out
 
     @cached_property
     def newton(self) -> NewtonValues:
@@ -568,25 +590,23 @@ def subreturn_candidate(
 def _grid_rows(s: EqSystem) -> list[tuple[int, list, list, int]]:
     """Each equation scaled to integers on the certificate grid.
 
-    With L the lcm of the denominators of the equation's constant and
-    coefficients, and a candidate c = N / GRID, the row is
+    From the equation's integer form `s.integer_form` (L the lcm of the
+    denominators of its constant and coefficients), and a candidate
+    c = N / GRID, the row is
     (L const GRID^2, [(L a GRID, f)], [(L a, f, g)], L GRID), so that
     T = L const GRID^2 + sum L a N_f GRID + sum L a N_f N_g equals
     L GRID^2 F(c) and F(c) <= c holds exactly when T <= L GRID N.
     """
     rows = []
-    for eq in s.equations:
-        scale = math.lcm(eq.const.denominator, *(m.coef.denominator for m in eq.monomials))
-        const = eq.const.numerator * (scale // eq.const.denominator) * GRID * GRID
+    for scale, const, monos in s.integer_form:
         lin: list[tuple[int, int]] = []
         quad: list[tuple[int, int, int]] = []
-        for m in eq.monomials:
-            a = m.coef.numerator * (scale // m.coef.denominator)
-            if len(m.factors) == 1:
-                lin.append((a * GRID, m.factors[0]))
+        for a, factors in monos:
+            if len(factors) == 1:
+                lin.append((a * GRID, factors[0]))
             else:
-                quad.append((a, *m.factors))
-        rows.append((const, lin, quad, scale * GRID))
+                quad.append((a, *factors))
+        rows.append((const * GRID * GRID, lin, quad, scale * GRID))
     return rows
 
 
@@ -707,32 +727,47 @@ HeadClass = Union[AlmostSureReturn, SubReturn, Unknown]
 
 
 def nonnegative_contraction_feasible(b: Sequence[Sequence[Fraction]]) -> bool:
-    """Decide whether the nonnegative rational matrix B has spectral radius
-    at most one, that is, whether I - B is an M-matrix.  For irreducible B
-    this is the same as some v >= 1 satisfying B v <= v.
+    """Decide whether the nonnegative rational matrix B (entries Fractions
+    or ints) has spectral radius at most one, that is, whether I - B is an
+    M-matrix.  For irreducible B this is the same as some v >= 1 satisfying
+    B v <= v.
 
     Precondition: B is irreducible; then the answer is exact.  For any B,
     True still proves spectral radius at most one, but False may be wrong.
-    Gaussian elimination without pivoting runs on I - B in exact rational
-    arithmetic: every pivot must be positive, or zero with nothing below it
-    left to eliminate.  For irreducible B this says that every pivot is
-    positive except that the last may be zero (Berman & Plemmons,
-    *Nonnegative Matrices in the Mathematical Sciences*, ch. 6).
+    Gaussian elimination without pivoting runs on I - B: every pivot must
+    be positive, or zero with nothing below it left to eliminate.  For
+    irreducible B this says that every pivot is positive except that the
+    last may be zero (Berman & Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, ch. 6).
+
+    The elimination runs in integers, without division: each row of I - B
+    is scaled by the lcm of its denominators, a row is eliminated as
+    row_i <- pivot row_i - a_ik row_k with pivot > 0, and then divided by
+    the gcd of its remaining entries.  Each row stays a positive multiple
+    of the rational row exact elimination would hold, so every sign and
+    zero test answers as it would in rational arithmetic.
     """
     n = len(b)
-    a = [
-        [(ONE if i == j else ZERO) - Fraction(x) for j, x in enumerate(row)]
-        for i, row in enumerate(b)
-    ]
+    a = []
+    for i, row in enumerate(b):
+        scale = math.lcm(*(x.denominator for x in row))
+        scaled = [-x.numerator * (scale // x.denominator) for x in row]
+        scaled[i] += scale
+        a.append(scaled)
     for k in range(n):
-        pivot = a[k][k]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         below = [i for i in range(k + 1, n) if a[i][k]]
         if pivot < 0 or (pivot == 0 and below):
             return False
         for i in below:
-            factor = a[i][k] / pivot
-            for j in range(k + 1, n):
-                a[i][j] -= factor * a[k][j]
+            row = a[i]
+            factor = row[k]
+            rest = [pivot * row[j] - factor * pivot_row[j] for j in range(k + 1, n)]
+            g = math.gcd(*rest)
+            if g > 1:
+                rest = [x // g for x in rest]
+            row[k + 1 :] = rest
     return True
 
 
@@ -754,16 +789,29 @@ def spectral_le_one(b: Sequence[Sequence[Fraction]]) -> bool:
 def _internal_jacobian_at_one(
     s: EqSystem, comp: list[int]
 ) -> list[list[Fraction]]:
-    """Jacobian of the block at the all-ones point, internal columns only."""
+    """Jacobian of the block at the all-ones point, internal columns only.
+
+    Each entry is summed in integers from the equation's integer form and
+    divided by its L once: a monomial adds its coefficient to the column of
+    each of its factors inside the block, twice for a squared factor."""
     local = {v: k for k, v in enumerate(comp)}
-    jac = [[ZERO] * len(comp) for _ in comp]
+    jac = []
     for v in comp:
-        row = jac[local[v]]
-        for m in s.equations[v].monomials:
-            for f in m.factors:
-                if f in local:
-                    row[local[f]] += m.coef
+        scale, _, monos = s.integer_form[v]
+        row = [0] * len(comp)
+        for a, factors in monos:
+            for f in factors:
+                k = local.get(f)
+                if k is not None:
+                    row[k] += a
+        jac.append([Fraction(x, scale) if x else ZERO for x in row])
     return jac
+
+
+def _mass_below_one(eq: IntegerEquation) -> bool:
+    """Whether an equation's mass at one, const + sum a, is below one."""
+    scale, const, monos = eq
+    return const + sum(a for a, _ in monos) < scale
 
 
 def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, HeadClass]:
@@ -810,7 +858,7 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
         if not members <= sole or any(almost_sure[f] is None for f in outside):
             continue
         if not all(almost_sure[f] for f in outside) or any(
-            s.equations[v].mass_at_one() < 1 for v in comp
+            _mass_below_one(s.integer_form[v]) for v in comp
         ):
             verdict = False
         elif len(comp) == 1 and comp[0] not in deps[comp[0]]:
@@ -844,7 +892,11 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
                 result[h] = AlmostSureReturn()
                 continue
         values, iterations = s.kleene
-        lower = sum(values[i] for i in head_vars[h])
+        # added left to right: `sum` compensates float rounding from Python
+        # 3.12 on, which would make the reported bytes depend on the version
+        lower = 0.0
+        for i in head_vars[h]:
+            lower += values[i]
         result[h] = Unknown(kleene_lower=lower, iterations=iterations)
     return result
 

@@ -31,6 +31,9 @@ RT = "rt"
 
 TopSymbol = Optional[str]  # None reads the empty stack
 
+ONE = Fraction(1)
+HALF = Fraction(1, 2)
+
 
 @dataclass(frozen=True)
 class Move:
@@ -67,38 +70,40 @@ def translate(d: Definition) -> Ppda:
     alphabet = (TL,) if d.kind is Kind.STREAM else (LT, RT)
     rows: dict[tuple[int, TopSymbol], tuple[Move, ...]] = {}
     body = index[d.body]
-
-    def keep(top: TopSymbol) -> tuple[str, ...]:
-        return (top,) if top is not None else ()
+    # the push that keeps the read symbol, per read symbol
+    keep: dict[TopSymbol, tuple[str, ...]] = {top: (top,) for top in alphabet}
+    keep[None] = ()
 
     for i, t in enumerate(states):
-        for top in (*alphabet, None):
+        if isinstance(t, Choice):
+            rest = 1 - t.prob
+        for top, kept in keep.items():
             if isinstance(t, RecVar):
-                moves = [Move(Fraction(1), body, keep(top))]
+                moves = (Move(ONE, body, kept),)
             elif isinstance(t, Choice):
-                moves = [
-                    Move(t.prob, index[t.left], keep(top)),
-                    Move(1 - t.prob, index[t.right], keep(top)),
-                ]
+                moves = _merge_moves(
+                    Move(t.prob, index[t.left], kept), Move(rest, index[t.right], kept)
+                )
             elif isinstance(t, Cons):
                 # at the empty stack this is the outputting transition;
                 # under tl it cancels one pending destructor (a pop)
-                moves = [Move(Fraction(1), index[t.tail], ())]
+                moves = (Move(ONE, index[t.tail], ()),)
             elif isinstance(t, Tail):
-                moves = [Move(Fraction(1), index[t.arg], (TL,) + keep(top))]
+                moves = (Move(ONE, index[t.arg], (TL, *kept)),)
             elif isinstance(t, Mk):
                 if top is None:
-                    half = Fraction(1, 2)
-                    moves = [Move(half, index[t.left], ()), Move(half, index[t.right], ())]
+                    moves = _merge_moves(
+                        Move(HALF, index[t.left], ()), Move(HALF, index[t.right], ())
+                    )
                 elif top == LT:
-                    moves = [Move(Fraction(1), index[t.left], ())]
+                    moves = (Move(ONE, index[t.left], ()),)
                 else:
-                    moves = [Move(Fraction(1), index[t.right], ())]
+                    moves = (Move(ONE, index[t.right], ()),)
             elif isinstance(t, Left):
-                moves = [Move(Fraction(1), index[t.arg], (LT,) + keep(top))]
+                moves = (Move(ONE, index[t.arg], (LT, *kept)),)
             else:  # Right
-                moves = [Move(Fraction(1), index[t.arg], (RT,) + keep(top))]
-            rows[(i, top)] = _merge_moves(moves)
+                moves = (Move(ONE, index[t.arg], (RT, *kept)),)
+            rows[(i, top)] = moves
 
     names = tuple(syntax.format_term(t, d.name) for t in states)
     return Ppda(
@@ -112,16 +117,12 @@ def translate(d: Definition) -> Ppda:
     )
 
 
-def _merge_moves(moves: list[Move]) -> tuple[Move, ...]:
-    merged: dict[tuple[int, tuple[str, ...]], Fraction] = {}
-    order: list[tuple[int, tuple[str, ...]]] = []
-    for m in moves:
-        key = (m.target, m.push)
-        if key not in merged:
-            merged[key] = Fraction(0)
-            order.append(key)
-        merged[key] += m.prob
-    return tuple(Move(merged[k], k[0], k[1]) for k in order)
+def _merge_moves(first: Move, second: Move) -> tuple[Move, ...]:
+    """The two moves of a row, or one move with their summed probability
+    when they share target and push."""
+    if first.target == second.target and first.push == second.push:
+        return (Move(first.prob + second.prob, first.target, first.push),)
+    return (first, second)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 The exact small-step term semantics (`step`), its finite-depth trace
 distributions (`prefix_distribution`), the same distributions read off the
 translated pPDA (`observable_distribution`), their comparison
-(`cross_validate`), a per-run term sampler (`sample_run`), and positivity
-cleaning by repeated full passes (`fixed_point_clean`).  None of it runs on
-a command of the package; it is slow, exact and readable.
+(`cross_validate`), a per-run term sampler (`sample_run`), positivity
+cleaning by repeated full passes (`fixed_point_clean`), an equation's mass
+at one as a `Fraction` sum (`mass_at_one`), and the spectral test by
+Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`).
+None of it runs on a command of the package; it is slow, exact and
+readable.
 
 Each step of a definition either emits one output symbol or silently unfolds
 the recursion; even when several constructors are exposed at once only the
@@ -425,3 +428,34 @@ def fixed_point_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
     )
     positivity = {s.variables[i]: positive[i] for i in range(n)}
     return cleaned, positivity
+
+
+# ---------------------------------------------------------------------------
+# the exact classifier's tests, in rational arithmetic
+
+
+def mass_at_one(eq: Equation) -> Fraction:
+    """The equation's value at the all-ones point: its constant plus the sum
+    of its coefficients."""
+    return eq.const + sum((m.coef for m in eq.monomials), Fraction(0))
+
+
+def fraction_contraction_feasible(b) -> bool:
+    """`eqsys.nonnegative_contraction_feasible` in `Fraction`s: Gaussian
+    elimination without pivoting on I - B, where every pivot must be
+    positive, or zero with nothing below it left to eliminate."""
+    n = len(b)
+    a = [
+        [(Fraction(1) if i == j else Fraction(0)) - Fraction(x) for j, x in enumerate(row)]
+        for i, row in enumerate(b)
+    ]
+    for k in range(n):
+        pivot = a[k][k]
+        below = [i for i in range(k + 1, n) if a[i][k]]
+        if pivot < 0 or (pivot == 0 and below):
+            return False
+        for i in below:
+            factor = a[i][k] / pivot
+            for j in range(k + 1, n):
+                a[i][j] -= factor * a[k][j]
+    return True

@@ -20,6 +20,8 @@ from asprod.syntax import MAX_NESTING, parse_definition
 
 from conftest import CORPUS_TEXT
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 @pytest.fixture()
 def corpus_file(tmp_path):
@@ -155,6 +157,24 @@ def test_document_writer_matches_json_dumps(key, entries):
     with contextlib.redirect_stdout(out):
         cli._write_document(key, [cli._render_entry(e) for e in entries])
     assert out.getvalue() == json.dumps({key: entries}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "golden",
+    [
+        "paper_examples.check.json",
+        "seeded_batch.check.json",
+        "paper_examples.simulate.json",
+        "paper_examples.simulate_rrl_lr.json",
+        "seeded_batch.simulate.json",
+    ],
+)
+def test_render_entry_matches_json_dumps_on_the_goldens(golden):
+    (entries,) = json.loads((GOLDEN / golden).read_text()).values()
+    assert entries
+    for entry in entries:
+        expected = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
+        assert cli._render_entry(entry) == "    " + expected
 
 
 def test_check_memory_does_not_grow_with_the_analysis(tmp_path):

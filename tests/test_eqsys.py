@@ -40,7 +40,7 @@ from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
 from conftest import corpus, definitions, seeded_random_definitions
-from reference import fixed_point_clean
+from reference import fixed_point_clean, fraction_contraction_feasible, mass_at_one
 
 
 F = Fraction
@@ -102,7 +102,7 @@ def test_drift_system_equations():
         Monomial(F(1), (names[(rec, "tl", rec)], names[(rec, "tl", rec)])),
     )
     eq_choice = cleaned.equations[names[(choice, "tl", rec)]]
-    assert eq_choice.mass_at_one() == 1
+    assert mass_at_one(eq_choice) == 1
     assert {m.coef for m in eq_choice.monomials} == {F(1, 4), F(3, 4)}
 
 
@@ -637,6 +637,29 @@ def test_classify_heads_runs_kleene_only_for_unknown_heads(monkeypatch):
     assert calls == 1 and again == classes
 
 
+def test_unknown_lower_bound_adds_left_to_right():
+    # a multi-exit stream with Unknown heads whose three Kleene values sum
+    # differently under compensated summation (`math.fsum`, and `sum` from
+    # Python 3.12 on): the report must not depend on the version
+    d = parse_definition(
+        "stream g0 = (a : b : ((tail(tail((g0 (+ 11/12) g0))) (+ 1/3) (a : g0 (+ 3/4) g0))"
+        " (+ 1/3) g0) (+ 5/12) (g0 (+ 1/4) tail(g0)))"
+    )
+    cleaned, _ = clean(build_system(translate(d)))
+    values, _ = cleaned.kleene
+    head_vars = cleaned.head_vars()
+    compensated_differs = False
+    for h, cls in classify_heads(cleaned).items():
+        if isinstance(cls, Unknown):
+            terms = [values[i] for i in head_vars[h]]
+            lower = 0.0
+            for x in terms:
+                lower += x
+            assert cls.kleene_lower == lower, h
+            compensated_differs |= math.fsum(terms) != lower
+    assert compensated_differs
+
+
 # ---------------------------------------------------------------------------
 # spectral radius decisions
 
@@ -733,6 +756,92 @@ def test_contraction_kernel_on_the_jordan_block():
     # reducible, spectral radius one, and no v >= 1 with B v <= v: the
     # elimination still answers True, which bounds the radius correctly
     assert eqsys.nonnegative_contraction_feasible([[F(1), F(1)], [F(0), F(1)]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_integer_contraction_kernel_matches_the_fraction_oracle(data):
+    n = data.draw(st.integers(0, 5))
+    entry = st.builds(F, st.integers(0, 6), st.integers(1, 8))
+    b = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and data.draw(st.booleans()):
+        # reducible: the rows past the cut read nothing before it, and maybe
+        # the rows before it nothing past it, so an interior pivot can be
+        # zero with a zero column below
+        cut = data.draw(st.integers(1, n))
+        diagonal = data.draw(st.booleans())
+        for i in range(n):
+            for j in range(n):
+                if (i >= cut > j) or (diagonal and j >= cut > i):
+                    b[i][j] = F(0)
+    if data.draw(st.booleans()):
+        # rows of unit sum, so the last pivot of a block may be zero
+        b = [[x / sum(row) for x in row] if any(row) else row for row in b]
+    assert eqsys.nonnegative_contraction_feasible(b) == fraction_contraction_feasible(b)
+
+
+@pytest.mark.parametrize(
+    "b,expected",
+    [
+        ([[F(1, 2), F(1, 2)], [F(1, 3), F(2, 3)]], True),  # last pivot zero
+        ([[F(1), F(0)], [F(0), F(1, 2)]], True),  # zero pivot, zero column below
+        ([[F(1), F(0)], [F(1, 2), F(1, 2)]], False),  # zero pivot, entry below
+        ([[F(1, 2), F(1)], [F(1, 4), F(1, 2)]], True),  # radius exactly one
+        ([[F(1, 2), F(1)], [F(1, 3), F(1, 2)]], False),
+        ([[2, 0], [0, 0]], False),  # integer entries
+    ],
+)
+def test_integer_contraction_kernel_on_zero_pivots(b, expected):
+    assert eqsys.nonnegative_contraction_feasible(b) == expected
+    assert fraction_contraction_feasible(b) == expected
+
+
+def test_integer_kernel_matches_the_oracle_on_every_block_classify_tests(monkeypatch):
+    """On the corpus and the seeded batch, every Jacobian `classify_heads`
+    hands the spectral test equals its sum over `Fraction` coefficients,
+    and the integer kernel answers as the `Fraction` oracle does."""
+    seen = []
+    jacobian = eqsys._internal_jacobian_at_one
+    kernel = eqsys.nonnegative_contraction_feasible
+
+    def recording_jacobian(s, comp):
+        jac = jacobian(s, comp)
+        local = {v: k for k, v in enumerate(comp)}
+        expected = [[F(0)] * len(comp) for _ in comp]
+        for v in comp:
+            for m in s.equations[v].monomials:
+                for f in m.factors:
+                    if f in local:
+                        expected[local[v]][local[f]] += m.coef
+        assert jac == expected
+        return jac
+
+    def recording_kernel(b):
+        answer = kernel(b)
+        seen.append((b, answer))
+        return answer
+
+    monkeypatch.setattr(eqsys, "_internal_jacobian_at_one", recording_jacobian)
+    monkeypatch.setattr(eqsys, "nonnegative_contraction_feasible", recording_kernel)
+    for d in [*corpus().values(), *seeded_random_definitions(48)]:
+        classify_heads(clean(build_system(translate(d)))[0])
+    assert any(len(b) > 1 for b, _ in seen)
+    for b, answer in seen:
+        assert answer == fraction_contraction_feasible(b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(definitions())
+def test_integer_mass_test_matches_the_fraction_sum(d):
+    built = build_system(translate(d))
+    for s in (built, clean(built)[0]):
+        for eq, row in zip(s.equations, s.integer_form):
+            scale, const, monos = row
+            assert F(const, scale) == eq.const
+            assert [(F(a, scale), fs) for a, fs in monos] == [
+                (m.coef, m.factors) for m in eq.monomials
+            ]
+            assert eqsys._mass_below_one(row) == (mass_at_one(eq) < 1)
 
 
 # ---------------------------------------------------------------------------

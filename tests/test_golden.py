@@ -6,8 +6,9 @@ moved to the grid of multiples of 2^-64: only certificate strings changed,
 their denominators now dividing 2^64, and every other byte of both reports
 stayed the same.  It also checks byte-identity of `simulate --json`
 against reports recorded at edf398e (the paper examples) and at 52b8962
-(the seeded batch), so that a refactor cannot change report bytes
-unnoticed.
+(the seeded batch), and of `ppda --format json` on the paper examples
+against the export recorded at 57937b2, so that a refactor cannot change
+report bytes unnoticed.
 
 The batch pins Unknown heads (with their `kleene_lower` floats) and
 certified SubReturn heads (with their certificates), not only verdicts.
@@ -60,6 +61,12 @@ def test_seeded_batch_matches_recorded_bytes(tmp_path, capsys):
     path = tmp_path / "batch.defs"
     path.write_text(batch_text())
     assert check_json(path, capsys) == (GOLDEN / "seeded_batch.check.json").read_text()
+
+
+def test_paper_examples_ppda_export_matches_recorded_bytes(capsys):
+    capsys.readouterr()
+    assert main(["ppda", "--format", "json", str(ROOT / "defs" / "paper_examples.defs")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "paper_examples.ppda.json").read_text()
 
 
 def test_seeded_batch_pins_unknown_and_certified_heads():

@@ -92,6 +92,19 @@ def test_translate_tree_distinct_children_split_evenly():
     assert _moves(p, mk, "rt") == {(Left(RecVar()), ()): Fraction(1)}
 
 
+@pytest.mark.parametrize(
+    "text,tops",
+    [("tree t = mk(x, t, t)", [None]), ("stream s = (a : s) (+ 1/3) (a : s)", ["tl", None])],
+)
+def test_equal_branches_merge_into_one_move_of_probability_one(text, tops):
+    # the body's two branches share target and push in each of these rows
+    p = translate(parse_definition(text))
+    for top in tops:
+        (move,) = p.rows[(p.initial, top)]
+        assert type(move.prob) is Fraction and move.prob == Fraction(1)
+        assert move.push == (() if top is None or p.kind is Kind.TREE else (top,))
+
+
 def test_translate_self_loop():
     p = translate(parse_definition("stream s = s"))
     assert len(p.states) == 1
