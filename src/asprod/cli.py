@@ -44,7 +44,7 @@ from .decide import (
 )
 from .eqsys import AlmostSureReturn, SubReturn, Unknown
 from .measure import measure
-from .ppda import export, translate
+from .ppda import export, json_doc, translate
 # `monte_carlo` is not called here, since `simulate` samples its definitions
 # in one batch, but bench/spans.py traces it as asprod.cli.monte_carlo
 from .semantics import McReport, SamplerLimitError, monte_carlo, parse_policy
@@ -188,9 +188,10 @@ def _render_entry(entry) -> str:
     indent=2)` with every line indented four more spaces: dict keys, which
     are strings, sorted; two spaces per level; "," ending an item's line
     and ": " after a key; strings and keys through `encode_basestring_ascii`,
-    the escaper `json.dumps` uses; lists and tuples as lists; every other
+    the escaper `json.dumps` uses; lists and tuples as lists; integers
+    (not booleans) by `repr`, as `json.dumps` writes them; every other
     scalar through `json.dumps` itself, so None, booleans, NaN, the
-    infinities, -0.0 and large integers read as `json.dumps` writes them.
+    infinities and -0.0 read as `json.dumps` writes them.
     This skips the pure-Python encoder that `indent` selects."""
     out = ["    "]
     _render_value(entry, "    ", out)
@@ -200,6 +201,8 @@ def _render_entry(entry) -> str:
 def _render_value(value, indent: str, out: list[str]) -> None:
     if isinstance(value, str):
         out.append(_encode_str(value))
+    elif type(value) is int:
+        out.append(repr(value))
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -347,8 +350,10 @@ def cmd_ppda(args) -> int:
                 print(f"{path}: {d.name}: {message}", file=sys.stderr)
                 had_error = True
             else:
-                doc[d.name] = json.loads(export(translate(d), "json"))
-        print(json.dumps(doc, sort_keys=True, indent=2))
+                doc[d.name] = json_doc(translate(d))
+        out = []
+        _render_value(doc, "", out)  # one pass, as `json.dumps(doc, sort_keys=True, indent=2)`
+        print("".join(out))
     else:
         for _, d in defs:
             sys.stdout.write(export(translate(d), args.format))

@@ -148,8 +148,9 @@ def _row_keys(p: Ppda):
             yield i, top
 
 
-def _export_json(p: Ppda) -> str:
-    doc = {
+def json_doc(p: Ppda) -> dict:
+    """The automaton as the JSON export's dict, before encoding."""
+    return {
         "name": p.name,
         "kind": p.kind.value,
         "states": [{"id": i, "term": p.state_names[i]} for i in range(len(p.states))],
@@ -168,7 +169,10 @@ def _export_json(p: Ppda) -> str:
         "outputting": [i for i in range(len(p.states)) if p.is_constructor(i)],
         "initial": p.initial,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _export_json(p: Ppda) -> str:
+    return json.dumps(json_doc(p), sort_keys=True, indent=2)
 
 
 def _export_graphviz(p: Ppda) -> str:

@@ -399,10 +399,16 @@ def _push_column(c: CompiledDefinition, j: int) -> np.ndarray:
 def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
     """One lockstep batch of `run_jobs`, over jobs at suffix depth 1 or
     more.  Stream lanes, which keep a counter, sit before tree lanes, which
-    keep a class stack, each job's lanes together; every table is the
-    concatenation of those of the batch's distinct definitions, with rows
-    and outcomes renumbered."""
-    order = sorted(range(len(jobs)), key=lambda i: jobs[i][0].kind is Kind.TREE)
+    keep a class stack, each job's lanes together; tree lanes go by their
+    definition's push count, most first, so push j runs on the prefix of
+    tree lanes that can make it.  Every table is the concatenation of those
+    of the batch's distinct definitions, with rows and outcomes renumbered."""
+
+    def place(i: int):
+        c = jobs[i][0]
+        return (1, -c.max_push) if c.kind is Kind.TREE else (0, 0)
+
+    order = sorted(range(len(jobs)), key=place)
     lane_jobs = [jobs[i] for i in order]
     defs = list({id(c): c for c, _ in lane_jobs}.values())
     row_at = dict(zip(map(id, defs), np.cumsum([0] + [len(c._row_len) for c in defs])))
@@ -440,6 +446,10 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
         dtype = np.min_scalar_type(max(c.n_classes for c in tree_defs) - 1)
         push_class = np.concatenate([c._push_class for c in tree_defs]).astype(dtype)
         max_push = max(c.max_push for c in tree_defs)
+        # push j runs on the first makes[j] tree lanes: those whose
+        # definition can push more than j symbols
+        pushing = [c.max_push for c, _ in lane_jobs if c.kind is Kind.TREE]
+        makes = [runs * sum(m > j for m in pushing) for j in range(max_push)]
         push_syms = [
             np.concatenate([table_at.get(id(c), 0) + _push_column(c, j) for c in defs])
             for j in range(max_push)
@@ -515,9 +525,9 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
                 base = top - pops.take(mine)
                 cls = stack.take(base)
                 # cells above the new top are dead until a push writes them
-                for j in range(max_push):
-                    cls = push_class.take(cls + push_syms[j].take(mine))
-                    stack[base + (j + 1) * n_trees] = cls
+                for j, k in enumerate(makes):
+                    cls = push_class.take(cls[:k] + push_syms[j].take(mine[:k]))
+                    stack[base[:k] + (j + 1) * n_trees] = cls
                 top = base + pushes.take(mine)
                 row[tree_start:] += stack.take(top)
 

@@ -1,4 +1,4 @@
-"""Concrete syntax: lexer, recursive-descent parser, and pretty-printer.
+"""Concrete syntax: scanner, recursive-descent parser, and pretty-printer.
 
 Definition files contain one equation per `stream`/`tree` keyword::
 
@@ -10,12 +10,19 @@ Choice `e1 (+ p) e2` is right-associative and binds loosest.  Probabilities
 are rationals `num/den`, decimals, or the integer literals 0 and 1; the
 endpoints are normalized away (p = 1 keeps the left branch, p = 0 the right),
 so every Choice node carries an exact rational strictly between 0 and 1.
+
+The grammar is ASCII: identifiers are `[A-Za-z][A-Za-z0-9_]*` and numbers
+use the digits 0-9.  One regular expression cuts the text into tokens, kept
+as plain strings; the parser indexes that list, and an error works out its
+line and column only when it is reported, by scanning the text again up to
+the failing token.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
+from itertools import islice
 
 from .terms import (
     Choice,
@@ -32,15 +39,28 @@ from .terms import (
 )
 
 KEYWORDS = frozenset({"stream", "tree", "tail", "mk", "left", "right"})
-_SYMBOLS = frozenset("=():,/+")
 
 # Deepest nesting a term may have.  Each parenthesis, constructor, destructor
-# and choice opens one level.  Parsing, validation, the drift measure,
-# printing, translation and the sampler all recurse on the term.  At this
-# depth each of them stays within the interpreter's default recursion limit
-# of 1000 frames with 300 frames already on the caller's stack; at 300 levels,
-# comparing two equal halves in validation does not.
+# and choice opens one level.  Parsing, the drift measure, printing,
+# translation and the sampler all recurse on the term.  At this depth each of
+# them stays within the interpreter's default recursion limit of 1000 frames
+# with 300 frames already on the caller's stack; at 300 levels, neither
+# parsing nor translation's merge of two equal halves does.
 MAX_NESTING = 200
+
+# Most digits a number may have: a longer one exceeds the interpreter's
+# default limit on converting a string to an int.
+MAX_DIGITS = 4300
+
+# One match per token: an identifier, an integer or decimal, a symbol, a
+# comment, or any other character outside whitespace.  Such a character is
+# one token long, no rule of the grammar accepts it, and it is reported as
+# unexpected wherever it stands in the file.
+_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|[=():,/+]|#[^\n]*|[^ \t\r\n]")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_DIGITS = frozenset("0123456789")
+_STARTS = _LETTERS | _DIGITS | frozenset("=():,/+")
+_END = ""  # the token after the last one; no match is empty
 
 
 class ParseError(ValueError):
@@ -51,221 +71,211 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "int", "decimal", "eof", or a symbol character
-    text: str
-    line: int
-    col: int
+class _Failure(Exception):
+    """A syntax error at token `index`, located only once it is reported."""
+
+    def __init__(self, message: str, index: int):
+        self.message = message
+        self.index = index
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            kind = "int"
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                kind = "decimal"
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token(kind, text[i:j], line, col))
-            col += j - i
-            i = j
-        elif c in _SYMBOLS:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+def _tokens(text: str) -> list[str]:
+    tokens = _TOKEN.findall(text)
+    if "#" in text:
+        tokens = [t for t in tokens if t[0] != "#"]
+    tokens.append(_END)
     return tokens
 
 
+def _located(text: str, message: str, index: int) -> ParseError:
+    """`message` at token `index` of `text`, or at the end of the text when
+    no token is left there; columns count characters."""
+    matches = (m for m in _TOKEN.finditer(text) if m.group()[0] != "#")
+    found = next(islice(matches, index, None), None)
+    pos = len(text) if found is None else found.start()
+    line = text.count("\n", 0, pos) + 1
+    return ParseError(message, line, pos - text.rfind("\n", 0, pos))
+
+
+def _shown(tok: str) -> str:
+    return repr(tok or "end of input")
+
+
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens  # ends with _END
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def fail(self, message: str, index: int | None = None) -> _Failure:
+        return _Failure(message, self.pos if index is None else index)
 
-    def next(self) -> Token:
+    def expect(self, symbol: str) -> None:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        if tok != symbol:
+            raise self.fail(f"expected {symbol!r}, found {_shown(tok)}")
+        self.pos += 1
+
+    def ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _LETTERS:
+            raise self.fail(f"expected 'ident', found {_shown(tok)}")
+        if tok in KEYWORDS:
+            raise self.fail(f"{tok!r} is reserved")
+        self.pos += 1
         return tok
-
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            shown = tok.text or "end of input"
-            raise ParseError(f"expected {kind!r}, found {shown!r}", tok.line, tok.col)
-        return self.next()
-
-    def error(self, message: str, tok: Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
 
     # file := { def }
     def parse_file(self) -> list[Definition]:
         defs: list[Definition] = []
         names: set[str] = set()
-        while self.peek().kind != "eof":
-            name_tok = self.peek(1)  # the name, once parse_def accepts the header
+        while self.tokens[self.pos] != _END:
+            at = self.pos + 1  # the name, once parse_def accepts the header
             d = self.parse_def()
             if d.name in names:
-                raise self.error(f"duplicate definition name {d.name!r}", name_tok)
+                raise self.fail(f"duplicate definition name {d.name!r}", at)
             names.add(d.name)
             defs.append(d)
         return defs
 
     # def := ("stream" | "tree") ident "=" expr
     def parse_def(self) -> Definition:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text not in ("stream", "tree"):
-            raise self.error("expected 'stream' or 'tree'")
-        self.next()
-        kind = Kind.STREAM if tok.text == "stream" else Kind.TREE
-        name_tok = self.expect("ident")
-        if name_tok.text in KEYWORDS:
-            raise self.error(f"{name_tok.text!r} is reserved", name_tok)
+        tok = self.tokens[self.pos]
+        if tok != "stream" and tok != "tree":
+            raise self.fail("expected 'stream' or 'tree'")
+        self.pos += 1
+        kind = Kind.STREAM if tok == "stream" else Kind.TREE
+        at = self.pos
+        name = self.ident()
         self.expect("=")
-        body = self.parse_expr(name_tok.text, kind, 0)
+        body = self.parse_expr(name, kind, 0)
         try:
-            return Definition(name_tok.text, kind, body).validate()
+            return Definition(name, kind, body).validate()
         except InvalidDefinition as exc:
-            raise self.error(str(exc), name_tok) from exc
+            raise self.fail(str(exc), at) from exc
 
     # choice := atom [ "(" "+" prob ")" choice ]   (right-associative)
     # `depth` counts the levels that enclose the term.
     def parse_expr(self, name: str, kind: Kind, depth: int) -> Term:
         left = self.parse_atom(name, kind, depth)
-        if self.peek().kind == "(" and self.peek(1).kind == "+":
-            self.next()
-            self.next()
-            p = self.parse_prob()
+        tokens = self.tokens
+        if tokens[self.pos] == "(" and tokens[self.pos + 1] == "+":
+            self.pos += 2
+            num, den = self.parse_prob()
             self.expect(")")
             right = self.parse_expr(name, kind, depth + 1)
-            if p == 1:
+            if num == den:
                 return left
-            if p == 0:
+            if num == 0:
                 return right
-            return Choice(p, left, right)
+            return Choice(Fraction(num, den), left, right)
         return left
 
-    def parse_prob(self) -> Fraction:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            value = Fraction(int(tok.text))
-            if self.peek().kind == "/":
-                self.next()
-                den_tok = self.expect("int")
-                if int(den_tok.text) == 0:
-                    raise self.error("zero denominator", den_tok)
-                value = Fraction(int(tok.text), int(den_tok.text))
-        elif tok.kind == "decimal":
-            self.next()
-            value = Fraction(tok.text)
+    def parse_prob(self) -> tuple[int, int]:
+        """A probability as numerator and denominator, not reduced."""
+        tokens = self.tokens
+        at = self.pos
+        tok = tokens[at]
+        if tok[:1] not in _DIGITS:
+            raise self.fail("expected a probability")
+        self.take_number()
+        if "." in tok:
+            whole, digits = tok.split(".")
+            num, den = int(whole + digits), 10 ** len(digits)
+        elif tokens[self.pos] == "/":
+            self.pos += 1
+            tok = tokens[self.pos]
+            if tok[:1] not in _DIGITS or "." in tok:
+                raise self.fail(f"expected 'int', found {_shown(tok)}")
+            self.take_number()
+            num, den = int(tokens[at]), int(tok)
+            if den == 0:
+                raise self.fail("zero denominator", self.pos - 1)
         else:
-            raise self.error("expected a probability")
-        if not 0 <= value <= 1:
-            raise self.error("probability out of range", tok)
-        return value
+            num, den = int(tok), 1
+        if num > den:
+            raise self.fail("probability out of range", at)
+        return num, den
+
+    def take_number(self) -> None:
+        tok = self.tokens[self.pos]
+        if len(tok) - ("." in tok) > MAX_DIGITS:
+            raise self.fail(f"number with more than {MAX_DIGITS} digits")
+        self.pos += 1
 
     def parse_atom(self, name: str, kind: Kind, depth: int) -> Term:
-        tok = self.peek()
         if depth > MAX_NESTING:
-            raise self.error(f"term nested more than {MAX_NESTING} levels deep")
-        if tok.kind == "(":
-            self.next()
+            raise self.fail(f"term nested more than {MAX_NESTING} levels deep")
+        tokens = self.tokens
+        at = self.pos
+        tok = tokens[at]
+        if tok == "(":
+            self.pos += 1
             inner = self.parse_expr(name, kind, depth + 1)
             self.expect(")")
             return inner
-        if tok.kind != "ident":
-            shown = tok.text or "end of input"
-            raise self.error(f"expected a term, found {shown!r}")
-        word = tok.text
-        if word == "tail":
-            self._require_kind(kind, Kind.STREAM, tok)
-            self.next()
+        if tok[:1] not in _LETTERS:
+            raise self.fail(f"expected a term, found {_shown(tok)}")
+        if tok == "tail":
+            self._require_kind(kind, Kind.STREAM)
+            return Tail(self.argument(name, kind, depth))
+        if tok == "left" or tok == "right":
+            self._require_kind(kind, Kind.TREE)
+            arg = self.argument(name, kind, depth)
+            return Left(arg) if tok == "left" else Right(arg)
+        if tok == "mk":
+            self._require_kind(kind, Kind.TREE)
+            self.pos += 1
             self.expect("(")
-            arg = self.parse_expr(name, kind, depth + 1)
-            self.expect(")")
-            return Tail(arg)
-        if word in ("left", "right"):
-            self._require_kind(kind, Kind.TREE, tok)
-            self.next()
-            self.expect("(")
-            arg = self.parse_expr(name, kind, depth + 1)
-            self.expect(")")
-            return Left(arg) if word == "left" else Right(arg)
-        if word == "mk":
-            self._require_kind(kind, Kind.TREE, tok)
-            self.next()
-            self.expect("(")
-            label = self.expect("ident")
-            if label.text in KEYWORDS:
-                raise self.error(f"{label.text!r} is reserved", label)
+            label = self.ident()
             self.expect(",")
             left = self.parse_expr(name, kind, depth + 1)
             self.expect(",")
             right = self.parse_expr(name, kind, depth + 1)
             self.expect(")")
-            return Mk(label.text, left, right)
-        if word in ("stream", "tree"):
-            raise self.error(f"{word!r} is reserved")
+            return Mk(label, left, right)
+        if tok == "stream" or tok == "tree":
+            raise self.fail(f"{tok!r} is reserved")
         # ident ":" atom is a stream constructor; a bare ident is the recursion
         # variable and must equal the definition's own name.
-        if self.peek(1).kind == ":":
-            self._require_kind(kind, Kind.STREAM, tok)
-            self.next()
-            self.next()
-            tail = self.parse_atom(name, kind, depth + 1)
-            return Cons(word, tail)
-        self.next()
-        if word != name:
-            raise self.error(
-                f"reference to another definition's name {word!r} (only {name!r} may recur)",
-                tok,
+        if tokens[at + 1] == ":":
+            self._require_kind(kind, Kind.STREAM)
+            self.pos += 2
+            return Cons(tok, self.parse_atom(name, kind, depth + 1))
+        self.pos += 1
+        if tok != name:
+            raise self.fail(
+                f"reference to another definition's name {tok!r} (only {name!r} may recur)",
+                at,
             )
         return RecVar()
 
-    def _require_kind(self, declared: Kind, needed: Kind, tok: Token) -> None:
+    def argument(self, name: str, kind: Kind, depth: int) -> Term:
+        """The parenthesized argument of the destructor at the current token."""
+        self.pos += 1
+        self.expect("(")
+        arg = self.parse_expr(name, kind, depth + 1)
+        self.expect(")")
+        return arg
+
+    def _require_kind(self, declared: Kind, needed: Kind) -> None:
         if declared is not needed:
-            raise self.error(
-                f"mixed-kind term: {tok.text!r} is not allowed in a {declared.value}",
-                tok,
-            )
+            tok = self.tokens[self.pos]
+            raise self.fail(f"mixed-kind term: {tok!r} is not allowed in a {declared.value}")
 
 
 def parse_file(text: str) -> list[Definition]:
-    """Parse a definition file into validated definitions, in file order."""
-    return _Parser(text).parse_file()
+    """Parse a definition file into validated definitions, in file order.
+
+    The grammar is ASCII.  A character no token can hold is reported
+    before any other error, wherever it stands in the file."""
+    tokens = _tokens(text)
+    try:
+        return _Parser(tokens).parse_file()
+    except _Failure as failure:
+        for index, tok in enumerate(tokens):
+            if tok and tok[0] not in _STARTS:
+                raise _located(text, f"unexpected character {tok!r}", index) from None
+        raise _located(text, failure.message, failure.index) from None
 
 
 def parse_definition(text: str) -> Definition:

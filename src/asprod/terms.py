@@ -93,16 +93,29 @@ class Definition:
     body: Term
 
     def validate(self) -> "Definition":
+        """Raise InvalidDefinition unless the name and every label are
+        identifiers, every choice probability lies strictly between 0 and 1,
+        and the body uses only the connectives of its kind.  One walk that
+        visits each node object once, so shared subterms cost nothing."""
         if not IDENT_RE.match(self.name):
             raise InvalidDefinition(f"invalid definition name {self.name!r}")
-        check_kind(self.body, self.kind)
-        for t in subterms_of(self.body):
-            if isinstance(t, Choice) and not (0 < t.prob < 1):
+        banned = _TREE_ONLY if self.kind is Kind.STREAM else _STREAM_ONLY
+        seen: set[int] = set()
+        stack = [self.body]
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            if isinstance(t, banned):
                 raise InvalidDefinition(
-                    f"probability out of range in {self.name}: {t.prob}"
+                    f"mixed-kind term: {type(t).__name__} not allowed in a {self.kind.value}"
                 )
+            if isinstance(t, Choice) and not 0 < t.prob < 1:
+                raise InvalidDefinition(f"probability out of range in {self.name}: {t.prob}")
             if isinstance(t, (Cons, Mk)) and not IDENT_RE.match(t.label):
                 raise InvalidDefinition(f"invalid label {t.label!r} in {self.name}")
+            stack.extend(children(t))
         return self
 
 
@@ -116,19 +129,6 @@ def children(t: Term) -> tuple[Term, ...]:
     if isinstance(t, (Tail, Left, Right)):
         return (t.arg,)
     return ()
-
-
-def check_kind(t: Term, kind: Kind) -> None:
-    """Raise InvalidDefinition unless `t` uses only the connectives of `kind`."""
-    banned = _TREE_ONLY if kind is Kind.STREAM else _STREAM_ONLY
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, banned):
-            raise InvalidDefinition(
-                f"mixed-kind term: {type(node).__name__} not allowed in a {kind.value}"
-            )
-        stack.extend(children(node))
 
 
 def subterms_of(t: Term) -> tuple[Term, ...]:

@@ -40,7 +40,6 @@ from asprod.terms import (
     Right,
     Tail,
     Term,
-    check_kind,
 )
 
 # An observed event: the emitted label, or None for a silent unfold step.
@@ -124,7 +123,7 @@ def step(d: Definition, t: Term) -> StepDist:
     emits; everything else unfolds the recursion variable into the body.
     """
     try:
-        check_kind(t, d.kind)
+        Definition(d.name, d.kind, t).validate()
     except InvalidDefinition as exc:
         raise InvalidDefinition(f"kind mismatch: {exc}") from exc
     acc: StepDist = {}

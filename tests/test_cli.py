@@ -36,7 +36,7 @@ UNKNOWN_STREAM = "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) 
 
 def write(tmp_path, text, name="defs.defs"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -89,6 +89,39 @@ def test_check_duplicate_name_points_at_the_name(tmp_path, capsys):
     path = write(tmp_path, "stream s = a : s\nstream s = tail(s)\n")
     assert main(["check", path, "--no-tier3"]) == 3
     assert f"{path}:2:8: error: duplicate definition name 's'" in capsys.readouterr().err
+
+
+LONG = "1" * 4301  # one digit past the interpreter's int-string limit
+
+# numbers written with digits other than ASCII 0-9, or with too many
+# digits: (text, column, message), all on line 1
+MALFORMED_NUMBERS = {
+    "superscript": ("stream t = (a : t) (+ ²/3) tail(t)", 23, "unexpected character '²'"),
+    "arabic_indic": ("stream t = (a : t) (+ 1/٣) tail(t)", 25, "unexpected character '٣'"),
+    "numerator": (f"stream t = t (+ {LONG}/2) a : t", 17, "number with more than 4300 digits"),
+    "denominator": (f"stream t = t (+ 1/{LONG}) a : t", 19, "number with more than 4300 digits"),
+    "decimal": (f"stream t = t (+ 0.{LONG[1:]}1) a : t", 17, "number with more than 4300 digits"),
+}
+
+
+@pytest.mark.parametrize("command", [["check", "--no-tier3"], ["measure"]])
+@pytest.mark.parametrize("case", sorted(MALFORMED_NUMBERS))
+def test_malformed_number_is_one_located_error(case, command, tmp_path, capsys):
+    text, col, message = MALFORMED_NUMBERS[case]
+    bad = write(tmp_path, text + "\n", "bad.defs")
+    good = write(tmp_path, "stream s = a : s\n", "good.defs")
+    code = main([*command, bad, good])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.splitlines() == [f"{bad}:1:{col}: error: {message}"]
+    assert captured.out.splitlines()[0].startswith("s: ASP" if command[0] == "check" else "s 1")
+
+
+def test_error_after_a_trailing_comment_is_at_the_end_of_input(tmp_path, capsys):
+    path = write(tmp_path, "stream s = a : s (+ 0#")
+    assert main(["measure", path]) == 3
+    message = "expected ')', found 'end of input'"
+    assert capsys.readouterr().err.splitlines() == [f"{path}:1:23: error: {message}"]
 
 
 def nested_mk(depth):

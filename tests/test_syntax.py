@@ -11,7 +11,14 @@ from asprod.measure import measure
 from asprod.ppda import translate
 from asprod.semantics import SamplerLimitError
 from asprod.simulate import CompiledDefinition
-from asprod.syntax import MAX_NESTING, ParseError, parse_definition, parse_file, pretty_print
+from asprod.syntax import (
+    MAX_DIGITS,
+    MAX_NESTING,
+    ParseError,
+    parse_definition,
+    parse_file,
+    pretty_print,
+)
 from asprod.terms import (
     Choice,
     Cons,
@@ -101,6 +108,93 @@ def test_syntax_error_carries_location():
         parse_file("stream s = a :\nstream t = t")
     assert err.value.line == 2
     assert err.value.col == 1
+
+
+# Every ParseError the parser raises, on malformed ASCII input, with the
+# message and the line and column it reports.  Columns count characters, so
+# a tab or a carriage return is one column; an unexpected character anywhere
+# in the file is reported before any syntax error.
+ERROR_TABLE = [
+    ('stream s = a : s $', "unexpected character '$'", 1, 18),
+    ('stream s = s\n  %', "unexpected character '%'", 2, 3),
+    ('stream _s = s', "unexpected character '_'", 1, 8),
+    ('stream s = .5', "unexpected character '.'", 1, 12),
+    ('stream s = s (+ 0.5.) s', "unexpected character '.'", 1, 20),
+    ('stream s = s (+ 1.) s', "unexpected character '.'", 1, 18),
+    ('stream = s\n$', "unexpected character '$'", 2, 1),
+    ('stream s = s\x0b', "unexpected character '\\x0b'", 1, 13),
+    ('stream = s', "expected 'ident', found '='", 1, 8),
+    ('tree t = mk(1, t, t)', "expected 'ident', found '1'", 1, 13),
+    ('stream s s', "expected '=', found 's'", 1, 10),
+    ('stream s = (s', "expected ')', found 'end of input'", 1, 14),
+    ('stream s = tail(s s)', "expected ')', found 's'", 1, 19),
+    ('stream s = tail s', "expected '(', found 's'", 1, 17),
+    ('tree t = mk(a t, t)', "expected ',', found 't'", 1, 15),
+    ('tree t = mk(a, t, t', "expected ')', found 'end of input'", 1, 20),
+    ('stream s = s (+ 1/2 s', "expected ')', found 's'", 1, 21),
+    ('stream s = s (+ 1/) s', "expected 'int', found ')'", 1, 19),
+    ('stream s = s (+ 1/0.5) s', "expected 'int', found '0.5'", 1, 19),
+    ('stream s = s (+ 1/0) s', 'zero denominator', 1, 19),
+    ('stream s = s (+ 3/2) s', 'probability out of range', 1, 17),
+    ('stream s = s (+ 2) s', 'probability out of range', 1, 17),
+    ('stream s = s (+ 1.5) s', 'probability out of range', 1, 17),
+    ('stream s = s (+ x) s', 'expected a probability', 1, 17),
+    ('stream s = s (+ ) s', 'expected a probability', 1, 17),
+    ('s = s', "expected 'stream' or 'tree'", 1, 1),
+    ('= s', "expected 'stream' or 'tree'", 1, 1),
+    ('stream s = s\nfoo', "expected 'stream' or 'tree'", 2, 1),
+    ('stream s = s )', "expected 'stream' or 'tree'", 1, 14),
+    ('stream tail = tail', "'tail' is reserved", 1, 8),
+    ('stream stream = s', "'stream' is reserved", 1, 8),
+    ('tree mk = mk', "'mk' is reserved", 1, 6),
+    ('stream s = ', "expected a term, found 'end of input'", 1, 12),
+    ('stream s = )', "expected a term, found ')'", 1, 12),
+    ('stream s = 1', "expected a term, found '1'", 1, 12),
+    ('stream s = a : s (+ 1/2)', "expected a term, found 'end of input'", 1, 25),
+    ('stream s = a : stream', "'stream' is reserved", 1, 16),
+    ('stream s = tree', "'tree' is reserved", 1, 12),
+    ('tree t = mk(left, t, t)', "'left' is reserved", 1, 13),
+    ('tree t = mk(tree, t, t)', "'tree' is reserved", 1, 13),
+    ('stream s = left(s)', "mixed-kind term: 'left' is not allowed in a stream", 1, 12),
+    ('stream s = right(s)', "mixed-kind term: 'right' is not allowed in a stream", 1, 12),
+    ('stream s = mk(a, s, s)', "mixed-kind term: 'mk' is not allowed in a stream", 1, 12),
+    ('tree t = a : t', "mixed-kind term: 'a' is not allowed in a tree", 1, 10),
+    ('tree t = tail(t)', "mixed-kind term: 'tail' is not allowed in a tree", 1, 10),
+    ('stream s = a : t', "reference to another definition's name 't' (only 's' may recur)", 1, 16),
+    ('stream s = s\nstream s = a : s', "duplicate definition name 's'", 2, 8),
+    ('stream\ts =\t\tleft(s)', "mixed-kind term: 'left' is not allowed in a stream", 1, 13),
+    ('\tstream s = s\n\t\ttree t = tail(t)', "mixed-kind term: 'tail' is not allowed in a tree", 2, 12),
+    ('stream s = s\r\nstream t = a :\r\n', "expected a term, found 'end of input'", 3, 1),
+    ('stream s = s\r\nstream s = s\r\n', "duplicate definition name 's'", 2, 8),
+    ('stream s =\n  a :\n  (s (+ 2/0) s)', 'zero denominator', 3, 11),
+    ('# header\n\nstream s = a : # note\n  )', "expected a term, found ')'", 4, 3),
+    # the end of input lies after the comment, not at its '#'
+    ('stream s = a : s (+ 0#', "expected ')', found 'end of input'", 1, 23),
+    ('stream s = a : s (+ 0# c\n', "expected ')', found 'end of input'", 2, 1),
+    (
+        "stream s = " + "(" * 202 + "s" + ")" * 202,
+        f"term nested more than {MAX_NESTING} levels deep",
+        1,
+        12 + MAX_NESTING + 1,
+    ),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", ERROR_TABLE)
+def test_parse_error_table(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_file(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
+
+
+def test_numbers_up_to_the_digit_limit_parse():
+    nines = "9" * MAX_DIGITS
+    d = parse_definition(f"stream s = s (+ 1/{nines}) a : s (+ 0.{nines[1:]}) tail(s)")
+    assert d.body.prob == Fraction(1, int(nines))
+    assert d.body.right.prob == Fraction(int(nines[1:]), 10 ** (MAX_DIGITS - 1))
+    with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+        parse_file(f"stream s = s (+ 1/0{nines}) a : s")
 
 
 def test_comments_and_multiple_definitions():
