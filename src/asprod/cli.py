@@ -69,8 +69,32 @@ _TIER_TEXT = {
 }
 
 
+_CHUNK = 10**600
+
+
+def int_str(n: int) -> str:
+    """`str(n)` for an int of any size, whatever `sys.set_int_max_str_digits`
+    says.  An int of more than 600 digits, fewer than the lowest limit that
+    call accepts (640), is written as the decimals of its two halves, each
+    in turn by this function.  A drift multiplies the literals'
+    denominators, so it can pass a limit that each literal respects."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(n, 10**half)
+    return int_str(high) + int_str(low).zfill(half)
+
+
 def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """`x` as "num/den", the denominator written even when it is 1."""
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
+
+
+def drift_str(x: Fraction) -> str:
+    """`x` as `str(x)` writes it: "num/den", or "num" when den is 1."""
+    return int_str(x.numerator) if x.denominator == 1 else frac_str(x)
 
 
 def _load(paths: list[str]) -> tuple[list[tuple[str, Definition]], bool]:
@@ -121,11 +145,7 @@ def _class_json(cls) -> dict:
         cert = None if cls.certificate is None else [frac_str(c) for c in cls.certificate]
         return {"class": "sub_return", "certificate": cert}
     assert isinstance(cls, Unknown)
-    return {
-        "class": "unknown",
-        "kleene_lower": cls.kleene_lower,
-        "iterations": cls.iterations,
-    }
+    return {"class": "unknown", "reason": cls.reason}
 
 
 def _tier2_json(t2: ExactAnalysis) -> dict:
@@ -272,7 +292,7 @@ def cmd_check(args) -> int:
         else:
             line = (
                 f"{d.name}: {_RESULT_TEXT[v.result]}  "
-                f"[{_TIER_TEXT[v.tier.value]}]  measure={v.measure}"
+                f"[{_TIER_TEXT[v.tier.value]}]  measure={drift_str(v.measure)}"
                 f"  exact={v.tier2.buchi.value}"
             )
             if v.mc is not None:
@@ -296,7 +316,7 @@ def cmd_check(args) -> int:
 def cmd_measure(args) -> int:
     defs, had_error = _load(args.files)
     for _, d in defs:
-        print(f"{d.name} {measure(d)}")
+        print(f"{d.name} {drift_str(measure(d))}")
     return EXIT_INPUT_ERROR if had_error else EXIT_OK
 
 
@@ -399,7 +419,7 @@ def cmd_solve(args) -> int:
                     )
                     text = f"SubReturn (certificate sum {frac_str(total)})"
             else:
-                text = f"Unknown (kleene lower {cls.kleene_lower:.6f})"
+                text = f"Unknown ({cls.reason})"
             print(f"  head ({names[q]}, {x}): {text}")
     return EXIT_INPUT_ERROR if had_error else EXIT_OK
 

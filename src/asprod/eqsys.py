@@ -12,7 +12,7 @@ The exact classification decides, per excursion head (q, X), whether the
 return probability equals one (AlmostSureReturn), is provably below one
 (SubReturn, where possible with a machine-checked pre-fixed-point
 certificate), or is not determined by the implemented criteria (Unknown,
-with numeric lower-bound evidence attached).  Every verdict is checked in
+with the reason it stayed undecided).  Every verdict is checked in
 exact arithmetic, on integers: each equation is scaled once to integer
 coefficients (`EqSystem.integer_form`), the mass test is one integer
 comparison on that form, and the spectral test eliminates the integer
@@ -32,12 +32,9 @@ floats; this module never imports numpy.
 from __future__ import annotations
 
 import math
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .graphs import strongly_connected_components
@@ -273,8 +270,9 @@ def clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
 
 
 # ---------------------------------------------------------------------------
-# numeric solvers (Kleene values are reported; Newton values seed the
-# certificate candidates, each of which is then checked exactly)
+# numeric solvers (Kleene values are printed, never read by a verdict; Newton
+# values seed the certificate candidates, each of which is then checked
+# exactly)
 
 
 def kleene_solve(
@@ -717,10 +715,17 @@ class SubReturn:
 
 @dataclass(frozen=True)
 class Unknown:
-    """Not determined by the implemented exact criteria."""
+    """Not determined by the implemented exact criteria, for `reason`, one
+    of:
 
-    kleene_lower: float
-    iterations: int
+    - "multi_exit": the head has several surviving variables;
+    - "shares_block": its variable's block holds a multi-exit head's
+      variable;
+    - "reads_undecided": its block reads an undecided block;
+    - "smt_unknown": an SMT solver ran and did not decide it.
+    """
+
+    reason: str
 
 
 HeadClass = Union[AlmostSureReturn, SubReturn, Unknown]
@@ -832,11 +837,13 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
     `subreturn_certificates` walk.  A head then gets the first of:
     AlmostSureReturn if decided almost-sure, SubReturn with a verified
     certificate, SubReturn without one if decided sub-one, the optional SMT
-    query, and honest Unknown with Kleene evidence.
+    query, and honest Unknown with the reason read off the same pass: the
+    head is multi-exit, or the block of its one variable holds a multi-exit
+    head's variable or reads an undecided block (see `Unknown`).
 
-    The numerics are the system's own `s.newton` and `s.kleene`, each solved
-    at the module defaults when first needed (Newton for a certificate
-    search, Kleene for the first Unknown head) and kept for the next reader.
+    The only numerics are the system's own `s.newton`, solved at the module
+    defaults when a certificate search first needs them and kept for the
+    next reader; no fixed-point iterate is read.
     """
     head_vars = s.head_vars()
     result: dict[Head, HeadClass] = {}
@@ -852,10 +859,15 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
     deps = s.dependencies
     sole = {vs[0] for vs in head_vars.values() if len(vs) == 1}
     almost_sure: list[Optional[bool]] = [None] * len(s.variables)  # None: not decided
+    undecided: dict[int, str] = {}  # per variable of an undecided block: why
     for comp in s.blocks:
         members = set(comp)
         outside = {f for v in comp for f in deps[v] if f not in members}
-        if not members <= sole or any(almost_sure[f] is None for f in outside):
+        if not members <= sole:
+            undecided.update(dict.fromkeys(comp, "shares_block"))
+            continue
+        if any(almost_sure[f] is None for f in outside):
+            undecided.update(dict.fromkeys(comp, "reads_undecided"))
             continue
         if not all(almost_sure[f] for f in outside) or any(
             _mass_below_one(s.integer_form[v]) for v in comp
@@ -887,17 +899,13 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
             answer = run_smt_solver(smt_export(s, h), smt_solver)
             if answer == "sat":
                 result[h] = SubReturn(certificate=None)
-                continue
-            if answer == "unsat":
+            elif answer == "unsat":
                 result[h] = AlmostSureReturn()
-                continue
-        values, iterations = s.kleene
-        # added left to right: `sum` compensates float rounding from Python
-        # 3.12 on, which would make the reported bytes depend on the version
-        lower = 0.0
-        for i in head_vars[h]:
-            lower += values[i]
-        result[h] = Unknown(kleene_lower=lower, iterations=iterations)
+            else:
+                result[h] = Unknown("smt_unknown")
+            continue
+        vs = head_vars[h]
+        result[h] = Unknown("multi_exit" if len(vs) > 1 else undecided[vs[0]])
     return result
 
 
@@ -951,7 +959,14 @@ def smt_export(s: EqSystem, head: Head) -> str:
 
 
 def run_smt_solver(script: str, solver_cmd: str) -> str:
-    """Invoke an external SMT-LIB2 solver; returns 'sat', 'unsat' or 'unknown'."""
+    """Invoke an external SMT-LIB2 solver; returns 'sat', 'unsat' or 'unknown'.
+
+    Its modules are imported here, since SMT is off by default and every
+    command would otherwise pay for `subprocess` at startup."""
+    import subprocess
+    import tempfile
+    from pathlib import Path
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "query.smt2"
         path.write_text(script, encoding="utf-8")

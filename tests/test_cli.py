@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,63 @@ def test_error_after_a_trailing_comment_is_at_the_end_of_input(tmp_path, capsys)
     assert main(["measure", path]) == 3
     message = "expected ')', found 'end of input'"
     assert capsys.readouterr().err.splitlines() == [f"{path}:1:23: error: {message}"]
+
+
+def read_int(text: str) -> int:
+    """`int(text)` for a decimal of any length, read in chunks that stay
+    below every int-string limit Python allows."""
+    n = 0
+    for i in range(0, len(text), 500):
+        chunk = text[i : i + 500]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def read_fraction(text: str) -> Fraction:
+    num, _, den = text.partition("/")
+    return Fraction(read_int(num), read_int(den or "1"))
+
+
+# 1/N has 3,000 digits, within the parser's limit, but the drift's
+# denominator N^2 has 5,999, past Python's default int-string limit
+HUGE_N = 10**2999
+HUGE_DRIFT_STREAM = f"stream s = (a : s) (+ 1/{HUGE_N}) (tail(s) (+ 1/{HUGE_N}) a : a : s)\n"
+
+
+@pytest.mark.parametrize("argv", [["measure"], ["check"], ["check", "--json"]])
+def test_drift_past_the_int_string_limit_is_printed_in_full(argv, tmp_path, capsys):
+    p = Fraction(1, HUGE_N)
+    drift = p + (1 - p) * (-p + (1 - p) * 2)
+    assert drift.denominator > 10**4300
+    path = write(tmp_path, HUGE_DRIFT_STREAM)
+    assert main([*argv, path]) == 0
+    out = capsys.readouterr().out
+    if argv == ["measure"]:
+        name, printed = out.split()
+        assert name == "s"
+    elif argv == ["check"]:
+        assert out.startswith("s: ASP  [tier 1 (measure)]  measure=")
+        printed = out.split("measure=")[1].split()[0]
+    else:
+        (entry,) = json.loads(out)["definitions"]
+        assert (entry["verdict"], entry["tier"]) == ("asp", "measure")
+        printed = entry["measure"]
+    assert read_fraction(printed) == drift
+    assert printed.count("/") == 1
+
+
+def test_int_str_holds_under_the_lowest_int_string_limit():
+    n = -(7**20000)  # 16,902 digits
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if before is not None:
+        sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+    try:
+        text = cli.int_str(n)
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+    assert text[0] == "-" and read_int(text[1:]) == -n
+    assert cli.int_str(0) == "0" and cli.int_str(10**600) == "1" + "0" * 600
 
 
 def nested_mk(depth):
@@ -411,7 +469,8 @@ WITHOUT_THE_SAMPLER = {
 
 @pytest.mark.parametrize("command", list(WITHOUT_THE_SAMPLER))
 def test_commands_without_the_numeric_tier_do_not_import_numpy(command):
-    # importing numpy costs about 0.13 s and 12 MB in every such process
+    # importing numpy costs about 0.13 s and 12 MB in every such process;
+    # `subprocess`, needed only by the optional SMT solver, about 5 ms
     corpus = Path(__file__).resolve().parents[1] / "defs" / "paper_examples.defs"
     extra, expected = WITHOUT_THE_SAMPLER[command]
     argv = [command, *extra, str(corpus)]
@@ -420,10 +479,10 @@ def test_commands_without_the_numeric_tier_do_not_import_numpy(command):
         "from asprod.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main({argv!r})\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "print(code, 'numpy' in sys.modules, 'subprocess' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.stdout.split() == [str(expected), "False"], proc.stderr
+    assert proc.stdout.split() == [str(expected), "False", "False"], proc.stderr
 
 
 def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
@@ -440,7 +499,7 @@ def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(eqsys, "kleene_solve", counting)
     corpus = Path(__file__).resolve().parents[1] / "defs" / "paper_examples.defs"
     path = tmp_path / "solve.defs"
-    # the last definition is multi-exit, where classification needs Kleene
+    # the last definition is multi-exit, with Unknown heads
     multi_exit = "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
     path.write_text(corpus.read_text() + multi_exit + "\n")
     assert main(["solve", str(path)]) == 0

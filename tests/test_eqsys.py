@@ -9,7 +9,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from asprod import eqsys
 from asprod.eqsys import (
@@ -574,11 +574,9 @@ def test_classify_multi_exit_falls_back_honestly():
         assert by_state[name] == AlmostSureReturn(), name
     two_exit = p.state_names.index("a : b : u (+ 1/2) c : d : u")
     assert len(cleaned.head_vars()[(two_exit, "tl")]) == 2
-    assert isinstance(classes[(two_exit, "tl")], Unknown)
-    for cls in classes.values():
-        if isinstance(cls, Unknown):
-            assert 0.0 <= cls.kleene_lower <= 1.0 + 1e-9
-            assert cls.iterations >= 1
+    assert classes[(two_exit, "tl")] == Unknown("multi_exit")
+    reasons = {c.reason for c in classes.values() if isinstance(c, Unknown)}
+    assert reasons == {"multi_exit", "reads_undecided"}
 
 
 def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
@@ -607,7 +605,7 @@ def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
         assert classes[(k, "tl")] == SubReturn(certificate=None), k
 
 
-def test_classify_heads_runs_kleene_only_for_unknown_heads(monkeypatch):
+def test_classify_heads_never_runs_kleene(monkeypatch):
     calls = 0
 
     def counting(*args, **kwargs):
@@ -616,48 +614,55 @@ def test_classify_heads_runs_kleene_only_for_unknown_heads(monkeypatch):
         return kleene_solve(*args, **kwargs)
 
     monkeypatch.setattr(eqsys, "kleene_solve", counting)
-    # equation mass 3/4, so each copy is decided sub-one, and its least
-    # fixed point 1 - 1/sqrt(2) is also certified below one
-    lossy = EqSystem(
-        variables=tuple((k, "tl", k) for k in range(3)),
-        equations=tuple(Equation(F(1, 4), (Monomial(F(1, 2), (k, k)),)) for k in range(3)),
-        heads=tuple((k, "tl") for k in range(3)),
-        state_names=tuple(f"z{k}" for k in range(3)),
-        alphabet=("tl",),
-    )
-    classes = classify_heads(lossy)
-    assert all(isinstance(c, SubReturn) and c.certificate for c in classes.values())
-    assert calls == 0
-
     cleaned, _ = clean(build_system(translate(MULTI_EXIT)))
     classes = classify_heads(cleaned)
     assert sum(isinstance(c, Unknown) for c in classes.values()) > 1
-    assert calls == 1  # once per system, not once per Unknown head
-    again = classify_heads(cleaned)  # the system keeps its Kleene values
-    assert calls == 1 and again == classes
+    assert calls == 0
+    cleaned.kleene  # `solve` still reads the system's Kleene values
+    assert calls == 1
 
 
-def test_unknown_lower_bound_adds_left_to_right():
-    # a multi-exit stream with Unknown heads whose three Kleene values sum
-    # differently under compensated summation (`math.fsum`, and `sum` from
-    # Python 3.12 on): the report must not depend on the version
-    d = parse_definition(
-        "stream g0 = (a : b : ((tail(tail((g0 (+ 11/12) g0))) (+ 1/3) (a : g0 (+ 3/4) g0))"
-        " (+ 1/3) g0) (+ 5/12) (g0 (+ 1/4) tail(g0)))"
-    )
-    cleaned, _ = clean(build_system(translate(d)))
-    values, _ = cleaned.kleene
-    head_vars = cleaned.head_vars()
-    compensated_differs = False
-    for h, cls in classify_heads(cleaned).items():
-        if isinstance(cls, Unknown):
-            terms = [values[i] for i in head_vars[h]]
-            lower = 0.0
-            for x in terms:
-                lower += x
-            assert cls.kleene_lower == lower, h
-            compensated_differs |= math.fsum(terms) != lower
-    assert compensated_differs
+def expected_reason(s: EqSystem, head) -> str:
+    """Why `head` stays undecided, from `head_vars()` and `blocks` alone: it
+    is multi-exit, or the block of its one variable holds a multi-exit
+    head's variable, or that block reads a variable from which the
+    dependency graph reaches one; "" if none of these holds."""
+    head_vars = s.head_vars()
+    if len(head_vars[head]) > 1:
+        return "multi_exit"
+    multi = {v for vs in head_vars.values() if len(vs) > 1 for v in vs}
+    (var,) = head_vars[head]
+    block = next(set(b) for b in s.blocks if var in b)
+    if block & multi:
+        return "shares_block"
+    seen = {f for v in block for f in s.dependencies[v]} - block
+    work = list(seen)
+    while work:
+        for f in s.dependencies[work.pop()]:
+            if f not in seen:
+                seen.add(f)
+                work.append(f)
+    return "reads_undecided" if seen & multi else ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+@example(1)  # a head that reads an undecided block
+@example(5)  # a head whose block holds a multi-exit head's variable
+def test_unknown_reasons_follow_head_vars_and_blocks(seed):
+    for d in seeded_random_definitions(8, seed):
+        cleaned, _ = clean(build_system(translate(d)))
+        live = cleaned.head_vars()
+        for h, cls in classify_heads(cleaned).items():
+            if not live.get(h):
+                continue
+            why = expected_reason(cleaned, h)
+            if isinstance(cls, Unknown):
+                assert cls.reason == why, (d, h)
+            else:
+                # a head with no reason is decided exactly; one with a
+                # reason is decided only by a certificate
+                assert not why or (isinstance(cls, SubReturn) and cls.certificate), (d, h)
 
 
 # ---------------------------------------------------------------------------
@@ -886,9 +891,11 @@ def test_classify_consumes_smt_answers(tmp_path):
     assert unknown_heads
     with_sat = classify_heads(cleaned, smt_solver=_fake_solver(tmp_path, "sat"))
     with_unsat = classify_heads(cleaned, smt_solver=_fake_solver(tmp_path, "unsat"))
+    with_unknown = classify_heads(cleaned, smt_solver=_fake_solver(tmp_path, "unknown"))
     for h in unknown_heads:
         assert with_sat[h] == SubReturn(certificate=None)
         assert with_unsat[h] == AlmostSureReturn()
+        assert with_unknown[h] == Unknown("smt_unknown")
 
 
 # ---------------------------------------------------------------------------

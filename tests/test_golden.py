@@ -4,13 +4,16 @@ decide single-exit blocks in systems that also hold multi-exit heads) and
 re-recorded by the commit that follows 2636dbe, when the certificate search
 moved to the grid of multiples of 2^-64: only certificate strings changed,
 their denominators now dividing 2^64, and every other byte of both reports
-stayed the same.  It also checks byte-identity of `simulate --json`
+stayed the same.  The seeded batch was re-recorded once more when Unknown
+heads began to carry the reason they stayed undecided in place of Kleene
+values, after the reports before and after were found equal with every
+Unknown head's fields dropped.  It also checks byte-identity of `simulate --json`
 against reports recorded at edf398e (the paper examples) and at 52b8962
 (the seeded batch), and of `ppda --format json` on the paper examples
 against the export recorded at 57937b2, so that a refactor cannot change
 report bytes unnoticed.
 
-The batch pins Unknown heads (with their `kleene_lower` floats) and
+The batch pins Unknown heads (with their reasons) and
 certified SubReturn heads (with their certificates), not only verdicts.
 The simulation reports pin the sampler's draws for the uniform and for a
 periodic tree policy.  The seeded batch's simulation was recorded while
@@ -29,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from asprod import eqsys
 from asprod.cli import main
 from asprod.syntax import pretty_print
 
@@ -63,6 +67,24 @@ def test_seeded_batch_matches_recorded_bytes(tmp_path, capsys):
     assert check_json(path, capsys) == (GOLDEN / "seeded_batch.check.json").read_text()
 
 
+def test_check_runs_no_kleene_iteration(tmp_path, capsys, monkeypatch):
+    """No verdict or report of `check` reads a Kleene iterate, so none is
+    computed, though the batch has Unknown heads."""
+    calls = 0
+    real = eqsys.kleene_solve
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eqsys, "kleene_solve", counting)
+    path = tmp_path / "batch.defs"
+    path.write_text(batch_text())
+    assert '"class": "unknown"' in check_json(path, capsys)
+    assert calls == 0
+
+
 def test_paper_examples_ppda_export_matches_recorded_bytes(capsys):
     capsys.readouterr()
     assert main(["ppda", "--format", "json", str(ROOT / "defs" / "paper_examples.defs")]) == 0
@@ -82,7 +104,7 @@ def solve_text(cls: dict, variables: list[str], head: str) -> str:
     if cls["class"] == "almost_sure_return":
         return "AlmostSureReturn"
     if cls["class"] == "unknown":
-        return f"Unknown (kleene lower {cls['kleene_lower']:.6f})"
+        return f"Unknown ({cls['reason']})"
     cert = cls["certificate"]
     if cert is None:
         return "SubReturn (no certificate)"
