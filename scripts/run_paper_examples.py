@@ -16,8 +16,6 @@ DEFAULT_FILE = Path(__file__).resolve().parent.parent / "defs" / "paper_examples
 
 
 def class_summary(analysis):
-    if analysis is None:
-        return "-"
     counts = {"as": 0, "sub": 0, "unk": 0}
     for cls in analysis.classes.values():
         if isinstance(cls, AlmostSureReturn):
@@ -44,10 +42,10 @@ def main() -> int:
             start = time.perf_counter()
             v = decide_asp(d, config)
             ms = (time.perf_counter() - start) * 1000
-            exact = v.tier2.buchi.value if v.tier2 else "-"
             line = (
                 f"{d.name:10} {d.kind.value:7} {str(v.measure):>8} {v.tier1.value:8} "
-                f"{class_summary(v.tier2):14} {exact:16} {v.result.value:8} {ms:6.1f}"
+                f"{class_summary(v.tier2):14} {v.tier2.buchi.value:16} "
+                f"{v.result.value:8} {ms:6.1f}"
             )
             if v.mc is not None:
                 line += f"  mc:{v.mc.hint.value} rate={v.mc.mean_rate:.4f}"

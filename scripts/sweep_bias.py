@@ -25,9 +25,7 @@ def analyze(template: str, p: Fraction, use_mc: bool):
     system = v.tier2.system
     rec = system.state_names.index(d.name)
     values, _ = system.kleene
-    ret = sum(
-        values[i] for i, (q, x, _) in enumerate(system.variables) if (q, x) == (rec, "tl")
-    )
+    ret = sum(values[i] for i in system.head_vars[(rec, "tl")])
     rate = None
     if use_mc:
         rate = monte_carlo(d, 100, 5000, seed=7).mean_rate

@@ -410,12 +410,7 @@ def cmd_solve(args) -> int:
                     text = "SubReturn (return probability 0)"
                 else:
                     total = sum(
-                        (
-                            c
-                            for c, key in zip(cls.certificate, cleaned.variables)
-                            if (key[0], key[1]) == (q, x)
-                        ),
-                        Fraction(0),
+                        (cls.certificate[i] for i in cleaned.head_vars[(q, x)]), Fraction(0)
                     )
                     text = f"SubReturn (certificate sum {frac_str(total)})"
             else:

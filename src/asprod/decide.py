@@ -34,7 +34,7 @@ from .eqsys import (
     classify_heads,
     clean,
 )
-from .graphs import bottom_sccs, reachable
+from .graphs import bottom_sccs
 from .measure import Tier1, measure, tier1_verdict
 from .ppda import Ppda, translate
 from .semantics import McReport, Policy, monte_carlo
@@ -74,7 +74,10 @@ class InternalInconsistencyError(RuntimeError):
 class GroundChain:
     """Qualitative chain over empty-stack states plus a divergence sink.
 
-    The sink is implicit: `diverge_sub` lists nodes with a certified
+    `nodes` are exactly the states reachable from `initial` along `edges`,
+    in ascending order; `edges` has an entry for every node, and every
+    edge target, divergence node and output node is a node.  The sink is
+    implicit: `diverge_sub` lists nodes with a certified
     positive-probability divergence, `diverge_unknown` nodes whose
     divergence could not be ruled out.
     """
@@ -88,12 +91,12 @@ class GroundChain:
     state_names: tuple[str, ...]
 
 
-def ground_chain(
-    p: Ppda,
-    classes: dict[Head, HeadClass],
-    positivity: dict[VarKey, bool],
-) -> GroundChain:
-    """Build the empty-stack chain reachable from the initial state."""
+def ground_chain(p: Ppda, classes: dict[Head, HeadClass], system: EqSystem) -> GroundChain:
+    """Build the empty-stack chain reachable from the initial state.
+
+    A push leads to the exits of the pushed head in the cleaned `system`,
+    the landing states of its surviving variables, in ascending order."""
+    exits = system.head_vars
     succ: dict[int, list[int]] = {}
     d_sub: set[int] = set()
     d_unknown: set[int] = set()
@@ -104,10 +107,9 @@ def ground_chain(
             if not m.push:
                 out.append(m.target)
             else:
-                cls = classes[(m.target, m.push[0])]
-                for s in range(len(p.states)):
-                    if positivity.get((m.target, m.push[0], s)):
-                        out.append(s)
+                head = (m.target, m.push[0])
+                cls = classes[head]
+                out.extend(sorted(system.variables[i][2] for i in exits[head]))
                 if isinstance(cls, SubReturn):
                     d_sub.add(q)
                 elif isinstance(cls, Unknown):
@@ -146,19 +148,17 @@ def buchi_verdict(g: GroundChain) -> BuchiResult:
     needs only the optimistic graph (an actually diverging unknown head also
     ends all outputs), a positive verdict needs the pessimistic graph clean.
     """
-    succs = lambda q: g.edges.get(q, ())
-    reach = reachable(g.initial, succs)
-
-    # optimistic reading: certified divergence is fatal wherever reachable
-    if any(q in g.diverge_sub for q in reach):
+    # optimistic reading: certified divergence is fatal, since every node
+    # is reachable
+    if g.diverge_sub:
         return BuchiResult.NOT_ALMOST_SURE
-    for comp in bottom_sccs(sorted(reach), succs):
-        if not any(q in g.output_nodes for q in comp):
+    for comp in bottom_sccs(g.nodes, g.edges.__getitem__):
+        if g.output_nodes.isdisjoint(comp):
             return BuchiResult.NOT_ALMOST_SURE
 
     # pessimistic reading: no reachable divergence of any kind, and every
     # reachable bottom component produces outputs
-    if not any(q in g.diverge_unknown for q in reach):
+    if not g.diverge_unknown:
         return BuchiResult.ALMOST_SURE
     return BuchiResult.UNKNOWN
 
@@ -198,7 +198,7 @@ def exact_analysis(d: Definition, config: AnalyzerConfig | None = None) -> Exact
     system = build_system(p)
     cleaned, positivity = clean(system)
     classes = classify_heads(cleaned, smt_solver=config.smt_solver)
-    chain = ground_chain(p, classes, positivity)
+    chain = ground_chain(p, classes, cleaned)
     return ExactAnalysis(buchi_verdict(chain), classes, chain, cleaned, positivity)
 
 

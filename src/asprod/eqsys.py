@@ -79,7 +79,12 @@ class EqSystem:
     state_names: tuple[str, ...]
     alphabet: tuple[str, ...]
 
+    @cached_property
     def head_vars(self) -> dict[Head, list[int]]:
+        """Each head's variables, in variable order, computed once per
+        system; a head with none maps to the empty list.  In a cleaned
+        system they are the head's exits: their landing states are exactly
+        those its excursion returns in with positive probability."""
         out: dict[Head, list[int]] = {h: [] for h in self.heads}
         for i, (q, x, _) in enumerate(self.variables):
             out.setdefault((q, x), []).append(i)
@@ -566,10 +571,7 @@ def certify_subreturn(s: EqSystem, head: Head, candidate: Sequence[Fraction]) ->
     for i, eq in enumerate(s.equations):
         if evaluate(eq, cand) > cand[i]:
             return False
-    head_sum = sum(
-        (cand[i] for i, (q, x, _) in enumerate(s.variables) if (q, x) == head), ZERO
-    )
-    return head_sum < 1
+    return sum((cand[i] for i in s.head_vars.get(head, ())), ZERO) < 1
 
 
 def subreturn_candidate(
@@ -666,7 +668,7 @@ def subreturn_certificates(
     len(CERT_BUMPS) * (CERT_REFINE + 1) applications of F are made,
     however many heads there are.
     """
-    head_vars = s.head_vars()
+    head_vars = s.head_vars
     direction = certificate_direction(s, newton_values)
     rows = _grid_rows(s)
     result: dict[Head, Optional[tuple[Fraction, ...]]] = dict.fromkeys(heads)
@@ -845,7 +847,7 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
     defaults when a certificate search first needs them and kept for the
     next reader; no fixed-point iterate is read.
     """
-    head_vars = s.head_vars()
+    head_vars = s.head_vars
     result: dict[Head, HeadClass] = {}
     live: list[Head] = []
     for h in s.heads:
@@ -928,7 +930,7 @@ def smt_export(s: EqSystem, head: Head) -> str:
     """SMT-LIB2 sentence: some fixed point in [0,1]^n has return mass below
     one at `head`.  Satisfiable iff the head is SubReturn, because the least
     fixed point is bounded by every fixed point."""
-    hv = [i for i, (q, x, _) in enumerate(s.variables) if (q, x) == head]
+    hv = s.head_vars.get(head)
     if not hv:
         raise ValueError(f"head {head} has no surviving variables; nothing to export")
     lines = ["(set-logic QF_NRA)"]

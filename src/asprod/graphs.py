@@ -1,4 +1,4 @@
-"""Small graph helpers: SCCs in dependency order, reachability, bottom SCCs."""
+"""Small graph helpers: SCCs in dependency order and bottom SCCs."""
 
 from __future__ import annotations
 
@@ -58,20 +58,6 @@ def strongly_connected_components(
                         break
                 sccs.append(comp)
     return sccs
-
-
-def reachable(
-    start: Hashable, succs: Callable[[Hashable], Iterable[Hashable]]
-) -> set[Hashable]:
-    seen = {start}
-    todo = [start]
-    while todo:
-        v = todo.pop()
-        for w in succs(v):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
 
 
 def bottom_sccs(

@@ -23,7 +23,7 @@ from asprod.semantics import McHint
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, RecVar, Tail
 
-from conftest import EXPECTED_VERDICT, corpus, definitions
+from conftest import EXPECTED_VERDICT, corpus, definitions, seeded_random_definitions
 
 FAST = AnalyzerConfig(tier3=Tier3Mode.NEVER)
 
@@ -31,9 +31,9 @@ FAST = AnalyzerConfig(tier3=Tier3Mode.NEVER)
 def _chain(name):
     d = corpus()[name]
     p = translate(d)
-    cleaned, positivity = clean(build_system(p))
+    cleaned, _ = clean(build_system(p))
     classes = classify_heads(cleaned)
-    return p, ground_chain(p, classes, positivity)
+    return p, ground_chain(p, classes, cleaned)
 
 
 def test_ground_chain_critical_drift():
@@ -73,6 +73,60 @@ def test_ground_chain_trap_has_no_reachable_output():
     assert set(g.nodes) == {0, rec}  # the constructor never sits at empty stack
     assert g.output_nodes == frozenset()
     assert not g.diverge_sub  # its pushed head returns with probability one
+
+
+def _probed_successors(p, positivity, q):
+    """A node's successors derived without the head index: for each push,
+    every state is probed in `clean`'s positivity map as a landing state."""
+    out = []
+    for m in p.rows[(q, None)]:
+        if not m.push:
+            out.append(m.target)
+        else:
+            y = m.push[0]
+            out.extend(s for s in range(len(p.states)) if positivity.get((m.target, y, s)))
+    return tuple(dict.fromkeys(out))
+
+
+def _walked(g):
+    """The nodes a search along `g.edges` reaches from `g.initial`."""
+    seen = {g.initial}
+    todo = [g.initial]
+    while todo:
+        for t in g.edges[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return seen
+
+
+def _check_chain_against_oracles(d):
+    p = translate(d)
+    cleaned, positivity = clean(build_system(p))
+    g = ground_chain(p, classify_heads(cleaned), cleaned)
+    assert set(g.nodes) == _walked(g), d
+    for q in g.nodes:
+        assert g.edges[q] == _probed_successors(p, positivity, q), (d, q)
+
+
+# a pushed head of this stream has its variables built out of landing-state
+# order, so its chain edges hold only if the exits are read in ascending order
+UNSORTED_EXITS = (
+    "stream s = (b : tail(tail(s)) (+ 7/12) "
+    "b : tail(a : tail(tail(b : a : (s (+ 3/4) b : tail(s))))))"
+)
+
+
+def test_chain_exits_and_nodes_match_oracles():
+    defs = [*corpus().values(), *seeded_random_definitions(48), parse_definition(UNSORTED_EXITS)]
+    for d in defs:
+        _check_chain_against_oracles(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(definitions())
+def test_chain_exits_and_nodes_match_oracles_fuzz(d):
+    _check_chain_against_oracles(d)
 
 
 def test_buchi_verdicts_on_corpus_chains():

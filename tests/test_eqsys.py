@@ -435,6 +435,24 @@ def test_classify_zero_return_heads_get_trivial_certificates():
     assert classes[(cons, "tl")] == AlmostSureReturn()
 
 
+@pytest.mark.parametrize("leak", [0, 1])
+def test_classify_block_leaking_mass_in_any_variable_is_sub_return(leak):
+    # x = y/2 + 1/4, y = x in either variable order: one row loses mass,
+    # yet the Jacobian at one has spectral radius 1/sqrt(2), so the block is
+    # sub-one only because every row's mass is tested
+    leaky = Equation(F(1, 4), (Monomial(F(1, 2), (1 - leak,)),))
+    whole = Equation(F(0), (Monomial(F(1), (leak,)),))
+    s = EqSystem(
+        variables=((0, "tl", 0), (1, "tl", 0)),
+        equations=(leaky, whole) if leak == 0 else (whole, leaky),
+        heads=((0, "tl"), (1, "tl")),
+        state_names=("x", "y"),
+        alphabet=("tl",),
+    )
+    classes = classify_heads(s)
+    assert all(isinstance(c, SubReturn) for c in classes.values()), classes
+
+
 MULTI_EXIT = parse_definition(
     "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
 )
@@ -474,7 +492,7 @@ def test_shared_certificate_search_matches_per_head_search():
     for d in [*corpus().values(), *seeded_random_definitions(24)]:
         cleaned, _ = clean(build_system(translate(d)))
         newton = newton_solve(cleaned)
-        live = cleaned.head_vars()
+        live = cleaned.head_vars
         for head, cls in classify_heads(cleaned).items():
             if not live.get(head):
                 continue  # return probability zero: the trivial certificate
@@ -500,7 +518,7 @@ ULP_FRAGILE = {
 def test_certificates_survive_lowering_every_newton_value_by_one_ulp(name):
     cleaned, _ = clean(build_system(translate(parse_definition(ULP_FRAGILE[name]))))
     newton = newton_solve(cleaned)
-    live = [h for h, vs in cleaned.head_vars().items() if vs]
+    live = [h for h, vs in cleaned.head_vars.items() if vs]
     certs = subreturn_certificates(cleaned, live, newton)
     certified = [h for h in live if certs[h] is not None]
     assert len(certified) >= 10
@@ -573,7 +591,7 @@ def test_classify_multi_exit_falls_back_honestly():
     for name in ("a : u", "b : u", "d : u", "a : b : u", "c : d : u"):
         assert by_state[name] == AlmostSureReturn(), name
     two_exit = p.state_names.index("a : b : u (+ 1/2) c : d : u")
-    assert len(cleaned.head_vars()[(two_exit, "tl")]) == 2
+    assert len(cleaned.head_vars[(two_exit, "tl")]) == 2
     assert classes[(two_exit, "tl")] == Unknown("multi_exit")
     reasons = {c.reason for c in classes.values() if isinstance(c, Unknown)}
     assert reasons == {"multi_exit", "reads_undecided"}
@@ -623,11 +641,11 @@ def test_classify_heads_never_runs_kleene(monkeypatch):
 
 
 def expected_reason(s: EqSystem, head) -> str:
-    """Why `head` stays undecided, from `head_vars()` and `blocks` alone: it
+    """Why `head` stays undecided, from `head_vars` and `blocks` alone: it
     is multi-exit, or the block of its one variable holds a multi-exit
     head's variable, or that block reads a variable from which the
     dependency graph reaches one; "" if none of these holds."""
-    head_vars = s.head_vars()
+    head_vars = s.head_vars
     if len(head_vars[head]) > 1:
         return "multi_exit"
     multi = {v for vs in head_vars.values() if len(vs) > 1 for v in vs}
@@ -652,7 +670,7 @@ def expected_reason(s: EqSystem, head) -> str:
 def test_unknown_reasons_follow_head_vars_and_blocks(seed):
     for d in seeded_random_definitions(8, seed):
         cleaned, _ = clean(build_system(translate(d)))
-        live = cleaned.head_vars()
+        live = cleaned.head_vars
         for h, cls in classify_heads(cleaned).items():
             if not live.get(h):
                 continue
