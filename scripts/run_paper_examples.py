@@ -9,7 +9,8 @@ import sys
 import time
 from pathlib import Path
 
-from asprod import AnalyzerConfig, Tier3Mode, decide_asp, parse_file
+from asprod import AspResult, decide_asp, monte_carlo, parse_file
+from asprod.cli import MC_HORIZON, MC_RUNS, MC_SEED
 from asprod.eqsys import AlmostSureReturn, SubReturn
 
 DEFAULT_FILE = Path(__file__).resolve().parent.parent / "defs" / "paper_examples.defs"
@@ -33,22 +34,24 @@ def main() -> int:
     parser.add_argument("--tier3", action="store_true", help="attach Monte Carlo evidence")
     args = parser.parse_args()
 
-    config = AnalyzerConfig(tier3=Tier3Mode.ALWAYS if args.tier3 else Tier3Mode.WHEN_UNKNOWN)
     header = f"{'name':10} {'kind':7} {'measure':>8} {'tier1':8} {'heads':14} {'exact':16} {'verdict':8} {'ms':>6}"
     print(header)
     print("-" * len(header))
     for path in args.files:
         for d in parse_file(Path(path).read_text()):
             start = time.perf_counter()
-            v = decide_asp(d, config)
+            v = decide_asp(d)
+            mc = None
+            if args.tier3 or v.result is AspResult.UNKNOWN:
+                mc = monte_carlo(d, MC_RUNS, MC_HORIZON, MC_SEED)
             ms = (time.perf_counter() - start) * 1000
             line = (
                 f"{d.name:10} {d.kind.value:7} {str(v.measure):>8} {v.tier1.value:8} "
                 f"{class_summary(v.tier2):14} {v.tier2.buchi.value:16} "
                 f"{v.result.value:8} {ms:6.1f}"
             )
-            if v.mc is not None:
-                line += f"  mc:{v.mc.hint.value} rate={v.mc.mean_rate:.4f}"
+            if mc is not None:
+                line += f"  mc:{mc.hint.value} rate={mc.mean_rate:.4f}"
             print(line)
     return 0
 

@@ -14,12 +14,12 @@ import csv
 import sys
 from fractions import Fraction
 
-from asprod import AnalyzerConfig, Tier3Mode, decide_asp, monte_carlo, parse_definition
+from asprod import decide_asp, monte_carlo, parse_definition
 
 
 def analyze(template: str, p: Fraction, use_mc: bool):
     d = parse_definition(template.format(p=p))
-    v = decide_asp(d, AnalyzerConfig(tier3=Tier3Mode.NEVER))
+    v = decide_asp(d)
     # return mass of an excursion entered at the recursion state, read off
     # the Kleene values of the cleaned system the verdict was decided on
     system = v.tier2.system

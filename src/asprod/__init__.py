@@ -1,7 +1,8 @@
 """Almost-sure-productivity analysis for probabilistic stream and tree
 definitions: syntactic drift measure, pushdown translation, pop-probability
-equation systems, and a three-tier decision procedure with Monte Carlo
-evidence."""
+equation systems, a decision procedure of two tiers (`decide_asp`), and
+Monte Carlo evidence (`monte_carlo`), which the CLI's `check` adds as a
+third tier that never decides."""
 
 from .terms import (
     Choice,
@@ -48,13 +49,11 @@ from .eqsys import (
     subreturn_certificates,
 )
 from .decide import (
-    AnalyzerConfig,
     AspResult,
     BuchiResult,
     GroundChain,
     InternalInconsistencyError,
     Tier,
-    Tier3Mode,
     Verdict,
     buchi_verdict,
     decide_asp,

@@ -16,38 +16,39 @@ subcommand, with one `error:` line on stderr.  JSON reports are
 byte-deterministic for fixed inputs, flags and seed; wall-clock timings
 appear only in the human-readable output.
 
-`check` renders each definition's report as soon as the definition is
-decided and lets its analysis go; the document is written after the last
-one.  Memory therefore grows by the rendered text alone (about 2.3 KB per
-JSON entry on the bias families), not by the analyses, and an analysis
-that raises leaves stdout empty rather than holding a truncated document.
+`check` renders each definition's report as soon as tiers 1 and 2
+(`decide.decide_asp`) have decided it and lets its analysis go; the
+document is written after the last one.  Memory therefore grows by the
+rendered text alone (about 2.3 KB per JSON entry on the bias families), not
+by the analyses, and an analysis that raises leaves stdout empty rather
+than holding a truncated document.  Only the entries tier 3 samples (all
+under `--force-tier3`, else the Unknown verdicts) are held, unrendered,
+until their batch has run: about one batch of entries, since definitions
+are decided as the sampler takes them.  `check` and `simulate` sample
+through one path, `_sample`, so a sampled entry's `tier3` object is what
+`simulate` reports for its definition under the same flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 import time
+from collections import deque
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
-from .decide import (
-    AnalyzerConfig,
-    AspResult,
-    ExactAnalysis,
-    Tier3Mode,
-    Verdict,
-    decide_asp,
-    exact_analysis,
-    smt_solver_from_env,
-)
+from .decide import AspResult, ExactAnalysis, Verdict, decide_asp, exact_analysis
 from .eqsys import AlmostSureReturn, SubReturn, Unknown
 from .measure import measure
 from .ppda import export, json_doc, translate
-# `monte_carlo` is not called here, since `simulate` samples its definitions
-# in one batch, but bench/spans.py traces it as asprod.cli.monte_carlo
-from .semantics import McReport, SamplerLimitError, monte_carlo, parse_policy
+# `monte_carlo` is not called here, since `check` and `simulate` sample
+# their definitions in one batch, but bench/spans.py traces it as
+# asprod.cli.monte_carlo
+from .semantics import UNIFORM, McReport, SamplerLimitError, monte_carlo, parse_policy
 from .syntax import ParseError, parse_file
 from .terms import Definition
 
@@ -56,11 +57,14 @@ EXIT_NOT_ASP = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
 
-_RESULT_TEXT = {
-    AspResult.ASP: "ASP",
-    AspResult.NOT_ASP: "NotASP",
-    AspResult.UNKNOWN: "Unknown",
-}
+# the sampler's defaults, for `--mc-runs`, `--mc-horizon`, `--seed` and
+# `--tree-policy`
+MC_RUNS = 200
+MC_HORIZON = 10_000
+MC_SEED = 0xA5F
+TREE_POLICY = UNIFORM
+
+_RESULT_TEXT = {"asp": "ASP", "not_asp": "NotASP", "unknown": "Unknown"}
 
 _TIER_TEXT = {
     "measure": "tier 1 (measure)",
@@ -122,16 +126,37 @@ def _load(paths: list[str]) -> tuple[list[tuple[str, Definition]], bool]:
     return defs, had_error
 
 
-def _config_from_args(args) -> AnalyzerConfig:
-    """The analyzer configuration of `check`'s flags."""
-    return AnalyzerConfig(
-        mc_runs=args.mc_runs,
-        mc_horizon=args.mc_horizon,
-        seed=args.seed,
-        tier3=args.tier3,
-        smt_solver=args.smt_solver or smt_solver_from_env(),
-        tree_policy=args.tree_policy,
-    )
+def _smt_solver(args) -> Optional[str]:
+    """`--smt-solver`, or else the `ASP_SMT_SOLVER` environment variable."""
+    return args.smt_solver or os.environ.get("ASP_SMT_SOLVER") or None
+
+
+def _sample(pending: Iterable, args) -> Iterator:
+    """(key, report) for each (path, definition, key) of `pending`, in
+    order, under the sampler flags of `args`.  The definitions are sampled
+    together (`monte_carlo_jobs`) and taken as the batches need them, so
+    about one batch's tables and keys are held at a time.  One the sampler
+    refuses gets a located error on stderr and no report."""
+    pending = iter(pending)
+    first = next(pending, None)
+    if first is None:
+        return  # nothing to sample: neither the sampler nor numpy is imported
+    from .simulate import CompiledDefinition, monte_carlo_jobs
+
+    keys: deque = deque()
+
+    def jobs():
+        for path, d, key in itertools.chain([first], pending):
+            try:
+                compiled = CompiledDefinition(d)
+            except SamplerLimitError as exc:
+                print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
+                continue
+            keys.append(key)
+            yield compiled, args.seed
+
+    for mc in monte_carlo_jobs(jobs(), args.mc_runs, args.mc_horizon, policy=args.tree_policy):
+        yield keys.popleft(), mc  # appended when its job was compiled, before its batch ran
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +218,29 @@ def _verdict_json(d: Definition, v: Verdict) -> dict:
         "tier": v.tier.value,
         "verdict": v.result.value,
         "tier2": _tier2_json(v.tier2),
-        "tier3": _mc_json(v.mc) if v.mc is not None else None,
+        "tier3": None,
     }
+
+
+def _verdict_text(d: Definition, v: Verdict, ms: float) -> dict:
+    """The fields `_check_line` reads; `ms` times tiers 1 and 2."""
+    return {
+        "name": d.name,
+        "tier": v.tier.value,
+        "verdict": v.result.value,
+        "measure": drift_str(v.measure),
+        "exact": v.tier2.buchi.value,
+        "tier3": None,
+        "ms": ms,
+    }
+
+
+def _check_line(e: dict) -> str:
+    hint = f"  mc_hint={e['tier3']['hint']}" if e["tier3"] is not None else ""
+    return (
+        f"{e['name']}: {_RESULT_TEXT[e['verdict']]}  [{_TIER_TEXT[e['tier']]}]  "
+        f"measure={e['measure']}  exact={e['exact']}{hint}  ({e['ms']:.0f} ms)\n"
+    )
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -271,33 +317,39 @@ def _write_document(key: str, rendered: list[str]) -> None:
 
 def cmd_check(args) -> int:
     defs, had_error = _load(args.files)
-    config = _config_from_args(args)
+    smt_solver = _smt_solver(args)
+    render = _render_entry if args.json else _check_line
 
     # Each definition's report is rendered when it is decided, so its
     # analysis can be freed; the text is written only after the last one.
-    rendered: list[str] = []
+    rendered: list[Optional[str]] = []
     outcomes: set[AspResult] = set()
-    for path, d in defs:
-        start = time.perf_counter()
-        try:
-            v = decide_asp(d, config)
-        except SamplerLimitError as exc:
-            print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
-            had_error = True
-            continue
-        elapsed = time.perf_counter() - start
-        outcomes.add(v.result)
-        if args.json:
-            rendered.append(_render_entry(_verdict_json(d, v)))
-        else:
-            line = (
-                f"{d.name}: {_RESULT_TEXT[v.result]}  "
-                f"[{_TIER_TEXT[v.tier.value]}]  measure={drift_str(v.measure)}"
-                f"  exact={v.tier2.buchi.value}"
-            )
-            if v.mc is not None:
-                line += f"  mc_hint={v.mc.hint.value}"
-            rendered.append(line + f"  ({elapsed * 1000:.0f} ms)\n")
+
+    def decided():
+        """Decide the definitions as the sampler takes them, and yield
+        (path, definition, (slot, entry)) for each entry tier 3 samples:
+        its slot stays empty until its batch has run."""
+        for path, d in defs:
+            start = time.perf_counter()
+            v = decide_asp(d, smt_solver)
+            ms = (time.perf_counter() - start) * 1000
+            entry = _verdict_json(d, v) if args.json else _verdict_text(d, v, ms)
+            outcomes.add(v.result)
+            unknown = v.result is AspResult.UNKNOWN
+            if args.tier3 == "always" or (unknown and args.tier3 == "when_unknown"):
+                rendered.append(None)
+                yield path, d, (len(rendered) - 1, entry)
+            else:
+                rendered.append(render(entry))
+
+    for (slot, entry), mc in _sample(decided(), args):
+        entry["tier3"] = _mc_json(mc)
+        if entry["verdict"] == "unknown":
+            entry["tier"] = "statistical_only"
+        rendered[slot] = render(entry)
+    if None in rendered:  # the sampler refused a definition
+        had_error = True
+        rendered = [text for text in rendered if text is not None]
 
     if args.json:
         _write_document("definitions", rendered)
@@ -321,30 +373,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import CompiledDefinition, monte_carlo_jobs
-
     defs, had_error = _load(args.files)
-    names: list[str] = []
-
-    def jobs():
-        # compiled as the batches take them, so only about one batch's
-        # tables are held at a time
-        nonlocal had_error
-        for path, d in defs:
-            try:
-                compiled = CompiledDefinition(d)
-            except SamplerLimitError as exc:
-                print(f"{path}: {d.name}: error: {exc}", file=sys.stderr)
-                had_error = True
-                continue
-            names.append(d.name)
-            yield compiled, args.seed
-
-    # the definitions are sampled together, in lockstep batches of lanes
-    reports = monte_carlo_jobs(jobs(), args.mc_runs, args.mc_horizon, policy=args.tree_policy)
     rendered: list[str] = []
-    # each report is taken before its name, which compiling its job appends
-    for mc, name in zip(reports, names):
+    for name, mc in _sample(((path, d, d.name) for path, d in defs), args):
         if args.json:
             rendered.append(_render_entry(dict(_mc_json(mc), name=name)))
         else:
@@ -357,6 +388,8 @@ def cmd_simulate(args) -> int:
         _write_document("simulations", rendered)
     else:
         sys.stdout.writelines(rendered)
+    if len(rendered) < len(defs):  # the sampler refused a definition
+        had_error = True
     return EXIT_INPUT_ERROR if had_error else EXIT_OK
 
 
@@ -382,15 +415,15 @@ def cmd_ppda(args) -> int:
 
 def cmd_solve(args) -> int:
     defs, had_error = _load(args.files)
-    config = AnalyzerConfig(smt_solver=args.smt_solver or smt_solver_from_env())
+    smt_solver = _smt_solver(args)
     for _, d in defs:
         # the classes `check` decides with, and the numerics behind them
-        analysis = exact_analysis(d, config)
+        analysis = exact_analysis(d, smt_solver)
         cleaned = analysis.system
         kleene, iters = cleaned.kleene
         newton = cleaned.newton
         print(
-            f"{d.name}: {len(analysis.positivity)} variables, "
+            f"{d.name}: {analysis.built_variables} variables, "
             f"{len(cleaned.variables)} surviving (kleene: {iters} iterations)"
         )
         for i in range(len(cleaned.variables)):
@@ -455,13 +488,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_mc(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mc-runs", type=_int_at_least(1), default=AnalyzerConfig.mc_runs)
-    parser.add_argument("--mc-horizon", type=_int_at_least(100), default=AnalyzerConfig.mc_horizon)
-    parser.add_argument("--seed", type=_int_at_least(0), default=AnalyzerConfig.seed)
+    parser.add_argument("--mc-runs", type=_int_at_least(1), default=MC_RUNS)
+    parser.add_argument("--mc-horizon", type=_int_at_least(100), default=MC_HORIZON)
+    parser.add_argument("--seed", type=_int_at_least(0), default=MC_SEED)
     parser.add_argument(
         "--tree-policy",
         type=_policy,
-        default=None,
+        default=TREE_POLICY,
         help="'uniform', a period like 'LR', or 'prefix|period'; steers only the"
         " sampler (tier 3): tiers 1 and 2 answer for the uniform policy",
     )
@@ -480,10 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc(p_check)
     p_check.add_argument("--json", action="store_true")
     tier3 = p_check.add_mutually_exclusive_group()
-    for flag, mode in (("--no-tier3", Tier3Mode.NEVER), ("--force-tier3", Tier3Mode.ALWAYS)):
+    # when tier 3 samples: "never", "when_unknown" or "always"
+    for flag, mode in (("--no-tier3", "never"), ("--force-tier3", "always")):
         tier3.add_argument(flag, dest="tier3", action="store_const", const=mode)
     p_check.add_argument("--smt-solver", default=None)
-    p_check.set_defaults(func=cmd_check, tier3=Tier3Mode.WHEN_UNKNOWN)
+    p_check.set_defaults(func=cmd_check, tier3="when_unknown")
 
     p_measure = sub.add_parser("measure", help="print drift measures")
     _add_common(p_measure)

@@ -12,12 +12,12 @@ holds exactly when, with probability one, the chain visits output nodes
 infinitely often.
 
 Tier 1 is the syntactic drift criterion (sufficient only); Tier 2 is the
-exact chain analysis; Tier 3 is Monte Carlo evidence and never decides.
+exact chain analysis.  Tier 3, Monte Carlo evidence, never decides, and
+`check` (`cli`) gathers it, not this module.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -29,7 +29,6 @@ from .eqsys import (
     HeadClass,
     SubReturn,
     Unknown,
-    VarKey,
     build_system,
     classify_heads,
     clean,
@@ -37,7 +36,6 @@ from .eqsys import (
 from .graphs import bottom_sccs
 from .measure import Tier1, measure, tier1_verdict
 from .ppda import Ppda, translate
-from .semantics import McReport, Policy, monte_carlo
 from .terms import Definition
 
 
@@ -56,13 +54,6 @@ class AspResult(Enum):
 class Tier(Enum):
     MEASURE = "measure"
     EXACT = "exact"
-    STATISTICAL_ONLY = "statistical_only"
-
-
-class Tier3Mode(Enum):
-    NEVER = "never"
-    WHEN_UNKNOWN = "when_unknown"
-    ALWAYS = "always"
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -167,39 +158,25 @@ def buchi_verdict(g: GroundChain) -> BuchiResult:
 # tiers
 
 
-@dataclass(frozen=True)
-class AnalyzerConfig:
-    mc_runs: int = 200
-    mc_horizon: int = 10_000
-    seed: int = 0xA5F
-    tier3: Tier3Mode = Tier3Mode.WHEN_UNKNOWN  # when to gather Monte Carlo evidence
-    smt_solver: Optional[str] = None
-    tree_policy: Optional[Policy] = None  # samplers default to uniform
-
-
-def smt_solver_from_env() -> Optional[str]:
-    return os.environ.get("ASP_SMT_SOLVER") or None
-
-
 @dataclass(frozen=True, eq=False)
 class ExactAnalysis:
     buchi: BuchiResult
     classes: dict[Head, HeadClass]
     chain: GroundChain
     system: EqSystem  # the cleaned system the classes were decided on
-    positivity: dict[VarKey, bool]  # every variable of the built system
+    built_variables: int  # how many variables the system had before cleaning
 
 
-def exact_analysis(d: Definition, config: AnalyzerConfig | None = None) -> ExactAnalysis:
+def exact_analysis(d: Definition, smt_solver: Optional[str] = None) -> ExactAnalysis:
     """The full exact pipeline: translate, build and clean the equation
-    system, classify heads, build the ground chain, and analyze it."""
-    config = config or AnalyzerConfig()
+    system, classify heads (`smt_solver` as in `classify_heads`), build the
+    ground chain, and analyze it."""
     p = translate(d)
     system = build_system(p)
-    cleaned, positivity = clean(system)
-    classes = classify_heads(cleaned, smt_solver=config.smt_solver)
+    cleaned, _ = clean(system)
+    classes = classify_heads(cleaned, smt_solver=smt_solver)
     chain = ground_chain(p, classes, cleaned)
-    return ExactAnalysis(buchi_verdict(chain), classes, chain, cleaned, positivity)
+    return ExactAnalysis(buchi_verdict(chain), classes, chain, cleaned, len(system.variables))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,22 +186,19 @@ class Verdict:
     measure: Fraction
     tier1: Tier1
     tier2: ExactAnalysis
-    mc: Optional[McReport]
 
 
-def decide_asp(d: Definition, config: AnalyzerConfig | None = None) -> Verdict:
-    """Three-tier decision.
+def decide_asp(d: Definition, smt_solver: Optional[str] = None) -> Verdict:
+    """The decision of tiers 1 and 2.
 
     A strictly positive drift measure decides ASP outright; otherwise the
-    exact chain analysis decides, and if it cannot, the verdict stays
-    Unknown with Monte Carlo evidence attached.  The exact tier always runs,
-    so a positive measure is cross-checked: a disagreement raises
-    InternalInconsistencyError.
+    exact chain analysis decides, and if it cannot, the verdict is Unknown.
+    The exact tier always runs, so a positive measure is cross-checked: a
+    disagreement raises InternalInconsistencyError.
     """
-    config = config or AnalyzerConfig()
     drift = measure(d)
     t1 = tier1_verdict(drift)
-    tier2 = exact_analysis(d, config)
+    tier2 = exact_analysis(d, smt_solver)
 
     if t1 is Tier1.ASP:
         if tier2.buchi is BuchiResult.NOT_ALMOST_SURE:
@@ -239,21 +213,4 @@ def decide_asp(d: Definition, config: AnalyzerConfig | None = None) -> Verdict:
         result, tier = AspResult.NOT_ASP, Tier.EXACT
     else:
         result, tier = AspResult.UNKNOWN, Tier.EXACT
-
-    mc: Optional[McReport] = None
-    unknown = result is AspResult.UNKNOWN
-    if config.tier3 is Tier3Mode.ALWAYS or (unknown and config.tier3 is Tier3Mode.WHEN_UNKNOWN):
-        mc = monte_carlo(
-            d, config.mc_runs, config.mc_horizon, config.seed, policy=config.tree_policy
-        )
-        if unknown:
-            tier = Tier.STATISTICAL_ONLY
-
-    return Verdict(
-        result=result,
-        tier=tier,
-        measure=drift,
-        tier1=t1,
-        tier2=tier2,
-        mc=mc,
-    )
+    return Verdict(result=result, tier=tier, measure=drift, tier1=t1, tier2=tier2)

@@ -4,8 +4,10 @@ falsifier that `check`'s tier 3 and `simulate` report.
 Trees need a direction policy saying which child to follow at each output:
 `UNIFORM` flips a fair coin per output, `PeriodicWord` follows a fixed
 ultimately-periodic word over {L, R}.  `monte_carlo` samples seeded runs of
-a definition with the compiled sampler in `simulate` and summarizes them in
-an `McReport`, whose hint can only speak against almost-sure productivity.
+one definition and summarizes them in an `McReport`, whose hint can only
+speak against almost-sure productivity.  The CLI gets the same reports for
+many definitions at once from `simulate.monte_carlo_jobs`; `decide` never
+samples.
 
 The exact small-step term semantics these samplers are checked against is
 in `tests/reference.py`.

@@ -206,6 +206,30 @@ def test_sampler_limit_exits_3_and_reports_the_rest(argv, tmp_path, capsys):
     assert captured.out == json.dumps({key: entries}, sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "tier3,policy",
+    [([], []), (["--force-tier3"], ["--tree-policy", "RR|LRL"])],
+    ids=["unknown-verdicts", "forced"],
+)
+def test_check_samples_as_simulate_does(tier3, policy, capsys):
+    """`check` and `simulate` sample through one path: under the same
+    sampler flags, each sampled `check --json` entry's `tier3` object is
+    that definition's `simulate --json` entry without its name."""
+    sampler = ["--mc-runs", "24", "--mc-horizon", "1500", "--seed", "5", *policy]
+    path = str(GOLDEN / "tier3.defs")
+    capsys.readouterr()
+    main(["check", "--json", *tier3, *sampler, path])
+    sampled = {
+        e["name"]: e["tier3"]
+        for e in json.loads(capsys.readouterr().out)["definitions"]
+        if e["tier3"] is not None
+    }
+    assert main(["simulate", "--json", *sampler, path]) == 0
+    simulations = {e.pop("name"): e for e in json.loads(capsys.readouterr().out)["simulations"]}
+    assert sampled == {name: simulations[name] for name in sampled}
+    assert sorted(sampled) == (sorted(simulations) if tier3 else ["g25", "u"])
+
+
 def deep_stream(name, depth):
     return f"stream {name} = " + "a : " * depth + name + "\n"
 
@@ -258,6 +282,8 @@ def test_document_writer_matches_json_dumps(key, entries):
         "paper_examples.simulate.json",
         "paper_examples.simulate_rrl_lr.json",
         "seeded_batch.simulate.json",
+        "tier3.check.json",
+        "tier3.force_rr_lrl.check.json",
     ],
 )
 def test_render_entry_matches_json_dumps_on_the_goldens(golden):
@@ -294,6 +320,38 @@ def test_check_memory_does_not_grow_with_the_analysis(tmp_path):
     peak(1)  # warm-up: fills the interpreter's caches
     per_definition = (peak(4) - peak(1)) / (3 * n)
     assert per_definition < 8 * 1024
+
+
+def test_check_decides_as_the_sampler_takes_definitions(tmp_path, monkeypatch):
+    """Under `--force-tier3` every entry waits, unrendered, for its batch.
+    The definitions are decided as the sampler takes them, so each batch
+    runs once it is full (40 jobs at 200 runs) and only one batch of
+    entries is held at a time, not every entry until the last decision."""
+    from asprod import simulate
+
+    log = []
+    decide, run_lanes = cli.decide_asp, simulate._run_lanes
+
+    def logged_decide(d, *args):
+        log.append("decide")
+        return decide(d, *args)
+
+    def logged_run_lanes(jobs, *args):
+        log.append(len(jobs))
+        return run_lanes(jobs, *args)
+
+    monkeypatch.setattr(cli, "decide_asp", logged_decide)
+    monkeypatch.setattr(simulate, "_run_lanes", logged_run_lanes)
+    path = write(
+        tmp_path,
+        "".join(f"stream s{k} = (a : s{k}) (+ {k}/101) tail(s{k})\n" for k in range(1, 101)),
+    )
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["check", "--json", "--force-tier3", "--mc-horizon", "100", path]) == 1
+    assert log == (["decide"] * 40 + [40]) * 2 + ["decide"] * 20 + [20]
+    entries = json.loads(out.getvalue())["definitions"]
+    assert [e["name"] for e in entries] == [f"s{k}" for k in range(1, 101)]
+    assert all(e["tier3"]["runs"] == 200 for e in entries)
 
 
 @pytest.mark.parametrize(
@@ -457,13 +515,15 @@ def test_file_that_is_not_utf8_exits_3_and_reports_the_rest(command, tmp_path, c
     assert captured.out.splitlines()[0].startswith("s: ASP" if command == "check" else "s 1")
 
 
-# each command's extra arguments and its exit code on the corpus, where
-# `check` finds NotASP definitions
+# each command's arguments and its exit code on the corpus, where `check`
+# finds NotASP definitions; with tier 3 allowed, it has nothing to sample,
+# since no verdict on the corpus is Unknown
 WITHOUT_THE_SAMPLER = {
-    "measure": ([], 0),
-    "ppda": ([], 0),
-    "check": (["--no-tier3"], 1),
-    "solve": ([], 0),
+    "measure": (["measure"], 0),
+    "ppda": (["ppda"], 0),
+    "check": (["check", "--no-tier3"], 1),
+    "check-tier3-allowed": (["check"], 1),
+    "solve": (["solve"], 0),
 }
 
 
@@ -472,8 +532,8 @@ def test_commands_without_the_numeric_tier_do_not_import_numpy(command):
     # importing numpy costs about 0.13 s and 12 MB in every such process;
     # `subprocess`, needed only by the optional SMT solver, about 5 ms
     corpus = Path(__file__).resolve().parents[1] / "defs" / "paper_examples.defs"
-    extra, expected = WITHOUT_THE_SAMPLER[command]
-    argv = [command, *extra, str(corpus)]
+    args, expected = WITHOUT_THE_SAMPLER[command]
+    argv = [*args, str(corpus)]
     script = (
         "import contextlib, io, sys\n"
         "from asprod.cli import main\n"

@@ -1,16 +1,16 @@
 """Ground chain, qualitative verdicts, and the tiered decision procedure."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings
 
+from asprod.cli import main
 from asprod.decide import (
-    AnalyzerConfig,
     AspResult,
     BuchiResult,
     GroundChain,
     Tier,
-    Tier3Mode,
     buchi_verdict,
     decide_asp,
     exact_analysis,
@@ -23,9 +23,7 @@ from asprod.semantics import McHint
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, RecVar, Tail
 
-from conftest import EXPECTED_VERDICT, corpus, definitions, seeded_random_definitions
-
-FAST = AnalyzerConfig(tier3=Tier3Mode.NEVER)
+from conftest import CORPUS_TEXT, EXPECTED_VERDICT, corpus, definitions, seeded_random_definitions
 
 
 def _chain(name):
@@ -197,16 +195,16 @@ def test_buchi_is_antitone_in_pessimism():
 
 def test_corpus_verdicts():
     for name, d in corpus().items():
-        v = decide_asp(d, FAST)
+        v = decide_asp(d)
         assert v.result.value == EXPECTED_VERDICT[name], name
 
 
 def test_tier_attribution():
     c = corpus()
-    v34 = decide_asp(c["s34"], FAST)
+    v34 = decide_asp(c["s34"])
     assert v34.tier is Tier.MEASURE and v34.tier1 is Tier1.ASP
     assert v34.tier2 is not None and v34.tier2.buchi is BuchiResult.ALMOST_SURE
-    v12 = decide_asp(c["s12"], FAST)
+    v12 = decide_asp(c["s12"])
     assert v12.tier is Tier.EXACT and v12.tier1 is Tier1.ABSTAIN
     assert v12.result is AspResult.ASP
 
@@ -214,7 +212,7 @@ def test_tier_attribution():
 def test_retry_family_is_asp_for_all_biases():
     for p in ("1/10", "1/2", "9/10"):
         d = parse_definition(f"stream s = (a : s) (+ {p}) s")
-        v = decide_asp(d, FAST)
+        v = decide_asp(d)
         assert v.result is AspResult.ASP
         assert v.tier is Tier.MEASURE  # measure equals the bias, positive
         assert v.tier2.buchi is BuchiResult.ALMOST_SURE
@@ -231,19 +229,19 @@ def test_drift_family_boundary():
         ("9/10", AspResult.ASP),
     ):
         d = parse_definition(f"stream s = (a : s) (+ {p}) tail(s)")
-        assert decide_asp(d, FAST).result is want, p
+        assert decide_asp(d).result is want, p
 
 
 def test_trap_regression():
     # zero measure and an almost-surely-returning excursion, yet never
     # productive: the chain has no reachable output node
-    v = decide_asp(corpus()["strap"], FAST)
+    v = decide_asp(corpus()["strap"])
     assert v.result is AspResult.NOT_ASP
     assert v.measure == 0
 
 
 def test_second_tree_example_decided_exactly():
-    v = decide_asp(corpus()["t2"], FAST)
+    v = decide_asp(corpus()["t2"])
     assert v.result is AspResult.ASP
     assert v.tier is Tier.EXACT
     assert v.measure == Fraction(-1, 4)
@@ -251,30 +249,40 @@ def test_second_tree_example_decided_exactly():
 
 def test_tier1_tier2_agree_on_corpus():
     for name, d in corpus().items():
-        v = decide_asp(d, FAST)  # the exact tier always runs: disagreement would raise
+        v = decide_asp(d)  # the exact tier always runs: disagreement would raise
         if v.tier1 is Tier1.ASP:
             assert v.tier2.buchi is BuchiResult.ALMOST_SURE, name
 
 
-def test_unknown_verdict_runs_tier3():
-    u = parse_definition(
-        "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
-    )
-    cfg = AnalyzerConfig(mc_runs=40, mc_horizon=2000)
-    v = decide_asp(u, cfg)
-    assert v.result is AspResult.UNKNOWN
-    assert v.tier is Tier.STATISTICAL_ONLY
-    assert v.mc is not None  # evidence attached, never a proof
-    off = decide_asp(u, AnalyzerConfig(tier3=Tier3Mode.NEVER))
-    assert off.result is AspResult.UNKNOWN
-    assert off.tier is Tier.EXACT and off.mc is None
+def check_entry(tmp_path, capsys, text, *flags):
+    """`check --json`'s exit code and one entry, for the definition `text`."""
+    path = tmp_path / "d.defs"
+    path.write_text(text + "\n")
+    capsys.readouterr()
+    code = main(["check", "--json", *flags, str(path)])
+    [entry] = json.loads(capsys.readouterr().out)["definitions"]
+    return code, entry
 
 
-def test_force_tier3_attaches_evidence_to_decided_verdicts():
-    cfg = AnalyzerConfig(tier3=Tier3Mode.ALWAYS, mc_runs=20, mc_horizon=500)
-    v = decide_asp(corpus()["spure"], cfg)
-    assert v.result is AspResult.ASP and v.tier is Tier.MEASURE
-    assert v.mc is not None and v.mc.hint is McHint.NO_EVIDENCE_AGAINST_ASP
+def test_unknown_verdict_runs_tier3(tmp_path, capsys):
+    # `decide_asp` decides with tiers 1 and 2 alone; tier 3 is `check`'s
+    text = "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
+    v = decide_asp(parse_definition(text))
+    assert v.result is AspResult.UNKNOWN and v.tier is Tier.EXACT
+    code, entry = check_entry(tmp_path, capsys, text, "--mc-runs", "40", "--mc-horizon", "2000")
+    assert code == 2 and entry["verdict"] == "unknown"
+    assert entry["tier"] == "statistical_only"
+    assert entry["tier3"] is not None  # evidence attached, never a proof
+    code, off = check_entry(tmp_path, capsys, text, "--no-tier3")
+    assert code == 2 and off["verdict"] == "unknown"
+    assert off["tier"] == "exact" and off["tier3"] is None
+
+
+def test_force_tier3_attaches_evidence_to_decided_verdicts(tmp_path, capsys):
+    flags = ("--force-tier3", "--mc-runs", "20", "--mc-horizon", "500")
+    code, entry = check_entry(tmp_path, capsys, CORPUS_TEXT["spure"], *flags)
+    assert code == 0 and entry["verdict"] == "asp" and entry["tier"] == "measure"
+    assert entry["tier3"]["hint"] == McHint.NO_EVIDENCE_AGAINST_ASP.value
 
 
 def test_verdicts_match_simulation_direction():
@@ -308,7 +316,7 @@ def test_exact_analysis_is_pure_per_definition():
 def test_decide_fuzz_consistency(d):
     # end-to-end bug trap: tier disagreement raises inside decide_asp, the
     # ground chain stays total, and the verdict invariants hold
-    v = decide_asp(d, FAST)
+    v = decide_asp(d)
     if v.tier is Tier.MEASURE:
         assert v.measure > 0 and v.result is AspResult.ASP
     chain = v.tier2.chain if v.tier2 else None
@@ -330,7 +338,7 @@ def test_seeded_corpus_verdicts_match_gross_simulation_evidence():
     from asprod.semantics import monte_carlo
 
     for d in seeded_random_definitions(40):
-        v = decide_asp(d, FAST)
+        v = decide_asp(d)
         reports = [monte_carlo(d, 100, 3000, seed=s) for s in (5, 6)]
         if v.result is AspResult.ASP:
             assert sum(sum(m.output_counts) for m in reports) > 0, d

@@ -13,6 +13,13 @@ against reports recorded at edf398e (the paper examples) and at 52b8962
 against the export recorded at 57937b2, so that a refactor cannot change
 report bytes unnoticed.
 
+The tier-3 goldens pin `check --json` where it samples: with tier 3 on by
+default, and with `--force-tier3 --tree-policy 'RR|LRL'`, at 64 runs of
+3,000 steps, on `tier3.defs`, whose decided definitions are joined by a
+stream and a tree with Unknown verdicts.  Both were recorded at 761082e,
+while `decide_asp` still sampled each definition on its own, after its
+decision.
+
 The batch pins Unknown heads (with their reasons) and
 certified SubReturn heads (with their certificates), not only verdicts.
 The simulation reports pin the sampler's draws for the uniform and for a
@@ -152,6 +159,31 @@ def test_paper_examples_simulation_matches_recorded_bytes(capsys, policy, golden
     capsys.readouterr()
     main([*argv, str(ROOT / "defs" / "paper_examples.defs")])
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "flags,golden",
+    [
+        ([], "tier3.check.json"),
+        (["--force-tier3", "--tree-policy", "RR|LRL"], "tier3.force_rr_lrl.check.json"),
+    ],
+)
+def test_tier3_matches_recorded_bytes(capsys, flags, golden):
+    argv = ["check", "--json", "--mc-runs", "64", "--mc-horizon", "3000", *flags]
+    capsys.readouterr()
+    assert main([*argv, str(GOLDEN / "tier3.defs")]) == 1
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_tier3_golden_samples_unknown_verdicts_of_both_kinds():
+    doc = json.loads((GOLDEN / "tier3.check.json").read_text())
+    sampled = [d for d in doc["definitions"] if d["tier3"]]
+    assert all(d["tier"] == "statistical_only" and d["verdict"] == "unknown" for d in sampled)
+    assert {d["kind"] for d in sampled} == {"stream", "tree"}
+    assert {d["tier3"]["hint"] for d in sampled} == {
+        "evidence_against_asp",
+        "no_evidence_against_asp",
+    }
 
 
 def test_seeded_batch_simulation_matches_recorded_bytes(tmp_path, capsys):

@@ -15,12 +15,10 @@ from dataclasses import replace
 
 from hypothesis import given, settings
 
-from asprod.decide import AnalyzerConfig, AspResult, Tier3Mode, decide_asp
+from asprod.decide import AspResult, decide_asp
 from asprod.terms import Choice, Cons, Kind, Left, Mk, RecVar, Right, Tail
 
 from conftest import corpus, definitions, seeded_random_definitions
-
-FAST = AnalyzerConfig(tier3=Tier3Mode.NEVER)
 
 
 def swap(t):
@@ -65,9 +63,9 @@ def test_relations_keep_verdict_and_tier():
     ]
     pairs = 0
     for d in defs:
-        v = decide_asp(d, FAST)
+        v = decide_asp(d)
         for relation, e in rewrites(d):
-            w = decide_asp(e, FAST)
+            w = decide_asp(e)
             assert (w.result, w.tier) == (v.result, v.tier), (relation, d)
             pairs += 1
     assert pairs == 155  # every definition swapped, every tree mirrored
@@ -77,8 +75,8 @@ def test_relations_keep_verdict_and_tier():
 @given(definitions())
 def test_relations_never_flip_a_decided_verdict(d):
     decided = {AspResult.ASP, AspResult.NOT_ASP}
-    v = decide_asp(d, FAST)
+    v = decide_asp(d)
     for relation, e in rewrites(d):
-        w = decide_asp(e, FAST)
+        w = decide_asp(e)
         if {v.result, w.result} <= decided:
             assert w.result is v.result, (relation, d)

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from asprod.decide import AnalyzerConfig, Tier3Mode, decide_asp
+from asprod.decide import decide_asp
 from asprod.measure import measure
 from asprod.ppda import translate
 from asprod.semantics import SamplerLimitError
@@ -291,7 +291,7 @@ def test_every_stage_survives_the_deepest_accepted_term(shape):
         CompiledDefinition(d)
     except SamplerLimitError:
         pass
-    decide_asp(d, AnalyzerConfig(tier3=Tier3Mode.NEVER))
+    decide_asp(d)
     if shape != "parenthesized_cons":  # one more level is a lone "(a :"
         with pytest.raises(ParseError, match="nested more than"):
             parse_file(_nested(MAX_NESTING + 1)[shape])
