@@ -12,7 +12,10 @@ verdict is Unknown, 3 input errors, including a term nested more than
 `syntax.MAX_NESTING` levels deep and a definition too large for the Monte
 Carlo sampler (the other definitions are still reported).  A usage error,
 such as an unknown flag or a flag value out of range, exits 3 from every
-subcommand, with one `error:` line on stderr.  JSON reports are
+subcommand, with one `error:` line on stderr.  A reader that closes
+standard output early (`asprod check --json ... | head`) ends every
+subcommand with exit 141, as a process stopped by SIGPIPE reports to the
+shell, and no traceback.  JSON reports are
 byte-deterministic for fixed inputs, flags and seed; wall-clock timings
 appear only in the human-readable output.
 
@@ -56,6 +59,7 @@ EXIT_OK = 0
 EXIT_NOT_ASP = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT_ERROR = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 # the sampler's defaults, for `--mc-runs`, `--mc-horizon`, `--seed` and
 # `--tree-policy`
@@ -544,7 +548,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has closed stdout: point it at devnull, so the flush
+        # at exit does not raise again (the Python docs' SIGPIPE recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
+    return code
 
 
 if __name__ == "__main__":

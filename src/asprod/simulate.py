@@ -22,16 +22,20 @@ row plus the class of its stack, then one row per constructor successor.
 One walk of the body covers every entry stack: where a constructor meets no
 pending destructor, the walk records an output, as the stack may end there,
 and goes on under each symbol the stack could hold next.  The suffix depth
-is one more than the deepest such read, and each class's row is read off
-the outcomes whose entry symbols fit it.  Each state's walk at the empty
-stack is taken once: constructor successors, and successor walks that reach
-a state with nothing pending, share it.  Row probabilities are exact
-rationals until the final float conversion.
+is one more than the deepest such read.  A class's row holds, in walk
+order, the silent outcomes that read a prefix of its known suffix (those
+of the suffix one symbol shorter, and those that read all of it) and, if
+the stack ends there, the outputs that read all of it; the outcomes are
+grouped once by what they read, not filtered per class.  Each state's walk
+at the empty stack is taken once: constructor successors, and successor
+walks that reach a state with nothing pending, share it.  Row probabilities
+are exact rationals until each row's cumulative sums, taken in integers
+over the row's common denominator, are divided into floats.
 
 `run_jobs` samples many jobs, each a (compiled definition, seed) pair, as
 lockstep batches of lanes over the concatenated tables of their
 definitions.  It takes the jobs as they come, and a batch is bounded in
-lanes and in table outcomes, so a caller that compiles its definitions
+lanes, jobs and table outcomes, so a caller that compiles its definitions
 lazily holds the tables of about one batch at a time.  A job at suffix
 depth 0 gets no lanes: no built row of its definition outputs, so its
 result is all zeros.  Stream lanes keep their stack as a counter of pending
@@ -46,23 +50,34 @@ and a branchless bisection over the next few outcomes, at most as many as a
 row of the batch has cumulative weights strictly inside one cell, reaches
 the first outcome whose cumulative weight exceeds u (`_search`).  Each
 row's last cumulative weight is exactly 1.0 and u < 1, so a pick never
-leaves its row.
+leaves its row.  Under the uniform policy a tree lane's coin is drawn with
+its guide cell: the guide and every table a pick reads hold each outcome
+twice, the second copy being the outcome whose output turns right, so the
+step adds no coin.
 
-Each job with lanes draws from its own generator, in blocks of steps,
-`rng.random((steps, draws, runs))`, which yields the same numbers in the
-same order as one `rng.random(runs)` call per draw per step.  So a job's
-results depend neither on the block size nor on the other jobs of its
-batch: `CompiledDefinition.run_batch` is a batch of one job.  Blocks hold
-about `BLOCK_LANE_STEPS` lane-steps, class stacks start at
+Jobs with lanes draw in blocks of steps, `rng.random((steps, draws,
+runs))`, which yields the same numbers in the same order as one
+`rng.random(runs)` call per draw per step.  A tree lane draws twice per
+step under the uniform policy (its outcome and its coin), every other
+lane once; jobs of one seed that draw as many numbers per step draw the
+same ones, so a batch keeps one generator per distinct (seed, draws) and
+copies each of its blocks into the lanes of every job it serves.  So a
+job's results depend neither on the block size nor on the other jobs of
+its batch: `CompiledDefinition.run_batch` is a batch of one job.  Blocks
+hold about `BLOCK_LANE_STEPS` lane-steps, and class stacks start at
 `DEFAULT_STACK_CAP` heights and grow on demand (bounded by the horizon,
-since each step pushes a statically bounded number of symbols), and output
-tallies are taken once per block.
+since each step pushes a statically bounded number of symbols).  A step
+leaves its picks in its row of the block's guide cells, which it no longer
+needs, so outputs are read and tallied once per block.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -76,10 +91,16 @@ EV_OUT = 1
 DEFAULT_STACK_CAP = 4096
 BLOCK_LANE_STEPS = 256 * 200  # lane-steps per block of random draws and of output tallies
 MAX_LANES = 8192  # lanes per batch: more jobs run as several batches
+# jobs per batch, above MAX_LANES // 200 so it binds only under fewer runs
+# than the CLI's default, where lanes alone would let one batch (and the
+# entries `check` holds for it) take thousands of jobs
+MAX_JOBS = 64
 BATCH_OUTCOMES = 1 << 14  # outcomes that close a batch, so its tables stay small
 GUIDE_CELLS = 64  # most guide entries per row; cells are powers of two, so u * cells is exact
 GUIDE_ENTRIES, GUIDE_PER_OUTCOME = 1 << 16, 4  # the guide table's size budget
 MAX_TABLE_OUTCOMES = 500_000
+
+_first = itemgetter(0)
 
 
 def _grow(stack: np.ndarray, runs: int, needed: int) -> np.ndarray:
@@ -101,7 +122,7 @@ def _merge(outcomes) -> list:
     their weights summed, in order of first occurrence."""
     merged: dict = {}
     for weight, outcome in outcomes:
-        merged[outcome] = merged.get(outcome, 0) + weight
+        merged[outcome] = merged[outcome] + weight if outcome in merged else weight
     return [(w, *o) for o, w in merged.items()]
 
 
@@ -192,19 +213,32 @@ class CompiledDefinition:
         # and 5.5 s and 65, 103 and 178 MB to compile (2-vCPU host), and a
         # deeper one would be refused by its built rows only once built
         _check_table_size(self.n_states * sum(m**k for k in range(depth + 1)))
-        classes = [
-            (tuple((v // m**j) % m for j in range(length)), length < depth)
-            for length in range(depth + 1)
-            for v in range(m**length)
-        ]
-        rows = {
-            c: _merge(
-                (w, o)
-                for r, w, o in body
-                if known[: len(r)] == r and (o[0] == EV_SILENT or ended and r == known)
-            )
-            for c, (known, ended) in enumerate(classes)
-        }
+        # the known suffixes of each length, top symbol first, in the order
+        # of their base-m value with the top symbol as the lowest digit
+        suffixes = [()]
+        classes = [((), depth > 0)]
+        for length in range(1, depth + 1):
+            suffixes = [known + (s,) for s in range(m) for known in suffixes]
+            classes += [(known, length < depth) for known in suffixes]
+        # the body's outcomes by the entry symbols they read, with their
+        # walk order; a class's silent outcomes are those of its known
+        # suffix's prefixes, so each extends the list of the suffix one
+        # symbol shorter, which classes of smaller length come before
+        silent: dict = {}
+        outputs: dict = {}
+        for i, (r, w, o) in enumerate(body):
+            (silent if o[0] == EV_SILENT else outputs).setdefault(r, []).append((i, w, o))
+        fitting: dict = {(): silent.get((), [])}
+        rows = {}
+        for c, (known, ended) in enumerate(classes):
+            if known:
+                own = silent.get(known)
+                shorter = fitting[known[:-1]]
+                fitting[known] = sorted(shorter + own, key=_first) if own else shorter
+            picked = fitting[known]
+            if ended and known in outputs:
+                picked = sorted(picked + outputs[known], key=_first)
+            rows[c] = _merge((w, o) for _, w, o in picked)
         for q, out in walks.items():
             rows[q * len(classes)] = _merge((w, o) for _, w, o in out)
         return depth, classes, rows
@@ -221,50 +255,43 @@ class CompiledDefinition:
         compact = {row_id: i for i, row_id in enumerate(rows)}
 
         cum: list[float] = []
-        ev: list[int] = []
-        next_a: list[int] = []
-        next_b: list[int] = []
-        consumed: list[int] = []
-        n_push: list[int] = []
-        push_rows: list[tuple[int, ...]] = []
-        self.max_push = max(
-            (len(o[5]) for row in rows.values() for o in row), default=0
-        )
         for row in rows.values():
-            total = Fraction(0)
-            for k, (weight, e, na, nb, con, push) in enumerate(row):
-                total += weight
-                cum.append(1.0 if k == len(row) - 1 else float(total))
-                ev.append(e)
-                next_a.append(compact[na * self.n_classes])
-                next_b.append(compact[nb * self.n_classes])
-                consumed.append(con)
-                n_push.append(len(push))
-                push_rows.append(push + (0,) * (self.max_push - len(push)))
-            assert total == 1, "closure row mass must be exactly one"
+            # the weights as integers over the row's common denominator:
+            # int / int is correctly rounded, as float(Fraction) is
+            den = math.lcm(*(o[0].denominator for o in row))
+            sums = list(accumulate(o[0].numerator * (den // o[0].denominator) for o in row))
+            assert sums[-1] == den, "closure row mass must be exactly one"
+            cum += [total / den for total in sums[:-1]]
+            cum.append(1.0)
+        _, ev, next_a, next_b, consumed, push = zip(*(o for row in rows.values() for o in row))
+        self.max_push = max(map(len, push))
         self._row_len = np.array([len(r) for r in rows.values()], dtype=np.int64)
         # cumulative weight within the row; each row's last is exactly 1.0
         self._cum = np.array(cum, dtype=np.float64)
         self._is_out = np.array(ev, dtype=np.int8) == EV_OUT
         # successor row of each outcome: a tree output that turns right
         # takes the second
-        self._next_a = np.array(next_a, dtype=np.int64)
-        self._next_b = np.array(next_b, dtype=np.int64)
+        self._next_a = np.array([compact[q * self.n_classes] for q in next_a], dtype=np.int64)
+        self._next_b = np.array([compact[q * self.n_classes] for q in next_b], dtype=np.int64)
         self._consumed = np.array(consumed, dtype=np.int64)
-        self._n_push = np.array(n_push, dtype=np.int64)
-        self._push = np.array(push_rows, dtype=np.int8).reshape(
-            len(push_rows), self.max_push
-        )
+        self._n_push = np.array([len(p) for p in push], dtype=np.int64)
+        self._push = np.array(
+            [p + (0,) * (self.max_push - len(p)) for p in push], dtype=np.int8
+        ).reshape(len(push), self.max_push)
 
         # class of a stack after pushing symbol s onto one of class c, at
         # s * n_classes + c: s becomes the top of the known suffix, and at
         # full depth the deepest known symbol drops out; cells hold class
         # ids in the smallest dtype
         push_class = np.zeros((m, self.n_classes), dtype=np.min_scalar_type(self.n_classes - 1))
-        index = {cls: c for c, cls in enumerate(classes)}
-        for c, (known, ended) in enumerate(classes):
+        # a suffix of length k is class first[k] + its base-m value; at
+        # depth 0 every push leaves the empty class
+        first = np.cumsum([0] + [m**k for k in range(depth + 1)])
+        for k in range(depth + 1 if depth else 0):
+            longer = min(k + 1, depth)
+            kept = np.arange(m**k) % m ** (longer - 1)  # the symbols that stay known
             for s in range(m):
-                push_class[s, c] = index[((s,) + known)[:depth], ended and len(known) + 1 < depth]
+                push_class[s, first[k] : first[k + 1]] = first[longer] + s + m * kept
         self._push_class = push_class.ravel()
 
     # -- batched execution ---------------------------------------------------
@@ -318,11 +345,11 @@ def run_jobs(jobs: Iterable, runs: int, horizon: int, policy: Policy | None = No
 
 
 def _batches(jobs: Iterable, runs: int):
-    """`jobs`, taken as they come, in batches of at most `MAX_LANES` lanes;
-    a batch also closes once its distinct definitions hold `BATCH_OUTCOMES`
-    outcomes.  A batch is emptied once its caller asks for the next, so a
-    caller that compiles its jobs as they are taken holds the definitions
-    of one batch at a time."""
+    """`jobs`, taken as they come, in batches of at most `MAX_LANES` lanes
+    and `MAX_JOBS` jobs; a batch also closes once its distinct definitions
+    hold `BATCH_OUTCOMES` outcomes.  A batch is emptied once its caller
+    asks for the next, so a caller that compiles its jobs as they are taken
+    holds the definitions of one batch at a time."""
     batch: list = []
     defs: set = set()
     outcomes = 0
@@ -331,7 +358,8 @@ def _batches(jobs: Iterable, runs: int):
         if id(c) not in defs:
             defs.add(id(c))
             outcomes += len(c._cum)
-        if runs * (len(batch) + 1) > MAX_LANES or outcomes >= BATCH_OUTCOMES:
+        full = runs * (len(batch) + 1) > MAX_LANES or len(batch) == MAX_JOBS
+        if full or outcomes >= BATCH_OUTCOMES:
             yield batch
             batch.clear()  # drops the jobs for the caller too
             batch, defs, outcomes = [], set(), 0
@@ -372,18 +400,18 @@ def _guide(cum: np.ndarray, row_len: np.ndarray) -> tuple[np.ndarray, int, int]:
     return guide, cells, int(np.unique(inside, return_counts=True)[1].max(initial=0))
 
 
-def _search(pick, draw, cum, row_last, row, corrections: int):
-    """Move each guide entry `pick`, an outcome of row `row`, to the first
-    outcome of that row whose cumulative weight exceeds `draw`, which lies
-    at most `corrections` outcomes further on.  A branchless bisection:
-    strides halve from the largest power of two within `corrections`, a
-    probe past the row is held at its last outcome, whose weight, 1.0,
-    exceeds every draw, and the last stride, 1, needs no hold.  So a pick
-    costs about log2(corrections) passes, however many outcomes share a
-    cell."""
+def _search(pick, draw, cum, row_last, corrections: int):
+    """Move each guide entry `pick` to the first outcome of its row whose
+    cumulative weight exceeds `draw`, which lies at most `corrections`
+    outcomes further on; `row_last` holds the last outcome of each
+    outcome's row.  A branchless bisection: strides halve from the largest
+    power of two within `corrections`, a probe past the row is held at its
+    last outcome, whose weight, 1.0, exceeds every draw, and the last
+    stride, 1, needs no hold.  So a pick costs about log2(corrections)
+    passes, however many outcomes share a cell."""
     strides = corrections.bit_length()
     if strides > 1:
-        last = row_last.take(row)
+        last = row_last.take(pick)
         for b in reversed(range(1, strides)):
             stride = 1 << b
             probe = np.minimum(pick + (stride - 1), last)
@@ -422,15 +450,27 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
     tree_start = runs * sum(c.kind is Kind.STREAM for c, _ in jobs)
     n_trees = n_lanes - tree_start
 
+    word = _policy_tables(policy) if n_trees else None
+    # under the uniform policy a tree lane's coin is drawn with its guide
+    # cell: outcome n_out + k is outcome k turning right, so the tables a
+    # pick reads hold each outcome twice
+    sides = 2 if n_trees and word is None else 1
+
+    def outcomes(parts) -> np.ndarray:
+        return np.tile(np.concatenate(parts), sides)
+
     cum = np.concatenate([c._cum for c in defs])
     row_len = np.concatenate([c._row_len for c in defs])
     guide, cells_per_row, corrections = _guide(cum, row_len)
-    row_last = np.cumsum(row_len) - 1  # each row's last outcome
+    turned = len(guide)  # the guide of turned outcomes follows
+    guide = np.concatenate([guide + side * n_out for side in range(sides)])
     # `cum[pick] <= u` is tested as cum * cells <= u * cells, the same test,
-    # since the scaling is exact; u is scaled in place and its integer part
-    # is the guide cell
-    cum *= cells_per_row
-    is_out = np.concatenate([c._is_out for c in defs])
+    # since the scaling is exact; u is scaled and its integer part is the
+    # guide cell
+    cum = outcomes([cum * cells_per_row])
+    row_len = np.tile(row_len, sides)
+    row_last = np.repeat(np.cumsum(row_len) - 1, row_len)  # per outcome
+    is_out = outcomes([c._is_out for c in defs])
     # successor row of outcome k: entry k, or n_out + k for a tree output
     # that turns right
     next_row = np.concatenate(
@@ -442,6 +482,7 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
         height = np.zeros(tree_start, dtype=np.int64)
         depth = np.repeat([c.suffix_depth for c, _ in lane_jobs], runs)[:tree_start]
         delta = np.concatenate([c._n_push - c._consumed for c in defs])
+        length = np.empty(tree_start, dtype=np.int64)  # each stream lane's entry class
     if n_trees:
         tree_defs = [c for c in defs if c.kind is Kind.TREE]
         table_at = dict(
@@ -455,75 +496,75 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
         pushing = [c.max_push for c, _ in lane_jobs if c.kind is Kind.TREE]
         makes = [runs * sum(m > j for m in pushing) for j in range(max_push)]
         push_syms = [
-            np.concatenate([table_at.get(id(c), 0) + _push_column(c, j) for c in defs])
+            outcomes([table_at.get(id(c), 0) + _push_column(c, j) for c in defs])
             for j in range(max_push)
         ]
-        pops = np.concatenate([c._consumed for c in defs]) * n_trees
-        pushes = np.concatenate([c._n_push for c in defs]) * n_trees
+        pops = outcomes([c._consumed for c in defs]) * n_trees
+        pushes = outcomes([c._n_push for c in defs]) * n_trees
         # class stack, height-major: cell h * n_trees + i holds the class of
         # tree lane i's stack cut to height h; cell 0 is the empty class
         stack = np.zeros(DEFAULT_STACK_CAP * n_trees, dtype=dtype)
         top = np.arange(n_trees)  # cell of each tree lane's top
 
-    word = _policy_tables(policy) if n_trees else None
-    coins = n_trees > 0 and word is None
     steps = max(1, BLOCK_LANE_STEPS // n_lanes)
-    u = np.empty((steps, n_lanes), dtype=np.float64)
+    u = np.empty((steps, n_lanes), dtype=np.float64)  # the draws, scaled
+    # each lane's guide cell, and once its step has run, its pick
     cells = np.empty((steps, n_lanes), dtype=np.int64)
-    if coins:
-        # successor-table offset of each lane's coin; stream lanes never turn
-        turns = np.zeros((steps, n_lanes), dtype=np.min_scalar_type(n_out))
-    elif word is not None:
+    if word is not None:
         pre, per, dirs = word
         turn = dirs * n_out  # successor-table offset of each word letter
         advance = np.append(np.arange(1, pre + per), pre)  # next word position
         place = np.zeros(n_trees, dtype=np.int64)  # word position of each tree lane
         steer = np.zeros(n_lanes, dtype=np.int64)
-    rngs = [np.random.default_rng(seed) for _, seed in lane_jobs]
+    # jobs of one seed that draw as many numbers per step draw the same
+    # ones, so each (seed, draws per step) gets one generator, and its
+    # blocks are copied into the lanes of each of its jobs
+    shared: dict = {}
+    for j, (_, seed) in enumerate(lane_jobs):
+        shared.setdefault((seed, sides if j * runs >= tree_start else 1), []).append(j)
+    rngs = [(np.random.default_rng(seed), draws, js) for (seed, draws), js in shared.items()]
 
     counts = np.zeros(n_lanes, dtype=np.int64)
     tail_counts = np.zeros(n_lanes, dtype=np.int64)
     step_totals = np.zeros((len(jobs), horizon), dtype=np.min_scalar_type(runs))
     outs = np.empty((steps, n_lanes), dtype=bool)
-    starts = np.arange(0, n_lanes, runs)
+    block_dtype = np.min_scalar_type(steps)
     half = horizon // 2
 
     for first in range(0, horizon, steps):
         n = min(steps, horizon - first)
-        for j, rng in enumerate(rngs):
-            lanes = slice(j * runs, (j + 1) * runs)
-            flip = coins and j * runs >= tree_start
+        for rng, draws, js in rngs:
             # the same numbers, in the same order, as one rng.random(runs)
             # call per draw per step
-            block = rng.random((n, 2 if flip else 1, runs))
-            u[:n, lanes] = block[:, 0]
-            if flip:
+            block = rng.random((n, draws, runs))
+            scaled = block[:, 0] * cells_per_row
+            cell = scaled.astype(np.int64)  # truncated: the guide cell
+            cell *= n_rows
+            if draws == 2:
                 # a silent outcome has one successor, so its lane's coin
                 # need not be masked
-                turns[:n, lanes] = (block[:, 1] < 0.5) * n_out
-        u[:n] *= cells_per_row
-        cells[:n] = u[:n]  # truncated: the guide cell
-        cells[:n] *= n_rows
+                cell += (block[:, 1] < 0.5) * turned
+            for j in js:
+                lanes = slice(j * runs, (j + 1) * runs)
+                u[:n, lanes] = scaled
+                cells[:n, lanes] = cell
         if n_trees:
             needed = int(top.max()) // n_trees + (n + 1) * max_push + 1
             if needed * n_trees > len(stack):
                 stack = _grow(stack, n_trees, needed)
 
         for t in range(n):
-            draw = u[t]
-            pick = _search(guide.take(row + cells[t]), draw, cum, row_last, row, corrections)
-            out = is_out.take(pick, out=outs[t])
-            if coins:
-                row = next_row.take(pick + turns[t])
-            elif word is not None:
-                np.take(turn, place, out=steer[tree_start:])
-                place = np.where(out[tree_start:], advance.take(place), place)
-                row = next_row.take(pick + steer)
-            else:
+            pick = _search(guide.take(row + cells[t]), u[t], cum, row_last, corrections)
+            cells[t] = pick
+            if word is None:
                 row = next_row.take(pick)
+            else:
+                np.take(turn, place, out=steer[tree_start:])
+                place = np.where(is_out.take(pick[tree_start:]), advance.take(place), place)
+                row = next_row.take(pick + steer)
             if tree_start:
                 height += delta.take(pick[:tree_start])
-                row[:tree_start] += np.minimum(height, depth)
+                row[:tree_start] += np.minimum(height, depth, out=length)
             if n_trees:
                 mine = pick[tree_start:]
                 base = top - pops.take(mine)
@@ -531,15 +572,21 @@ def _run_lanes(jobs, runs: int, horizon: int, policy: Policy | None):
                 # cells above the new top are dead until a push writes them
                 for j, k in enumerate(makes):
                     cls = push_class.take(cls[:k] + push_syms[j].take(mine[:k]))
-                    stack[base[:k] + (j + 1) * n_trees] = cls
+                    stack[(j + 1) * n_trees :][base[:k]] = cls
                 top = base + pushes.take(mine)
                 row[tree_start:] += stack.take(top)
 
-        done = outs[:n]
-        step_totals[:, first : first + n] = np.add.reduceat(done, starts, axis=1, dtype=np.int64).T
-        counts += done.sum(axis=0)
-        if first + n > half:
-            tail_counts += done[max(half - first, 0) :].sum(axis=0)
+        # sums of at most `runs` and `steps` outputs, in dtypes that hold
+        # them: numpy sums bytes into bytes several times faster than into int64
+        done = is_out.take(cells[:n], out=outs[:n]).view(np.uint8)
+        totals = done.reshape(n, -1, runs).sum(axis=2, dtype=step_totals.dtype)
+        step_totals[:, first : first + n] = totals.T
+        block_counts = done.sum(axis=0, dtype=block_dtype)
+        counts += block_counts
+        if first >= half:
+            tail_counts += block_counts
+        elif first + n > half:
+            tail_counts += done[half - first :].sum(axis=0, dtype=block_dtype)
 
     del u, cells, outs  # the blocks are not needed while the results are read
     for j in np.argsort(order):  # the lane place of each job, in job order

@@ -497,6 +497,32 @@ def test_smt_solver_env_var_is_consulted(tmp_path, capsys, monkeypatch):
     assert "Unknown" not in out
 
 
+@pytest.mark.parametrize(
+    "args,count",
+    # each writes a document several times a pipe's 64 KB buffer, so the
+    # write meets the closed pipe whatever the scheduling
+    [
+        (["check", "--json", "--no-tier3"], 200),
+        (["simulate", "--json", "--mc-runs", "1", "--mc-horizon", "100"], 800),
+    ],
+)
+def test_closed_stdout_exits_without_a_traceback(tmp_path, args, count):
+    path = write(
+        tmp_path,
+        "".join(f"stream s{k} = (a : s{k}) (+ {k}/1001) tail(s{k})\n" for k in range(1, count + 1)),
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asprod", *args, path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()  # as `| head -n 1` does
+    stderr = proc.stderr.read()
+    assert proc.wait() == cli.EXIT_CLOSED_PIPE
+    assert stderr == b""
+
+
 def test_missing_file_exits_3(tmp_path, capsys):
     assert main(["measure", str(tmp_path / "nope.defs")]) == 3
     assert "error" in capsys.readouterr().err

@@ -335,6 +335,34 @@ def test_jobs_that_cannot_output_get_no_generator(monkeypatch, policy):
                 np.testing.assert_array_equal(g, r)
 
 
+@pytest.mark.parametrize("policy,generators", [(None, 2), (parse_policy("RRL|LR"), 1)])
+def test_jobs_of_one_seed_share_their_draws(monkeypatch, policy, generators):
+    # under the uniform policy a tree lane draws a coin as well, so the
+    # streams of a seed share one generator and its trees another; under a
+    # word every lane draws once, so all of a seed's jobs share one
+    compiled = [CompiledDefinition(parse_definition(text)) for text in MIXED]
+    same_seed = [(c, 7) for c in compiled]
+    interleaved = [(c, seed) for c in compiled for seed in (7, 8)]
+    alone = {(id(c), seed): c.run_batch(9, 300, seed, policy) for c, seed in interleaved}
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(simulate.np.random, "default_rng", recorded)
+    for jobs, want in ((same_seed, [7] * generators), (interleaved, [7, 8] * generators)):
+        seeded.clear()
+        results = list(run_jobs(jobs, 9, 300, policy))
+        assert sorted(seeded) == sorted(want)
+        assert [job for job, _ in results] == jobs
+        for (c, seed), got in results:
+            for g, w in zip(got, alone[id(c), seed]):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+
 def test_batches_close_at_the_lane_and_outcome_bounds(monkeypatch):
     monkeypatch.setattr(simulate, "MAX_LANES", 40)
     monkeypatch.setattr(simulate, "BATCH_OUTCOMES", 30)
@@ -357,6 +385,21 @@ def test_batches_close_at_the_lane_and_outcome_bounds(monkeypatch):
     first = next(taken)
     next(taken)
     assert first == []
+    # under one run the lanes bound no batch of these twenty jobs; the job
+    # cap closes it, and at the default 200 runs the lanes close it first
+    monkeypatch.setattr(simulate, "MAX_JOBS", 4)
+    batches = [list(b) for b in simulate._batches(iter(jobs), 1)]
+    assert [job for b in batches for job in b] == jobs
+    for b in batches:
+        outcomes = [len(c._cum) for c in {id(c): c for c, _ in b}.values()]
+        assert len(b) <= 4 and sum(outcomes[:-1]) < 30
+        if b is not batches[-1]:
+            assert len(b) == 4 or sum(outcomes) >= 30
+    assert any(len(b) == 4 for b in batches)
+    monkeypatch.undo()
+    assert simulate.MAX_LANES // 200 < simulate.MAX_JOBS
+    batches = [len(b) for b in simulate._batches(((compiled[0], k) for k in range(300)), 1)]
+    assert batches == [simulate.MAX_JOBS] * (300 // simulate.MAX_JOBS) + [300 % simulate.MAX_JOBS]
 
 
 @pytest.mark.parametrize("budget", [None, (1, 1)])
@@ -377,15 +420,74 @@ def test_guide_picks_the_first_outcome_above_the_draw(monkeypatch, budget):
             edges = np.concatenate([np.arange(cells) / cells, row_cum])
             draws = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
             draws = draws[(draws >= 0) & (draws < 1)]
-            rows = np.full(len(draws), r)
             picks = guide[(draws * cells).astype(np.int64) * len(row_len) + r]
-            picks = simulate._search(picks, draws, cum, row_last, rows, corrections)
+            picks = simulate._search(picks, draws, cum, np.repeat(row_last, row_len), corrections)
             want = start + np.searchsorted(row_cum, draws, side="right")
             np.testing.assert_array_equal(picks, want, err_msg=str(r))
     if budget is not None:
         assert cells == 1
         for compiled in _compiled_inputs():
             assert_same(compiled, 7, 257, seed=3, policy=parse_policy("RRL|LR"))
+
+
+class PerClassFilter(CompiledDefinition):
+    """The compiler as it was: the classes enumerated digit by digit, each
+    class's row filtered from the whole body walk, row weights summed as
+    `Fraction`s and the push table looked up class by class."""
+
+    def _closure(self):
+        depth, classes, rows = super()._closure()
+        m = self.n_syms
+        assert classes == [
+            (tuple((v // m**j) % m for j in range(length)), length < depth)
+            for length in range(depth + 1)
+            for v in range(m**length)
+        ]
+        body = []
+        self._walk(0, (), [], Fraction(1), body, None)
+        for c, (known, ended) in enumerate(classes):
+            rows[c] = simulate._merge(
+                (w, o)
+                for r, w, o in body
+                if known[: len(r)] == r and (o[0] == simulate.EV_SILENT or ended and r == known)
+            )
+        self.oracle_rows = rows
+        return depth, classes, rows
+
+    def _build_tables(self):
+        super()._build_tables()
+        cum = []
+        for row in self.oracle_rows.values():
+            total = Fraction(0)
+            for k, (weight, *_) in enumerate(row):
+                total += weight
+                cum.append(1.0 if k == len(row) - 1 else float(total))
+        self._cum = np.array(cum, dtype=np.float64)
+        _, classes, _ = super()._closure()
+        index = {cls: c for c, cls in enumerate(classes)}
+        push_class = np.zeros((self.n_syms, len(classes)), dtype=self._push_class.dtype)
+        for c, (known, ended) in enumerate(classes):
+            for s in range(self.n_syms):
+                longer = ((s,) + known)[: self.suffix_depth]
+                push_class[s, c] = index[longer, ended and len(known) + 1 < self.suffix_depth]
+        self._push_class = push_class.ravel()
+
+
+def _nested_mk(depth):
+    inner = "t"
+    for _ in range(depth):
+        inner = f"mk(a, {inner}, t)"
+    return parse_definition(f"tree t = left(left(t)) (+ 1/2) {inner}")
+
+
+def test_grouped_closure_builds_the_tables_the_per_class_filter_built():
+    defs = list(corpus().values()) + seeded_random_definitions(24) + [_nested_mk(8), _nested_mk(12)]
+    for d in defs:
+        got, want = CompiledDefinition(d), PerClassFilter(d)
+        for name in ("_cum", "_is_out", "_next_a", "_next_b", "_consumed", "_push", "_push_class"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype, (d.name, name)
+            np.testing.assert_array_equal(g, w, err_msg=f"{d.name} {name}")
 
 
 def _walk_calls(text):
