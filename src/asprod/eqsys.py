@@ -26,7 +26,9 @@ same integer form of each equation, and every comparison of the search is
 one exact integer comparison, so no denominator grows past 2^64.
 Positivity cleaning is a worklist over the monomials each variable
 unblocks, linear in the size of the system.  Newton runs in plain Python
-floats; this module never imports numpy.
+floats read from one `float_form` (this module never imports numpy); a
+singular step, which only rounding at the fixed point can cause (Etessami
+and Yannakakis, JACM 2009), ends its block's iteration.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ class Equation:
 # An equation scaled to integers: (L, L const, [(L a, factors)]), with L the
 # lcm of the denominators of its constant and coefficients.
 IntegerEquation = tuple[int, int, list[tuple[int, tuple[int, ...]]]]
+# An equation in floats: (const, [(a, factors)]), each `float` of a Fraction.
+FloatEquation = tuple[float, list[tuple[float, tuple[int, ...]]]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +206,8 @@ def evaluate(eq: Equation, values: Sequence) -> object:
     return acc
 
 
-def _compiled(s: EqSystem):
+def float_form(s: EqSystem) -> list[FloatEquation]:
+    """Each equation once in floats, built once per solve and not kept."""
     return [
         (float(eq.const), [(float(m.coef), m.factors) for m in eq.monomials])
         for eq in s.equations
@@ -286,7 +291,7 @@ def kleene_solve(
     """Iterate x <- F(x) from zero; monotone nondecreasing lower bounds."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    eqs = _compiled(s)
+    eqs = float_form(s)
     x = [0.0] * len(eqs)
     for it in range(1, max_iter + 1):
         delta = 0.0
@@ -310,29 +315,32 @@ def kleene_solve(
 
 class NewtonValues(list):
     """The values `newton_solve` returns, a list of floats, carrying the
-    direction a certificate search bumps them along (see
-    `certificate_direction`), solved with each block's last Newton
-    factorization."""
+    direction a certificate search bumps them along.
+
+    It is d = (I - J)^-1 1, J the Jacobian, scaled to max d = 1 (d = 1 on a
+    block whose solve fails).  At the least fixed point x*,
+    F(x* + t d) - (x* + t d) = -t 1 + O(t^2) before scaling, so a bump
+    along d gains slack in every equation at first order, where a uniform
+    bump gains none on an equation of unit mass.
+    """
 
     def __init__(self, values: list[float], direction: list[float]):
         super().__init__(values)
         self.direction = direction
 
 
-def _block_rows(s: EqSystem, comp: Sequence[int], local: dict[int, int], values):
+def _block_rows(form: list[FloatEquation], comp: Sequence[int], local: dict[int, int], values):
     """The block's equations in floats, with every variable read outside the
     block fixed at its value: per variable, its constant, its linear terms
     (coef, j) and its quadratic terms (coef, j, k), over local indices."""
     rows = []
     for v in comp:
-        eq = s.equations[v]
-        const = float(eq.const)
+        const, monos = form[v]
         lin: list[tuple[float, int]] = []
         quad: list[tuple[float, int, int]] = []
-        for m in eq.monomials:
-            coef = float(m.coef)
+        for coef, factors in monos:
             inner = []
-            for f in m.factors:
+            for f in factors:
                 if f in local:
                     inner.append(local[f])
                 else:
@@ -448,7 +456,7 @@ def _clip(xs) -> list[float]:
     return [min(1.0, max(0.0, x)) for x in xs]
 
 
-def _block_direction(s, comp, local, lu, values, direction) -> list[float]:
+def _block_direction(form, comp, local, lu, values, direction) -> list[float]:
     """The block's part of (I - J)^-1 1, given the parts of the blocks it
     reads in `direction`, or all ones if the solve fails.
 
@@ -460,11 +468,10 @@ def _block_direction(s, comp, local, lu, values, direction) -> list[float]:
     rhs = []
     for v in comp:
         total = 1.0
-        for m in s.equations[v].monomials:
-            fs = m.factors
+        for coef, fs in form[v][1]:
             for pos, f in enumerate(fs):
                 if f not in local:
-                    partial = float(m.coef)
+                    partial = coef
                     if len(fs) == 2:
                         partial *= values[fs[1 - pos]]
                     total += partial * direction[f]
@@ -484,23 +491,26 @@ def newton_solve(
     s: EqSystem,
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = NEWTON_MAX_ITER,
-) -> list[float]:
+) -> NewtonValues:
     """Decomposed Newton iteration, one strongly connected block at a time.
 
     Blocks are solved bottom-up in dependency order, starting from zero, so
     iterates approach the least fixed point from below.  Each step solves
     (I - J) dx = F(x) - x by Gaussian elimination with partial pivoting,
-    clips to [0, 1], and stops once max |dx| < epsilon.  A singular Newton
-    matrix or a step that is not finite falls back to plain value iteration
-    for that block.  The result is a `NewtonValues`: its direction reuses
-    each block's last factorization, one more back-substitution per block.
+    clips to [0, 1], and stops once max |dx| < epsilon or after `max_iter`
+    steps.  Below the least fixed point of a cleaned system the Newton
+    matrix is nonsingular (Etessami, Yannakakis, JACM 2009, "EY09"), so a
+    singular or non-finite step comes from rounding at the fixed point: it
+    ends the block at its last iterate, with direction one.  The result is
+    a `NewtonValues`: its direction reuses each block's last factorization.
     """
     n = len(s.variables)
+    form = float_form(s)
     values = [0.0] * n
     direction = [1.0] * n
     for comp in s.blocks:
         local = {v: k for k, v in enumerate(comp)}
-        rows = _block_rows(s, comp, local, values)
+        rows = _block_rows(form, comp, local, values)
         x = [0.0] * len(comp)
         lu = None
         for _ in range(max_iter):
@@ -508,14 +518,7 @@ def newton_solve(
             factored = _factor(_newton_matrix(rows, x))
             dx = None if factored is None else _lu_solve(factored, [f - y for f, y in zip(fx, x)])
             if dx is None or not _finite(dx):
-                # damping fallback: plain value iteration for this block
-                lu = None
-                for _ in range(DEFAULT_MAX_ITER):
-                    fx = _image(rows, x)
-                    step = max(abs(f - y) for f, y in zip(fx, x))
-                    x = _clip(fx)
-                    if step < epsilon:
-                        break
+                lu = None  # float rounding at the fixed point: keep x
                 break
             lu = factored
             x = _clip([y + d for y, d in zip(x, dx)])
@@ -523,33 +526,9 @@ def newton_solve(
                 break
         for v, value in zip(comp, x):
             values[v] = value
-        for v, dv in zip(comp, _block_direction(s, comp, local, lu, values, direction)):
+        for v, dv in zip(comp, _block_direction(form, comp, local, lu, values, direction)):
             direction[v] = dv
     return NewtonValues(values, _scaled(direction))
-
-
-def certificate_direction(s: EqSystem, values: Sequence[float]) -> list[float]:
-    """The direction a certificate search bumps `values` along.
-
-    It is d = (I - J)^-1 1 with J the Jacobian at `values`, solved block by
-    block bottom-up and scaled to max d = 1; a block whose solve is
-    singular, not finite or not positive keeps d = 1.  On the least fixed
-    point x*, F(x* + t d) - (x* + t d) = -t (I - J) d + O(t^2) = -t 1 + O(t^2)
-    before scaling, so a small bump along d gains slack in every equation at
-    first order, where a uniform bump gains none on a variable whose
-    equation has unit mass.  Values from `newton_solve` carry their
-    direction already.
-    """
-    if isinstance(values, NewtonValues):
-        return values.direction
-    direction = [1.0] * len(s.variables)
-    for comp in s.blocks:
-        local = {v: k for k, v in enumerate(comp)}
-        x = [values[v] for v in comp]
-        lu = _factor(_newton_matrix(_block_rows(s, comp, local, values), x))
-        for v, dv in zip(comp, _block_direction(s, comp, local, lu, values, direction)):
-            direction[v] = dv
-    return _scaled(direction)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +556,7 @@ def certify_subreturn(s: EqSystem, head: Head, candidate: Sequence[Fraction]) ->
 def subreturn_candidate(
     s: EqSystem,
     head: Head,
-    newton_values: Sequence[float],
+    newton_values: NewtonValues,
 ) -> Optional[tuple[Fraction, ...]]:
     """Round a Newton approximant up into a verifiable certificate for `head`.
 
@@ -645,14 +624,14 @@ def _grid_step(rows, n: list[int]) -> tuple[bool, list[int]]:
 def subreturn_certificates(
     s: EqSystem,
     heads: Sequence[Head],
-    newton_values: Sequence[float],
+    newton_values: NewtonValues,
 ) -> dict[Head, Optional[tuple[Fraction, ...]]]:
     """Search pre-fixed-point certificates for all `heads` in one walk.
 
     The walk runs on the grid of multiples of 1 / GRID = 2^-64, in plain
     integers: a candidate is a list of numerators N over GRID, each at most
     GRID.  For each bump, the start is the Newton approximant raised by the
-    bump times `certificate_direction` (at most the bump, on the variables
+    bump times the values' `direction` (at most the bump, on the variables
     the direction peaks at), rounded up to the grid exactly from the
     floating-point values and capped at one.  It is then contracted by up to
     CERT_REFINE applications of the system map F (see `_grid_rows`), each
@@ -669,7 +648,7 @@ def subreturn_certificates(
     however many heads there are.
     """
     head_vars = s.head_vars
-    direction = certificate_direction(s, newton_values)
+    direction = newton_values.direction
     rows = _grid_rows(s)
     result: dict[Head, Optional[tuple[Fraction, ...]]] = dict.fromkeys(heads)
     pending = list(result)

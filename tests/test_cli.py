@@ -468,6 +468,19 @@ def test_solve_prints_values_and_classes(tmp_path, capsys):
     assert "AlmostSureReturn" in out
 
 
+def test_solve_prints_sub_one_heads_no_certificate_reaches(tmp_path, capsys):
+    # drift -2 * 10^-30: the excursion returns with probability about
+    # 1 - 4 * 10^-30, so the Newton values lie within 2^-20 of one, every
+    # bumped candidate is capped at one, F(1) = 1, and only the exact
+    # spectral test decides the heads sub-one
+    p = "499999999999999999999999999999/1000000000000000000000000000000"
+    path = write(tmp_path, f"stream near = (a : near) (+ {p}) tail(near)\n")
+    assert main(["solve", path]) == 0
+    out = capsys.readouterr().out
+    assert "  head (near, tl): SubReturn (no certificate)\n" in out
+    assert "  head (a : near, tl): AlmostSureReturn\n" in out
+
+
 def test_console_entry_point(tmp_path):
     path = write(tmp_path, "stream s = a : s\n")
     proc = subprocess.run(

@@ -19,6 +19,7 @@ from asprod.eqsys import (
     EqSystem,
     Equation,
     Monomial,
+    NewtonValues,
     SubReturn,
     Unknown,
     build_system,
@@ -261,8 +262,8 @@ def test_newton_dominates_kleene_at_equal_budgets():
 
 def numpy_newton_solve(s, epsilon=eqsys.DEFAULT_EPSILON, max_iter=eqsys.NEWTON_MAX_ITER):
     """Reference decomposed Newton: each step is one `np.linalg.solve` on
-    the block, with the same clip, stopping rule and value-iteration
-    fallback as `newton_solve`."""
+    the block, with the same clip and stopping rule as `newton_solve`, and
+    a singular or non-finite step ending the block at its last iterate."""
     n = len(s.variables)
     deps = [{f for m in eq.monomials for f in m.factors} for eq in s.equations]
     values = [0.0] * n
@@ -292,12 +293,6 @@ def numpy_newton_solve(s, epsilon=eqsys.DEFAULT_EPSILON, max_iter=eqsys.NEWTON_M
             except np.linalg.LinAlgError:
                 dx = None
             if dx is None or not np.all(np.isfinite(dx)):
-                for _ in range(eqsys.DEFAULT_MAX_ITER):
-                    fv, _ = f_and_jac(x)
-                    step = float(np.max(np.abs(fv - x)))
-                    x = np.clip(fv, 0.0, 1.0)
-                    if step < epsilon:
-                        break
                 break
             x = np.clip(x + dx, 0.0, 1.0)
             if float(np.max(np.abs(dx))) < epsilon:
@@ -320,6 +315,23 @@ def test_newton_agrees_with_the_numpy_reference():
         assert all(abs(a - b) < 1e-12 for a, b in zip(ours, ref)), s.state_names
 
 
+def resolved_direction(s, values):
+    """The certificate direction re-solved for plain `values`: per block,
+    bottom-up, I - J at `values` factored afresh, d = (I - J)^-1 1 with the
+    blocks read fixed at their d, and the whole scaled to max d = 1; a block
+    whose solve is singular, not finite or not positive keeps d = 1.
+    `newton_solve` solves it with each block's last factorization instead."""
+    form = eqsys.float_form(s)
+    direction = [1.0] * len(s.variables)
+    for comp in s.blocks:
+        local = {v: k for k, v in enumerate(comp)}
+        x = [values[v] for v in comp]
+        lu = eqsys._factor(eqsys._newton_matrix(eqsys._block_rows(form, comp, local, values), x))
+        for v, dv in zip(comp, eqsys._block_direction(form, comp, local, lu, values, direction)):
+            direction[v] = dv
+    return eqsys._scaled(direction)
+
+
 def test_certificate_direction_solves_the_newton_system():
     """d is (I - J)^-1 1 at the Newton values, scaled to max 1, whether it is
     carried by `newton_solve`'s result or solved afresh for plain values."""
@@ -336,7 +348,7 @@ def test_certificate_direction_solves_the_newton_system():
                     jac[i, f] += float(m.coef) * np.prod([values[g] for g in others])
         d = np.linalg.solve(np.eye(n) - jac, np.ones(n))
         d /= d.max()
-        fresh = eqsys.certificate_direction(s, list(values))
+        fresh = resolved_direction(s, list(values))
         assert np.allclose(fresh, d, rtol=1e-9, atol=1e-12), s.state_names
         assert np.allclose(values.direction, d, rtol=1e-9, atol=1e-12), s.state_names
 
@@ -478,7 +490,7 @@ def reference_candidate(s, head, newton):
     the first (bump, step) candidate, bumped along the certificate
     direction and rounded up to the 2^-64 grid at every step, that
     `certify_subreturn` accepts."""
-    direction = eqsys.certificate_direction(s, newton)
+    direction = newton.direction
     for bump in CERT_BUMPS:
         cand = [on_grid(F(v) + bump * F(d)) for v, d in zip(newton, direction)]
         for _ in range(CERT_REFINE + 1):
@@ -523,8 +535,90 @@ def test_certificates_survive_lowering_every_newton_value_by_one_ulp(name):
     certified = [h for h in live if certs[h] is not None]
     assert len(certified) >= 10
     lowered = [math.nextafter(v, 0.0) for v in newton]
+    lowered = NewtonValues(lowered, resolved_direction(cleaned, lowered))
     after = subreturn_certificates(cleaned, certified, lowered)
     assert [h for h in certified if after[h] is None] == []
+
+
+@pytest.mark.parametrize("fault", ["singular", "nan"])
+def test_a_failed_newton_step_ends_its_block_at_the_last_iterate(monkeypatch, fault):
+    """A singular Newton matrix (`_factor` returns None) or a step that is
+    not finite, part-way through a block, ends that block's iteration: its
+    values are the iterate the failed step started from, its direction is
+    all ones, no block takes more than NEWTON_MAX_ITER steps, and every
+    certificate found from such values passes the exact check."""
+
+    def system():
+        return clean(build_system(translate(parse_definition(ULP_FRAGILE["g10"]))))[0]
+
+    s = system()
+    target = max(range(len(s.blocks)), key=lambda k: len(s.blocks[k]))
+    comp = s.blocks[target]
+    at = 4  # the target block's factorization that fails; unfaulted, Newton takes 5
+    log = {}
+    factor, lu_solve = eqsys._factor, eqsys._lu_solve
+    image, block_direction = eqsys._image, eqsys._block_direction
+
+    def reset():
+        log.update(rows=None, steps=[], factors=[], x=None)
+        log.update(failed_x=None, nan=False, direction=None)
+
+    def counting_image(rows, x):
+        if rows is not log["rows"]:  # each block builds its rows once
+            log["rows"] = rows
+            log["steps"].append(0)
+            log["factors"].append(0)
+        log["steps"][-1] += 1
+        log["x"] = list(x)
+        return image(rows, x)
+
+    def failing_factor(a):
+        log["factors"][-1] += 1
+        lu = factor(a)
+        if len(log["factors"]) - 1 == target and log["factors"][-1] == at:
+            log["failed_x"] = log["x"]
+            if fault == "singular":
+                return None
+            log["nan"] = True
+        return lu
+
+    def failing_solve(lu, b):
+        y = lu_solve(lu, b)
+        if log["nan"]:
+            log["nan"] = False
+            y[len(y) // 2] = math.nan
+        return y
+
+    def recording_direction(form, comp_, *args):
+        d = block_direction(form, comp_, *args)
+        if comp_ == comp:
+            log["direction"] = d
+        return d
+
+    unfaulted = s.newton
+    monkeypatch.setattr(eqsys, "_image", counting_image)
+    monkeypatch.setattr(eqsys, "_factor", failing_factor)
+    monkeypatch.setattr(eqsys, "_lu_solve", failing_solve)
+    monkeypatch.setattr(eqsys, "_block_direction", recording_direction)
+
+    reset()
+    values = newton_solve(s)
+    assert log["factors"][target] == log["steps"][target] == at
+    assert max(log["steps"]) <= eqsys.NEWTON_MAX_ITER
+    assert [values[v] for v in comp] == log["failed_x"]
+    assert log["failed_x"] != [unfaulted[v] for v in comp]
+    assert log["direction"] == [1.0] * len(comp)
+
+    reset()
+    s = system()
+    classes = classify_heads(s)
+    assert log["failed_x"] is not None
+    certified = 0
+    for head, cls in classes.items():
+        if isinstance(cls, SubReturn) and cls.certificate:
+            certified += 1
+            assert certify_subreturn(s, head, cls.certificate), head
+    assert certified > 0
 
 
 def test_certificate_denominators_divide_two_to_the_64():
@@ -954,19 +1048,21 @@ class CompiledPpda:
 
         self.n_topclass = n_sym + 1
 
-    def excursion_batch(self, head: tuple[int, str], trials: int, horizon: int, seed: int):
-        """Run `trials` excursions from (state, [symbol]) for up to `horizon`
-        steps; returns (returned mask, landing states with -1 for timeouts)."""
+    def excursion_batch(self, heads, trials: int, horizon: int, seed: int):
+        """Run `trials` excursions from each (state, [symbol]) of `heads` for
+        up to `horizon` steps, as one lane block on one generator; returns
+        the returned masks, one row per head.  Each step draws `trials`
+        numbers once, and every head's k-th lane reads the k-th, so each
+        head's row is the one it gets run alone from `seed`."""
         rng = np.random.default_rng(seed)
-        q0, x0 = head
         tree = self.kind is Kind.TREE
-        state = np.full(trials, q0, dtype=np.int32)
-        height = np.ones(trials, dtype=np.int64)
-        lanes = np.arange(trials)
+        lanes = np.arange(len(heads) * trials)
+        state = np.repeat(np.array([q for q, _ in heads], dtype=np.int32), trials)
+        height = np.ones(len(lanes), dtype=np.int64)
         stack = None
         if tree:
-            stack = np.zeros((trials, 4096), dtype=np.int8)
-            stack[:, 0] = self.sym_index[x0]
+            stack = np.zeros((len(lanes), 4096), dtype=np.int8)
+            stack[:, 0] = np.repeat([self.sym_index[x] for _, x in heads], trials)
 
         for _ in range(horizon):
             active = height > 0
@@ -978,7 +1074,8 @@ class CompiledPpda:
             else:
                 tc = np.where(active, 1, 0).astype(np.int32)
             row = state * self.n_topclass + tc
-            pick2 = (self.n_moves[row] == 2) & (rng.random(trials) >= self.prob1[row])
+            draw = np.tile(rng.random(trials), len(heads))
+            pick2 = (self.n_moves[row] == 2) & (draw >= self.prob1[row])
             j = pick2.astype(np.int8)
             eff = self.effect[row, j]
             nxt = self.target[row, j]
@@ -995,9 +1092,7 @@ class CompiledPpda:
                 height[idx] = h + 1
             state = np.where(active, nxt, state)
 
-        returned = height == 0
-        landing = np.where(returned, state, -1)
-        return returned, landing
+        return (height == 0).reshape(len(heads), trials)
 
 
 def test_head_classes_match_sampled_return_fractions():
@@ -1006,10 +1101,11 @@ def test_head_classes_match_sampled_return_fractions():
         p = translate(d)
         cleaned, _ = clean(build_system(p))
         classes = classify_heads(cleaned)
-        compiled = CompiledPpda(p)
-        for head, cls in sorted(classes.items()):
-            returned, _ = compiled.excursion_batch(head, 800, 30_000, seed)
-            fraction = float(returned.mean())
+        heads = sorted(classes)
+        returned = CompiledPpda(p).excursion_batch(heads, 800, 30_000, seed)
+        for head, row in zip(heads, returned):
+            cls = classes[head]
+            fraction = float(row.mean())
             if isinstance(cls, AlmostSureReturn):
                 assert fraction >= 0.95, (name, head, fraction)
             elif isinstance(cls, SubReturn):
