@@ -32,6 +32,7 @@ from .semantics import (
 from .ppda import Move, Ppda, export, translate
 from .eqsys import (
     AlmostSureReturn,
+    Candidates,
     EqSystem,
     Equation,
     Monomial,

@@ -164,19 +164,20 @@ class ExactAnalysis:
     classes: dict[Head, HeadClass]
     chain: GroundChain
     system: EqSystem  # the cleaned system the classes were decided on
-    built_variables: int  # how many variables the system had before cleaning
+    built_variables: int  # how many candidate variables `build_system` enumerated
 
 
 def exact_analysis(d: Definition, smt_solver: Optional[str] = None) -> ExactAnalysis:
-    """The full exact pipeline: translate, build and clean the equation
-    system, classify heads (`smt_solver` as in `classify_heads`), build the
-    ground chain, and analyze it."""
+    """The full exact pipeline: translate, enumerate the candidate variables
+    and build the equations of the positive ones, classify heads
+    (`smt_solver` as in `classify_heads`), build the ground chain, and
+    analyze it."""
     p = translate(d)
-    system = build_system(p)
-    cleaned, _ = clean(system)
+    candidates = build_system(p)
+    cleaned, _ = clean(candidates)
     classes = classify_heads(cleaned, smt_solver=smt_solver)
     chain = ground_chain(p, classes, cleaned)
-    return ExactAnalysis(buchi_verdict(chain), classes, chain, cleaned, len(system.variables))
+    return ExactAnalysis(buchi_verdict(chain), classes, chain, cleaned, len(candidates.variables))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,8 +24,10 @@ floating-point values.  The candidates lie on the grid of multiples of
 2^-64: each is a vector of integer numerators over 2^64, read against the
 same integer form of each equation, and every comparison of the search is
 one exact integer comparison, so no denominator grows past 2^64.
-Positivity cleaning is a worklist over the monomials each variable
-unblocks, linear in the size of the system.  Newton runs in plain Python
+Positivity is pop-reachability, saturated on the automaton's rows before
+any equation exists: `build_system` only enumerates the candidate
+variables, and `clean` builds the equations of the positive ones alone,
+without their zero monomials.  Newton runs in plain Python
 floats read from one `float_form` (this module never imports numpy); a
 singular step, which only rounding at the fixed point can cause (Etessami
 and Yannakakis, JACM 2009), ends its block's iteration.
@@ -142,54 +144,28 @@ class EqSystem:
         return kleene_solve(self)
 
 
-def build_system(p: Ppda) -> EqSystem:
-    """Assemble the pop-probability system of a translated automaton.
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """The variables a translated automaton's system may have, before any
+    equation exists: [q, X, q'] for every state q and every landing state q'
+    that some pop on X produces, in order (state, symbol, landing state).
+    Every other variable is identically zero."""
 
-    Variables [q, X, q'] are created only for landing states q' that some
-    pop on X can produce; all omitted variables are identically zero.
-    """
-    pop_targets: dict[str, list[int]] = {x: [] for x in p.alphabet}
-    for x in p.alphabet:
-        seen: set[int] = set()
-        for q in range(len(p.states)):
-            for m in p.rows[(q, x)]:
-                if not m.push and m.target not in seen:
-                    seen.add(m.target)
-                    pop_targets[x].append(m.target)
+    ppda: Ppda
+    variables: tuple[VarKey, ...]
 
-    variables: list[VarKey] = []
-    for q in range(len(p.states)):
-        for x in p.alphabet:
-            for q2 in pop_targets[x]:
-                variables.append((q, x, q2))
-    index = {v: i for i, v in enumerate(variables)}
 
-    equations: list[Equation] = []
-    for q, x, q2 in variables:
-        const = ZERO
-        monomials: list[Monomial] = []
-        for m in p.rows[(q, x)]:
-            if not m.push:  # pop
-                if m.target == q2:
-                    const += m.prob
-            elif len(m.push) == 1:  # keep: the read symbol is pushed back
-                monomials.append(Monomial(m.prob, (index[(m.target, x, q2)],)))
-            else:  # push over the re-pushed read symbol
-                y = m.push[0]
-                for s in pop_targets[y]:
-                    monomials.append(
-                        Monomial(m.prob, (index[(m.target, y, s)], index[(s, x, q2)]))
-                    )
-        equations.append(Equation(const, tuple(monomials)))
-
-    heads = tuple((q, x) for q in range(len(p.states)) for x in p.alphabet)
-    return EqSystem(
-        variables=tuple(variables),
-        equations=tuple(equations),
-        heads=heads,
-        state_names=p.state_names,
-        alphabet=p.alphabet,
-    )
+def build_system(p: Ppda) -> Candidates:
+    """Enumerate the candidate variables of the pop-probability system of a
+    translated automaton; `clean` builds the equations of the positive
+    ones."""
+    states = range(len(p.states))
+    pop_targets = {
+        x: list(dict.fromkeys(m.target for q in states for m in p.rows[(q, x)] if not m.push))
+        for x in p.alphabet
+    }
+    variables = tuple((q, x, r) for q in states for x in p.alphabet for r in pop_targets[x])
+    return Candidates(p, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -215,68 +191,88 @@ def float_form(s: EqSystem) -> list[FloatEquation]:
 
 
 # ---------------------------------------------------------------------------
-# positivity cleaning
+# positivity and the surviving equations
 
 
-def clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
-    """Remove variables whose least-fixed-point value is zero.
+def clean(c: Candidates) -> tuple[EqSystem, dict[VarKey, bool]]:
+    """Build the system of the candidates whose least-fixed-point value is
+    positive, and map every candidate to its positivity.
 
-    Positivity is the least boolean fixed point: a variable is positive iff
-    its constant is positive or some monomial has all factors positive.  It
-    is computed by a worklist: each monomial counts its distinct factors not
-    yet known positive, and a variable that turns positive decrements every
-    monomial waiting on it; a monomial reaching zero makes its equation's
-    variable positive.  Each variable and each monomial is handled once.
-    Monomials mentioning removed variables are dropped; the least fixed
-    point of the surviving variables is unchanged.
+    Positivity is pushdown pop-reachability, saturated on the automaton's
+    rows before any equation exists (Bouajjani, Esparza and Maler, CONCUR
+    1997): a pop to r makes [q, X, r] positive; a keep move to t copies
+    [t, X, r] to [q, X, r]; a push of Y over X into t joins [t, Y, s] with
+    [s, X, r].  Once [t, Y, s] is positive, that push acts as a keep move
+    to s, so each positive triple is handled once per move that reads it.
+    Monomials with a zero factor are never built; the least fixed point of
+    the positive variables is that of the full system.
     """
-    n = len(s.variables)
-    positive = [eq.const.numerator > 0 for eq in s.equations]
-    owner: list[int] = []  # per monomial: the variable whose equation holds it
-    waiting: list[int] = []  # per monomial: its distinct factors not yet positive
-    watchers: list[list[int]] = [[] for _ in range(n)]  # per variable: monomials on it
-    work: list[int] = []  # turned positive, monomials waiting on it not yet told
-    for i, eq in enumerate(s.equations):
-        if positive[i]:
-            continue
-        for m in eq.monomials:
-            missing = {f for f in m.factors if not positive[f]}
-            if not missing:
-                positive[i] = True
-                work.append(i)
-                break
-            for f in missing:
-                watchers[f].append(len(owner))
-            owner.append(i)
-            waiting.append(len(missing))
-    while work:
-        for k in watchers[work.pop()]:
-            waiting[k] -= 1
-            i = owner[k]
-            if not waiting[k] and not positive[i]:
-                positive[i] = True
-                work.append(i)
+    p = c.ppda
+    positive: set[VarKey] = set()
+    work: list[VarKey] = []  # turned positive, the moves reading it not yet told
+    exits: dict[Head, list[int]] = {}  # per (t, X): r with [t, X, r] told
+    keeps: dict[Head, set[int]] = {}  # per (t, X): q keeping X into t, by a move or a landed push
+    pushes: dict[Head, list[Head]] = {}  # per (t, Y): (q, X) pushing Y over X into t
 
-    keep = [i for i in range(n) if positive[i]]
-    remap = {old: new for new, old in enumerate(keep)}
-    new_eqs = []
-    for i in keep:
-        eq = s.equations[i]
-        monos = tuple(
-            Monomial(m.coef, tuple(remap[f] for f in m.factors))
-            for m in eq.monomials
-            if all(positive[f] for f in m.factors)
-        )
-        new_eqs.append(Equation(eq.const, monos))
-    cleaned = EqSystem(
-        variables=tuple(s.variables[i] for i in keep),
-        equations=tuple(new_eqs),
-        heads=s.heads,
-        state_names=s.state_names,
-        alphabet=s.alphabet,
+    def mark(v: VarKey) -> None:
+        if v not in positive:
+            positive.add(v)
+            work.append(v)
+
+    for q in range(len(p.states)):
+        for x in p.alphabet:
+            for m in p.rows[(q, x)]:
+                if not m.push:
+                    mark((q, x, m.target))
+                elif len(m.push) == 1:
+                    keeps.setdefault((m.target, x), set()).add(q)
+                else:
+                    pushes.setdefault((m.target, m.push[0]), []).append((q, x))
+    while work:
+        t, x, r = work.pop()
+        exits.setdefault((t, x), []).append(r)
+        for q in keeps.get((t, x), ()):
+            mark((q, x, r))
+        for q, z in pushes.get((t, x), ()):
+            callers = keeps.setdefault((r, z), set())
+            if q not in callers:
+                callers.add(q)
+                for r2 in exits.get((r, z), ()):
+                    mark((q, z, r2))
+
+    variables = [v for v in c.variables if v in positive]
+    index = {v: i for i, v in enumerate(variables)}
+    head_exits: dict[Head, list[int]] = {}  # landing states in candidate order
+    for q, x, r in variables:
+        head_exits.setdefault((q, x), []).append(r)
+    equations: list[Equation] = []
+    for q, x, r in variables:
+        const = ZERO
+        monomials: list[Monomial] = []
+        for m in p.rows[(q, x)]:
+            if not m.push:  # pop
+                if m.target == r:
+                    const += m.prob
+            elif len(m.push) == 1:  # keep: the read symbol is pushed back
+                k = index.get((m.target, x, r))
+                if k is not None:
+                    monomials.append(Monomial(m.prob, (k,)))
+            else:  # push over the re-pushed read symbol
+                y = m.push[0]
+                for s in head_exits.get((m.target, y), ()):
+                    k = index.get((s, x, r))
+                    if k is not None:
+                        monomials.append(Monomial(m.prob, (index[(m.target, y, s)], k)))
+        equations.append(Equation(const, tuple(monomials)))
+
+    system = EqSystem(
+        variables=tuple(variables),
+        equations=tuple(equations),
+        heads=tuple((q, x) for q in range(len(p.states)) for x in p.alphabet),
+        state_names=p.state_names,
+        alphabet=p.alphabet,
     )
-    positivity = {s.variables[i]: positive[i] for i in range(n)}
-    return cleaned, positivity
+    return system, {v: v in positive for v in c.variables}
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 The exact small-step term semantics (`step`), its finite-depth trace
 distributions (`prefix_distribution`), the same distributions read off the
 translated pPDA (`observable_distribution`), their comparison
-(`cross_validate`), a per-run term sampler (`sample_run`), positivity
-cleaning by repeated full passes (`fixed_point_clean`), an equation's mass
+(`cross_validate`), a per-run term sampler (`sample_run`), the full
+pop-probability system with its zero variables (`build_full_system`),
+positivity cleaning by a worklist over its equations (`worklist_clean`) and
+by repeated full passes (`fixed_point_clean`), an equation's mass
 at one as a `Fraction` sum (`mass_at_one`), and the spectral test by
 Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`).
 None of it runs on a command of the package; it is slow, exact and
@@ -384,30 +386,64 @@ def sample_run(
 
 
 # ---------------------------------------------------------------------------
-# positivity cleaning
+# the full system and positivity cleaning
 
 
-def fixed_point_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
-    """`eqsys.clean` by its definition: repeat full passes over every
-    equation until no variable turns positive, where a variable is positive
-    iff its constant is positive or some monomial has all factors positive;
-    then drop the variables that stayed zero and the monomials that read
-    them."""
-    n = len(s.variables)
-    positive = [eq.const > 0 for eq in s.equations]
-    changed = True
-    while changed:
-        changed = False
-        for i, eq in enumerate(s.equations):
-            if positive[i]:
-                continue
-            for m in eq.monomials:
-                if all(positive[f] for f in m.factors):
-                    positive[i] = True
-                    changed = True
-                    break
+def build_full_system(p: Ppda) -> EqSystem:
+    """The pop-probability system of every candidate variable, zero ones
+    included: `eqsys.clean` builds only the positive ones, and must equal
+    this system cleaned.
 
-    keep = [i for i in range(n) if positive[i]]
+    Variables [q, X, q'] are created only for landing states q' that some
+    pop on X can produce; all omitted variables are identically zero.
+    """
+    pop_targets: dict[str, list[int]] = {x: [] for x in p.alphabet}
+    for x in p.alphabet:
+        seen: set[int] = set()
+        for q in range(len(p.states)):
+            for m in p.rows[(q, x)]:
+                if not m.push and m.target not in seen:
+                    seen.add(m.target)
+                    pop_targets[x].append(m.target)
+
+    variables: list[VarKey] = []
+    for q in range(len(p.states)):
+        for x in p.alphabet:
+            for q2 in pop_targets[x]:
+                variables.append((q, x, q2))
+    index = {v: i for i, v in enumerate(variables)}
+
+    equations: list[Equation] = []
+    for q, x, q2 in variables:
+        const = Fraction(0)
+        monomials: list[Monomial] = []
+        for m in p.rows[(q, x)]:
+            if not m.push:  # pop
+                if m.target == q2:
+                    const += m.prob
+            elif len(m.push) == 1:  # keep: the read symbol is pushed back
+                monomials.append(Monomial(m.prob, (index[(m.target, x, q2)],)))
+            else:  # push over the re-pushed read symbol
+                y = m.push[0]
+                for s in pop_targets[y]:
+                    monomials.append(
+                        Monomial(m.prob, (index[(m.target, y, s)], index[(s, x, q2)]))
+                    )
+        equations.append(Equation(const, tuple(monomials)))
+
+    heads = tuple((q, x) for q in range(len(p.states)) for x in p.alphabet)
+    return EqSystem(
+        variables=tuple(variables),
+        equations=tuple(equations),
+        heads=heads,
+        state_names=p.state_names,
+        alphabet=p.alphabet,
+    )
+
+
+def _cleaned(s: EqSystem, positive: list[bool]) -> tuple[EqSystem, dict[VarKey, bool]]:
+    """Drop the variables that stayed zero and the monomials that read them."""
+    keep = [i for i in range(len(s.variables)) if positive[i]]
     remap = {old: new for new, old in enumerate(keep)}
     new_eqs = []
     for i in keep:
@@ -425,8 +461,65 @@ def fixed_point_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
         state_names=s.state_names,
         alphabet=s.alphabet,
     )
-    positivity = {s.variables[i]: positive[i] for i in range(n)}
+    positivity = {v: positive[i] for i, v in enumerate(s.variables)}
     return cleaned, positivity
+
+
+def worklist_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
+    """Remove the variables of a built system whose least-fixed-point value
+    is zero, by a worklist over its equations: each monomial counts its
+    distinct factors not yet known positive, and a variable that turns
+    positive decrements every monomial waiting on it; a monomial reaching
+    zero makes its equation's variable positive.  Each variable and each
+    monomial is handled once."""
+    n = len(s.variables)
+    positive = [eq.const.numerator > 0 for eq in s.equations]
+    owner: list[int] = []  # per monomial: the variable whose equation holds it
+    waiting: list[int] = []  # per monomial: its distinct factors not yet positive
+    watchers: list[list[int]] = [[] for _ in range(n)]  # per variable: monomials on it
+    work: list[int] = []  # turned positive, monomials waiting on it not yet told
+    for i, eq in enumerate(s.equations):
+        if positive[i]:
+            continue
+        for m in eq.monomials:
+            missing = {f for f in m.factors if not positive[f]}
+            if not missing:
+                positive[i] = True
+                work.append(i)
+                break
+            for f in missing:
+                watchers[f].append(len(owner))
+            owner.append(i)
+            waiting.append(len(missing))
+    while work:
+        for k in watchers[work.pop()]:
+            waiting[k] -= 1
+            i = owner[k]
+            if not waiting[k] and not positive[i]:
+                positive[i] = True
+                work.append(i)
+    return _cleaned(s, positive)
+
+
+def fixed_point_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
+    """Positivity cleaning by its definition: repeat full passes over every
+    equation until no variable turns positive, where a variable is positive
+    iff its constant is positive or some monomial has all factors positive;
+    then drop the variables that stayed zero and the monomials that read
+    them."""
+    positive = [eq.const > 0 for eq in s.equations]
+    changed = True
+    while changed:
+        changed = False
+        for i, eq in enumerate(s.equations):
+            if positive[i]:
+                continue
+            for m in eq.monomials:
+                if all(positive[f] for f in m.factors):
+                    positive[i] = True
+                    changed = True
+                    break
+    return _cleaned(s, positive)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from asprod.syntax import parse_definition, parse_file, pretty_print
 from asprod.terms import Kind
 
 from conftest import CORPUS_TEXT, corpus, definitions
-from reference import cross_validate, prefix_distribution, step
+from reference import build_full_system, cross_validate, prefix_distribution, step
 from test_eqsys import CRITICAL, SUBCRITICAL
 
 F = Fraction
@@ -187,8 +187,9 @@ def _kleene_monotone(d, budget):
 @settings(max_examples=200, deadline=None)
 @given(definitions(4))
 def _clean_preserves_least_fixed_point(d):
-    system = build_system(translate(d))
-    cleaned, positivity = clean(system)
+    p = translate(d)
+    system = build_full_system(p)
+    cleaned, positivity = clean(build_system(p))
     full, _ = kleene_solve(system, 1e-9, max_iter=300)
     reduced, _ = kleene_solve(cleaned, 1e-9, max_iter=300)
     survivors = [i for i, v in enumerate(system.variables) if positivity[v]]

@@ -19,7 +19,8 @@ from asprod.cli import main
 from asprod.ppda import export, translate
 from asprod.syntax import MAX_NESTING, parse_definition
 
-from conftest import CORPUS_TEXT
+from conftest import CORPUS_TEXT, corpus
+from reference import build_full_system, worklist_clean
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -466,6 +467,20 @@ def test_solve_prints_values_and_classes(tmp_path, capsys):
     assert "[s, tl, s] kleene=0.333333" in out
     assert "SubReturn (certificate sum" in out
     assert "AlmostSureReturn" in out
+
+
+def test_solve_header_counts_the_built_and_the_surviving_variables(corpus_file, capsys):
+    # N counts every variable of the full system, zero ones included, and M
+    # the ones cleaning keeps
+    assert main(["solve", corpus_file]) == 0
+    out = capsys.readouterr().out
+    headers = [line.split(" (kleene:")[0] for line in out.splitlines() if not line.startswith(" ")]
+    expected = []
+    for name, d in corpus().items():
+        full = build_full_system(translate(d))
+        survivors = worklist_clean(full)[0].variables
+        expected.append(f"{name}: {len(full.variables)} variables, {len(survivors)} surviving")
+    assert headers == expected
 
 
 def test_solve_prints_sub_one_heads_no_certificate_reaches(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from asprod import eqsys
+from asprod.decide import exact_analysis
 from asprod.eqsys import (
     CERT_BUMPS,
     CERT_REFINE,
@@ -41,7 +42,13 @@ from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
 from conftest import corpus, definitions, seeded_random_definitions
-from reference import fixed_point_clean, fraction_contraction_feasible, mass_at_one
+from reference import (
+    build_full_system,
+    fixed_point_clean,
+    fraction_contraction_feasible,
+    mass_at_one,
+    worklist_clean,
+)
 
 
 F = Fraction
@@ -166,16 +173,16 @@ def test_clean_is_identity_on_constant_system():
         state_names=("z",),
         alphabet=("tl",),
     )
-    cleaned, positivity = clean(s)
+    cleaned, positivity = worklist_clean(s)
     assert cleaned.variables == s.variables
     assert cleaned.equations == s.equations
     assert positivity == {(0, "tl", 0): True}
 
 
 def assert_clean_matches_fixed_point(d):
-    system = build_system(translate(d))
-    cleaned, positivity = clean(system)
-    expected, expected_positivity = fixed_point_clean(system)
+    p = translate(d)
+    cleaned, positivity = clean(build_system(p))
+    expected, expected_positivity = fixed_point_clean(build_full_system(p))
     assert cleaned.variables == expected.variables
     assert cleaned.equations == expected.equations
     assert positivity == expected_positivity
@@ -190,6 +197,58 @@ def test_worklist_clean_matches_the_fixed_point(d):
 def test_worklist_clean_matches_the_fixed_point_on_the_seeded_batch():
     for d in seeded_random_definitions(48):
         assert_clean_matches_fixed_point(d)
+
+
+def assert_direct_build_matches_the_oracle(d):
+    p = translate(d)
+    candidates = build_system(p)
+    system, positivity = clean(candidates)
+    full = build_full_system(p)
+    expected, expected_positivity = worklist_clean(full)
+    assert len(candidates.variables) == len(full.variables)
+    assert system.variables == expected.variables
+    # per equation: the constant, then each monomial's coefficient and
+    # factors, in order
+    def terms(s):
+        return [(eq.const, [(m.coef, m.factors) for m in eq.monomials]) for eq in s.equations]
+
+    assert terms(system) == terms(expected)
+    assert (system.heads, system.state_names, system.alphabet) == (
+        expected.heads,
+        expected.state_names,
+        expected.alphabet,
+    )
+    assert positivity == expected_positivity
+
+
+@settings(max_examples=150, deadline=None)
+@given(definitions())
+def test_direct_build_matches_the_cleaned_full_system(d):
+    assert_direct_build_matches_the_oracle(d)
+
+
+def test_direct_build_matches_the_cleaned_full_system_on_the_corpus_and_seeded_batch():
+    for d in [*corpus().values(), *seeded_random_definitions(48)]:
+        assert_direct_build_matches_the_oracle(d)
+
+
+def test_exact_analysis_builds_only_surviving_equations(monkeypatch):
+    built = 0
+    real = eqsys.Equation
+
+    def counting(*args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eqsys, "Equation", counting)
+    pruned = 0
+    for d in [*corpus().values(), *seeded_random_definitions(48)]:
+        built = 0
+        analysis = exact_analysis(d)
+        assert built == len(analysis.system.variables), d
+        pruned += analysis.built_variables - built
+    assert pruned > 0  # some candidates are zero, and none of their equations is made
 
 
 # ---------------------------------------------------------------------------
@@ -950,8 +1009,8 @@ def test_integer_kernel_matches_the_oracle_on_every_block_classify_tests(monkeyp
 @settings(max_examples=150, deadline=None)
 @given(definitions())
 def test_integer_mass_test_matches_the_fraction_sum(d):
-    built = build_system(translate(d))
-    for s in (built, clean(built)[0]):
+    p = translate(d)
+    for s in (build_full_system(p), clean(build_system(p))[0]):
         for eq, row in zip(s.equations, s.integer_form):
             scale, const, monos = row
             assert F(const, scale) == eq.const
@@ -1144,7 +1203,7 @@ def test_built_systems_draw_coefficients_from_probability_rows(d):
     # representative per pushed-head group (a push expands into one
     # quadratic monomial per inner landing state, all with the same
     # transition probability) sum to at most one
-    system = build_system(translate(d))
+    system = build_full_system(translate(d))
     for eq in system.equations:
         assert eq.const >= 0
         assert all(m.coef > 0 and 1 <= len(m.factors) <= 2 for m in eq.monomials)
