@@ -7,7 +7,8 @@ For every definition, `clean(build_system(p))` (positivity saturated on the
 automaton's rows, then only the positive equations built) must equal
 `worklist_clean(build_full_system(p))` from `tests/reference.py`: the same
 variables, the same equations monomial for monomial, the same positivity
-map, and the same count of candidate variables.  Prints one line per
+map (each candidate mapped to whether `clean`'s positive set holds it), and
+the same count of candidate variables.  Prints one line per
 difference, then one count line per input.  Exits 1 on any difference.
 The inputs come from `bench/workloads.stratified`.
 
@@ -59,7 +60,8 @@ def main() -> int:
         built = survived = 0
         for g in workloads.stratified(count, seed, budget=budget, leaf_prob=LEAF_PROB):
             candidates = build_system(translate(parse_definition(g.text)))
-            system, positivity = clean(candidates)
+            system, positive = clean(candidates)
+            positivity = {v: v in positive for v in candidates.variables}
             built += len(candidates.variables)
             survived += len(system.variables)
             diff = differences(candidates, system, positivity)

@@ -167,11 +167,19 @@ def _sample(pending: Iterable, args) -> Iterator:
 # JSON rendering
 
 
-def _class_json(cls) -> dict:
+def _class_json(cls, certificates: dict[int, list[str]]) -> dict:
+    """A head class as JSON.  The heads of one system share their
+    certificate tuples, so each tuple is written once into `certificates`,
+    keyed by its id, and its text list is shared too."""
     if isinstance(cls, AlmostSureReturn):
         return {"class": "almost_sure_return"}
     if isinstance(cls, SubReturn):
-        cert = None if cls.certificate is None else [frac_str(c) for c in cls.certificate]
+        cert = cls.certificate
+        if cert is not None:
+            text = certificates.get(id(cert))
+            if text is None:
+                text = certificates[id(cert)] = [frac_str(c) for c in cert]
+            cert = text
         return {"class": "sub_return", "certificate": cert}
     assert isinstance(cls, Unknown)
     return {"class": "unknown", "reason": cls.reason}
@@ -181,9 +189,10 @@ def _tier2_json(t2: ExactAnalysis) -> dict:
     chain = t2.chain
     names = chain.state_names
     heads = []
+    certificates: dict[int, list[str]] = {}  # the classes keep each tuple alive
     for (q, x) in sorted(t2.classes):
         entry = {"state": names[q], "symbol": x}
-        entry.update(_class_json(t2.classes[(q, x)]))
+        entry.update(_class_json(t2.classes[(q, x)], certificates))
         heads.append(entry)
     edges = sorted((q, t) for q, targets in chain.edges.items() for t in targets)
     return {
@@ -258,10 +267,11 @@ def _render_entry(entry) -> str:
     indent=2)` with every line indented four more spaces: dict keys, which
     are strings, sorted; two spaces per level; "," ending an item's line
     and ": " after a key; strings and keys through `encode_basestring_ascii`,
-    the escaper `json.dumps` uses; lists and tuples as lists; integers
-    (not booleans) by `repr`, as `json.dumps` writes them; every other
-    scalar through `json.dumps` itself, so None, booleans, NaN, the
-    infinities and -0.0 read as `json.dumps` writes them.
+    the escaper `json.dumps` uses; lists and tuples as lists, a list of
+    strings written with one join; integers (not booleans) by `repr`, as
+    `json.dumps` writes them; None as null; every other scalar through
+    `json.dumps` itself, so booleans, NaN, the infinities and -0.0 read as
+    `json.dumps` writes them.
     This skips the pure-Python encoder that `indent` selects."""
     out = ["    "]
     _render_value(entry, "    ", out)
@@ -273,6 +283,8 @@ def _render_value(value, indent: str, out: list[str]) -> None:
         out.append(_encode_str(value))
     elif type(value) is int:
         out.append(repr(value))
+    elif value is None:
+        out.append("null")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -291,6 +303,14 @@ def _render_value(value, indent: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = indent + "  "
+        if isinstance(value[0], str):  # a list of strings, written with one join
+            try:
+                text = (",\n" + inner).join(map(_encode_str, value))
+            except TypeError:  # an item that is not a string
+                pass
+            else:
+                out.append(f"[\n{inner}{text}\n{indent}]")
+                return
         sep = "[\n" + inner
         for item in value:
             out.append(sep)

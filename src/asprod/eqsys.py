@@ -28,9 +28,12 @@ Positivity is pop-reachability, saturated on the automaton's rows before
 any equation exists: `build_system` only enumerates the candidate
 variables, and `clean` builds the equations of the positive ones alone,
 without their zero monomials.  Newton runs in plain Python
-floats read from one `float_form` (this module never imports numpy); a
-singular step, which only rounding at the fixed point can cause (Etessami
-and Yannakakis, JACM 2009), ends its block's iteration.
+floats read from one `float_form` (this module never imports numpy), one
+dependency block at a time: a block of one variable that does not read
+itself is evaluated at the values below it, and only a block that reads
+its own variables iterates.  A singular step, which only rounding at the
+fixed point can cause (Etessami and Yannakakis, JACM 2009), ends its
+block's iteration.
 """
 
 from __future__ import annotations
@@ -119,8 +122,8 @@ class EqSystem:
         """Each equation once in integers, (L, L const, [(L a, factors)])
         with L the lcm of the denominators of its constant and
         coefficients: L x = L const + sum L a prod(factors) holds exactly.
-        The mass test, the Jacobian at one and the certificate grid all
-        read this one form."""
+        The mass test, the integer rows of I - J(1) that the spectral test
+        eliminates and the certificate grid all read this one form."""
         out = []
         for eq in self.equations:
             c = eq.const
@@ -183,10 +186,13 @@ def evaluate(eq: Equation, values: Sequence) -> object:
 
 
 def float_form(s: EqSystem) -> list[FloatEquation]:
-    """Each equation once in floats, built once per solve and not kept."""
+    """Each equation once in floats, built once per solve and not kept.
+
+    Read off the integer form: L a / L is a correctly rounded integer
+    division, as `float` of the Fraction a is, so each float is the same."""
     return [
-        (float(eq.const), [(float(m.coef), m.factors) for m in eq.monomials])
-        for eq in s.equations
+        (const / scale, [(a / scale, factors) for a, factors in monos])
+        for scale, const, monos in s.integer_form
     ]
 
 
@@ -194,9 +200,9 @@ def float_form(s: EqSystem) -> list[FloatEquation]:
 # positivity and the surviving equations
 
 
-def clean(c: Candidates) -> tuple[EqSystem, dict[VarKey, bool]]:
+def clean(c: Candidates) -> tuple[EqSystem, set[VarKey]]:
     """Build the system of the candidates whose least-fixed-point value is
-    positive, and map every candidate to its positivity.
+    positive, and return it with the set of those candidates.
 
     Positivity is pushdown pop-reachability, saturated on the automaton's
     rows before any equation exists (Bouajjani, Esparza and Maler, CONCUR
@@ -252,7 +258,7 @@ def clean(c: Candidates) -> tuple[EqSystem, dict[VarKey, bool]]:
         for m in p.rows[(q, x)]:
             if not m.push:  # pop
                 if m.target == r:
-                    const += m.prob
+                    const = m.prob if const is ZERO else const + m.prob
             elif len(m.push) == 1:  # keep: the read symbol is pushed back
                 k = index.get((m.target, x, r))
                 if k is not None:
@@ -272,7 +278,7 @@ def clean(c: Candidates) -> tuple[EqSystem, dict[VarKey, bool]]:
         state_names=p.state_names,
         alphabet=p.alphabet,
     )
-    return system, {v: v in positive for v in c.variables}
+    return system, positive
 
 
 # ---------------------------------------------------------------------------
@@ -445,22 +451,17 @@ def _lu_solve(lu: _LU, b: Sequence[float]) -> list[float]:
 
 
 def _finite(xs: Sequence[float]) -> bool:
-    return all(math.isfinite(x) for x in xs)
+    return all(map(math.isfinite, xs))
 
 
 def _clip(xs) -> list[float]:
     return [min(1.0, max(0.0, x)) for x in xs]
 
 
-def _block_direction(form, comp, local, lu, values, direction) -> list[float]:
-    """The block's part of (I - J)^-1 1, given the parts of the blocks it
-    reads in `direction`, or all ones if the solve fails.
-
-    `lu` is I - J over the block's own variables, factored by `_factor`, or
-    None if it was singular.
-    """
-    if lu is None:
-        return [1.0] * len(comp)
+def _direction_rhs(form, comp, local, values, direction) -> list[float]:
+    """Per variable of the block, 1 plus its partial derivatives in the
+    variables it reads outside the block times their part of the direction:
+    the right-hand side of the block's part of (I - J) d = 1."""
     rhs = []
     for v in comp:
         total = 1.0
@@ -472,10 +473,43 @@ def _block_direction(form, comp, local, lu, values, direction) -> list[float]:
                         partial *= values[fs[1 - pos]]
                     total += partial * direction[f]
         rhs.append(total)
-    d = _lu_solve(lu, rhs)
+    return rhs
+
+
+def _positive(d: list[float]) -> list[float]:
+    """`d` if it is finite and positive, else all ones."""
     if not _finite(d) or min(d) <= 0.0:
-        return [1.0] * len(comp)
+        return [1.0] * len(d)
     return d
+
+
+def _block_direction(form, comp, local, lu, values, direction) -> list[float]:
+    """The block's part of (I - J)^-1 1, given the parts of the blocks it
+    reads in `direction`, or all ones if the solve fails.
+
+    `lu` is I - J over the block's own variables, factored by `_factor`, or
+    None if it was singular.
+    """
+    if lu is None:
+        return [1.0] * len(comp)
+    return _positive(_lu_solve(lu, _direction_rhs(form, comp, local, values, direction)))
+
+
+def _evaluated(eq: FloatEquation, values: Sequence[float]) -> float:
+    """An equation that reads no variable of its own block, at `values`,
+    summed in the order `_block_rows` and `_image` sum it."""
+    total, monos = eq
+    for coef, factors in monos:
+        for f in factors:
+            coef *= values[f]
+        total += coef
+    return total
+
+
+def _reads_itself(comp: Sequence[int], deps: list[set[int]]) -> bool:
+    """Whether a dependency block reads one of its own variables: it has
+    several, or its one equation reads its own variable."""
+    return len(comp) > 1 or comp[0] in deps[comp[0]]
 
 
 def _scaled(direction: list[float]) -> list[float]:
@@ -488,24 +522,35 @@ def newton_solve(
     epsilon: float = DEFAULT_EPSILON,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> NewtonValues:
-    """Decomposed Newton iteration, one strongly connected block at a time.
+    """Decomposed Newton iteration, one strongly connected block at a time
+    (Etessami, Yannakakis, JACM 2009, "EY09").
 
-    Blocks are solved bottom-up in dependency order, starting from zero, so
-    iterates approach the least fixed point from below.  Each step solves
-    (I - J) dx = F(x) - x by Gaussian elimination with partial pivoting,
-    clips to [0, 1], and stops once max |dx| < epsilon or after `max_iter`
-    steps.  Below the least fixed point of a cleaned system the Newton
-    matrix is nonsingular (Etessami, Yannakakis, JACM 2009, "EY09"), so a
+    Blocks are solved bottom-up in dependency order.  A block of one
+    variable that does not read itself is evaluated: its value is F at the
+    values below it, clipped to [0, 1], and its direction (I - J) d = 1 is
+    its right-hand side, since I - J is the identity there.  That is exactly
+    what a Newton step from zero gives it.  Only a block that reads its own
+    variables iterates, from zero, so iterates approach the least fixed
+    point from below: each step solves (I - J) dx = F(x) - x by Gaussian
+    elimination with partial pivoting, clips to [0, 1], and stops once
+    max |dx| < epsilon or after `max_iter` steps.  Below the least fixed
+    point of a cleaned system the Newton matrix is nonsingular (EY09), so a
     singular or non-finite step comes from rounding at the fixed point: it
     ends the block at its last iterate, with direction one.  The result is
     a `NewtonValues`: its direction reuses each block's last factorization.
     """
     n = len(s.variables)
     form = float_form(s)
+    deps = s.dependencies
     values = [0.0] * n
     direction = [1.0] * n
     for comp in s.blocks:
         local = {v: k for k, v in enumerate(comp)}
+        if not _reads_itself(comp, deps):
+            (v,) = comp
+            values[v] = min(1.0, max(0.0, _evaluated(form[v], values)))
+            (direction[v],) = _positive(_direction_rhs(form, comp, local, values, direction))
+            continue
         rows = _block_rows(form, comp, local, values)
         x = [0.0] * len(comp)
         lu = None
@@ -708,11 +753,11 @@ class Unknown:
 HeadClass = Union[AlmostSureReturn, SubReturn, Unknown]
 
 
-def nonnegative_contraction_feasible(b: Sequence[Sequence[Fraction]]) -> bool:
-    """Decide whether the nonnegative rational matrix B (entries Fractions
-    or ints) has spectral radius at most one, that is, whether I - B is an
-    M-matrix.  For irreducible B this is the same as some v >= 1 satisfying
-    B v <= v.
+def nonnegative_contraction_feasible(a: list[list[int]]) -> bool:
+    """Decide whether a nonnegative rational matrix B has spectral radius at
+    most one, that is, whether I - B is an M-matrix, from the rows of I - B
+    in integers: row i of `a` is row i of I - B times a positive integer.
+    For irreducible B this is the same as some v >= 1 satisfying B v <= v.
 
     Precondition: B is irreducible; then the answer is exact.  For any B,
     True still proves spectral radius at most one, but False may be wrong.
@@ -722,20 +767,14 @@ def nonnegative_contraction_feasible(b: Sequence[Sequence[Fraction]]) -> bool:
     last may be zero (Berman & Plemmons, *Nonnegative Matrices in the
     Mathematical Sciences*, ch. 6).
 
-    The elimination runs in integers, without division: each row of I - B
-    is scaled by the lcm of its denominators, a row is eliminated as
-    row_i <- pivot row_i - a_ik row_k with pivot > 0, and then divided by
-    the gcd of its remaining entries.  Each row stays a positive multiple
-    of the rational row exact elimination would hold, so every sign and
-    zero test answers as it would in rational arithmetic.
+    The elimination runs in integers, without division, and in place on
+    `a`: a row is eliminated as row_i <- pivot row_i - a_ik row_k with
+    pivot > 0, and then divided by the gcd of its remaining entries.  Each
+    row stays a positive multiple of the rational row exact elimination
+    would hold, so every sign and zero test answers as it would in rational
+    arithmetic.
     """
-    n = len(b)
-    a = []
-    for i, row in enumerate(b):
-        scale = math.lcm(*(x.denominator for x in row))
-        scaled = [-x.numerator * (scale // x.denominator) for x in row]
-        scaled[i] += scale
-        a.append(scaled)
+    n = len(a)
     for k in range(n):
         pivot_row = a[k]
         pivot = pivot_row[k]
@@ -754,40 +793,44 @@ def nonnegative_contraction_feasible(b: Sequence[Sequence[Fraction]]) -> bool:
 
 
 def spectral_le_one(b: Sequence[Sequence[Fraction]]) -> bool:
-    """Exactly decide whether a nonnegative rational matrix has spectral
-    radius at most one.
+    """Exactly decide whether a nonnegative rational matrix (entries
+    Fractions or ints) has spectral radius at most one.
 
-    Decided by `nonnegative_contraction_feasible`, exact for irreducible B.
+    Each row of I - B is scaled by the lcm of its denominators and decided
+    by `nonnegative_contraction_feasible`, exact for irreducible B.
     Reducible inputs must be SCC-decomposed by the caller, otherwise only
     the True answer is conclusive.
     """
-    for row in b:
-        for entry in row:
-            if entry < 0:
-                raise ValueError("matrix must be nonnegative")
-    return nonnegative_contraction_feasible(b)
+    a = []
+    for i, row in enumerate(b):
+        if any(entry < 0 for entry in row):
+            raise ValueError("matrix must be nonnegative")
+        scale = math.lcm(*(x.denominator for x in row))
+        scaled = [-x.numerator * (scale // x.denominator) for x in row]
+        scaled[i] += scale
+        a.append(scaled)
+    return nonnegative_contraction_feasible(a)
 
 
-def _internal_jacobian_at_one(
-    s: EqSystem, comp: list[int]
-) -> list[list[Fraction]]:
-    """Jacobian of the block at the all-ones point, internal columns only.
-
-    Each entry is summed in integers from the equation's integer form and
-    divided by its L once: a monomial adds its coefficient to the column of
-    each of its factors inside the block, twice for a squared factor."""
+def _contraction_rows(s: EqSystem, comp: list[int]) -> list[list[int]]:
+    """I - J(1) over the block's own variables, J the Jacobian at the
+    all-ones point, in integers: row k is L (I - J(1)) for the equation of
+    comp[k], read off its integer form (L, L const, [(L a, factors)]).  A
+    monomial takes its L a from the column of each of its factors inside
+    the block, twice for a squared factor."""
     local = {v: k for k, v in enumerate(comp)}
-    jac = []
-    for v in comp:
+    rows = []
+    for k, v in enumerate(comp):
         scale, _, monos = s.integer_form[v]
         row = [0] * len(comp)
+        row[k] = scale
         for a, factors in monos:
             for f in factors:
-                k = local.get(f)
-                if k is not None:
-                    row[k] += a
-        jac.append([Fraction(x, scale) if x else ZERO for x in row])
-    return jac
+                j = local.get(f)
+                if j is not None:
+                    row[j] -= a
+        rows.append(row)
+    return rows
 
 
 def _mass_below_one(eq: IntegerEquation) -> bool:
@@ -850,10 +893,10 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
             _mass_below_one(s.integer_form[v]) for v in comp
         ):
             verdict = False
-        elif len(comp) == 1 and comp[0] not in deps[comp[0]]:
+        elif not _reads_itself(comp, deps):
             verdict = True  # no self-dependency: value is F(1) = 1
         else:
-            verdict = spectral_le_one(_internal_jacobian_at_one(s, comp))
+            verdict = nonnegative_contraction_feasible(_contraction_rows(s, comp))
         for v in comp:
             almost_sure[v] = verdict
 

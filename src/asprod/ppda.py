@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import syntax
-from .terms import Choice, Cons, Definition, Kind, Left, Mk, RecVar, Right, Tail, Term, subterms
+from .terms import Choice, Cons, Definition, Kind, Left, Mk, RecVar, Tail, Term
+from .terms import children, subterms
 
 TL = "tl"
 LT = "lt"
@@ -67,6 +68,7 @@ def translate(d: Definition) -> Ppda:
     """
     states = subterms(d)
     index = {t: i for i, t in enumerate(states)}
+    kids = [[index[c] for c in children(t)] for t in states]
     alphabet = (TL,) if d.kind is Kind.STREAM else (LT, RT)
     rows: dict[tuple[int, TopSymbol], tuple[Move, ...]] = {}
     body = index[d.body]
@@ -75,37 +77,30 @@ def translate(d: Definition) -> Ppda:
     keep[None] = ()
 
     for i, t in enumerate(states):
-        if isinstance(t, Choice):
+        k = kids[i]
+        if isinstance(t, RecVar):
+            for top, kept in keep.items():
+                rows[(i, top)] = (Move(ONE, body, kept),)
+        elif isinstance(t, Choice):
             rest = 1 - t.prob
-        for top, kept in keep.items():
-            if isinstance(t, RecVar):
-                moves = (Move(ONE, body, kept),)
-            elif isinstance(t, Choice):
-                moves = _merge_moves(
-                    Move(t.prob, index[t.left], kept), Move(rest, index[t.right], kept)
-                )
-            elif isinstance(t, Cons):
-                # at the empty stack this is the outputting transition;
-                # under tl it cancels one pending destructor (a pop)
-                moves = (Move(ONE, index[t.tail], ()),)
-            elif isinstance(t, Tail):
-                moves = (Move(ONE, index[t.arg], (TL, *kept)),)
-            elif isinstance(t, Mk):
-                if top is None:
-                    moves = _merge_moves(
-                        Move(HALF, index[t.left], ()), Move(HALF, index[t.right], ())
-                    )
-                elif top == LT:
-                    moves = (Move(ONE, index[t.left], ()),)
-                else:
-                    moves = (Move(ONE, index[t.right], ()),)
-            elif isinstance(t, Left):
-                moves = (Move(ONE, index[t.arg], (LT, *kept)),)
-            else:  # Right
-                moves = (Move(ONE, index[t.arg], (RT, *kept)),)
-            rows[(i, top)] = moves
+            for top, kept in keep.items():
+                rows[(i, top)] = _merge_moves(Move(t.prob, k[0], kept), Move(rest, k[1], kept))
+        elif isinstance(t, Cons):
+            # at the empty stack this is the outputting transition; under tl
+            # it cancels one pending destructor (a pop)
+            for top in keep:
+                rows[(i, top)] = (Move(ONE, k[0], ()),)
+        elif isinstance(t, Mk):
+            # under lt or rt a pop to that child; at the empty stack either
+            # child, uniformly
+            rows[(i, LT)] = (Move(ONE, k[0], ()),)
+            rows[(i, RT)] = (Move(ONE, k[1], ()),)
+            rows[(i, None)] = _merge_moves(Move(HALF, k[0], ()), Move(HALF, k[1], ()))
+        else:  # a destructor pushes its symbol over the read one
+            symbol = TL if isinstance(t, Tail) else LT if isinstance(t, Left) else RT
+            for top, kept in keep.items():
+                rows[(i, top)] = (Move(ONE, k[0], (symbol, *kept)),)
 
-    names = tuple(syntax.format_term(t, d.name) for t in states)
     return Ppda(
         name=d.name,
         kind=d.kind,
@@ -113,8 +108,29 @@ def translate(d: Definition) -> Ppda:
         alphabet=alphabet,
         rows=rows,
         initial=body,
-        state_names=names,
+        state_names=_state_names(states, kids, d.name),
     )
+
+
+def _state_names(states: tuple[Term, ...], kids: list[list[int]], name: str) -> tuple[str, ...]:
+    """`syntax.format_term` of every state, each written once from its
+    children's texts, `kids` the children's state indices.  A child may come
+    before or after its parent in `states`, so the texts are written in
+    post-order, by a depth-first walk from the body (state 0) with an
+    explicit stack: an entry ~i writes state i once its children are
+    written."""
+    names: list[Optional[str]] = [None] * len(states)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if i >= 0:
+            if names[i] is None:
+                stack.append(~i)
+                stack.extend(kids[i])
+        elif names[~i] is None:
+            i = ~i
+            names[i] = syntax.format_node(states[i], name, list(map(names.__getitem__, kids[i])))
+    return tuple(names)
 
 
 def _merge_moves(first: Move, second: Move) -> tuple[Move, ...]:

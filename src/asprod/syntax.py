@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import islice
+from typing import Sequence
 
 from .terms import (
     Choice,
@@ -36,6 +37,7 @@ from .terms import (
     Right,
     Tail,
     Term,
+    children,
 )
 
 KEYWORDS = frozenset({"stream", "tree", "tail", "mk", "left", "right"})
@@ -105,6 +107,7 @@ class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens  # ends with _END
         self.pos = 0
+        self.rec = RecVar()  # one leaf for every recursive occurrence
 
     def fail(self, message: str, index: int | None = None) -> _Failure:
         return _Failure(message, self.pos if index is None else index)
@@ -247,7 +250,7 @@ class _Parser:
                 f"reference to another definition's name {tok!r} (only {name!r} may recur)",
                 at,
             )
-        return RecVar()
+        return self.rec
 
     def argument(self, name: str, kind: Kind, depth: int) -> Term:
         """The parenthesized argument of the destructor at the current token."""
@@ -286,27 +289,30 @@ def parse_definition(text: str) -> Definition:
     return defs[0]
 
 
-def format_term(t: Term, name: str) -> str:
-    """Canonical concrete syntax for a term, with minimal parentheses."""
+def format_node(t: Term, name: str, texts: Sequence[str]) -> str:
+    """The canonical concrete syntax of `t`, given that of each of its
+    `children`, in order, in `texts`; a Choice child of a Choice's left or
+    of a Cons gets parentheses, and no other child needs them."""
     if isinstance(t, RecVar):
         return name
     if isinstance(t, Choice):
-        left = format_term(t.left, name)
-        if isinstance(t.left, Choice):
-            left = f"({left})"
-        return f"{left} (+ {t.prob}) {format_term(t.right, name)}"
+        left = f"({texts[0]})" if isinstance(t.left, Choice) else texts[0]
+        return f"{left} (+ {t.prob}) {texts[1]}"
     if isinstance(t, Cons):
-        tail = format_term(t.tail, name)
-        if isinstance(t.tail, Choice):
-            tail = f"({tail})"
+        tail = f"({texts[0]})" if isinstance(t.tail, Choice) else texts[0]
         return f"{t.label} : {tail}"
     if isinstance(t, Tail):
-        return f"tail({format_term(t.arg, name)})"
+        return f"tail({texts[0]})"
     if isinstance(t, Mk):
-        return f"mk({t.label}, {format_term(t.left, name)}, {format_term(t.right, name)})"
+        return f"mk({t.label}, {texts[0]}, {texts[1]})"
     if isinstance(t, Left):
-        return f"left({format_term(t.arg, name)})"
-    return f"right({format_term(t.arg, name)})"
+        return f"left({texts[0]})"
+    return f"right({texts[0]})"
+
+
+def format_term(t: Term, name: str) -> str:
+    """Canonical concrete syntax for a term, with minimal parentheses."""
+    return format_node(t, name, [format_term(c, name) for c in children(t)])
 
 
 def pretty_print(d: Definition) -> str:

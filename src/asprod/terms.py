@@ -9,7 +9,7 @@ never refers to any other definition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -22,13 +22,46 @@ class Kind(Enum):
     TREE = "tree"
 
 
-@dataclass(frozen=True)
-class RecVar:
+def _structural_hash(node: "_Node") -> int:
+    """The hash of a node's class name and fields, computed the first time
+    the node is hashed, before it keeps anything else."""
+    return hash((type(node).__name__, *vars(node).values()))
+
+
+class _Node:
+    """Base of the term nodes: a node computes its structural hash once and
+    keeps it, so hashing a term costs one step per node, however often and
+    however deep it is hashed.  Nodes are equal when they have the same
+    class and equal fields, so terms built separately still merge."""
+
+    _hash = None  # set on the first hash
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = _structural_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return hash(self) == hash(other) and vars(self) == vars(other)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy in another process hashes anew
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class RecVar(_Node):
     """Recursive occurrence of the definition's own name."""
 
 
-@dataclass(frozen=True)
-class Choice:
+@dataclass(frozen=True, eq=False)
+class Choice(_Node):
     """Take `left` with probability `prob`, otherwise `right`; 0 < prob < 1."""
 
     prob: Fraction
@@ -36,23 +69,23 @@ class Choice:
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Cons:
+@dataclass(frozen=True, eq=False)
+class Cons(_Node):
     """Stream constructor: emit `label`, continue as `tail`."""
 
     label: str
     tail: "Term"
 
 
-@dataclass(frozen=True)
-class Tail:
+@dataclass(frozen=True, eq=False)
+class Tail(_Node):
     """Stream destructor: drop the first element produced by `arg`."""
 
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Mk:
+@dataclass(frozen=True, eq=False)
+class Mk(_Node):
     """Tree constructor: emit `label` at the root, with two child terms."""
 
     label: str
@@ -60,15 +93,15 @@ class Mk:
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Left:
+@dataclass(frozen=True, eq=False)
+class Left(_Node):
     """Tree destructor: descend to the left child of `arg`."""
 
     arg: "Term"
 
 
-@dataclass(frozen=True)
-class Right:
+@dataclass(frozen=True, eq=False)
+class Right(_Node):
     """Tree destructor: descend to the right child of `arg`."""
 
     arg: "Term"

@@ -7,10 +7,11 @@ translated pPDA (`observable_distribution`), their comparison
 pop-probability system with its zero variables (`build_full_system`),
 positivity cleaning by a worklist over its equations (`worklist_clean`) and
 by repeated full passes (`fixed_point_clean`), an equation's mass
-at one as a `Fraction` sum (`mass_at_one`), and the spectral test by
-Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`).
-None of it runs on a command of the package; it is slow, exact and
-readable.
+at one as a `Fraction` sum (`mass_at_one`), the spectral test by
+Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`),
+and decomposed Newton iterating every block, evaluated ones included
+(`iterated_newton_solve`).  None of it runs on a command of the package; it
+is slow, exact and readable.
 
 Each step of a definition either emits one output symbol or silently unfolds
 the recursion; even when several constructors are exposed at once only the
@@ -22,12 +23,14 @@ inside a single step.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from asprod.eqsys import EqSystem, Equation, Monomial, VarKey
+from asprod import eqsys
+from asprod.eqsys import EqSystem, Equation, Monomial, NewtonValues, VarKey
 from asprod.ppda import Move, Ppda, translate
 from asprod.semantics import UNIFORM, PeriodicWord, Policy
 from asprod.terms import (
@@ -551,3 +554,49 @@ def fraction_contraction_feasible(b) -> bool:
             for j in range(k + 1, n):
                 a[i][j] -= factor * a[k][j]
     return True
+
+
+# ---------------------------------------------------------------------------
+# Newton on every block
+
+
+def iterated_newton_solve(
+    s: EqSystem,
+    epsilon: float = eqsys.DEFAULT_EPSILON,
+    max_iter: int = eqsys.NEWTON_MAX_ITER,
+) -> NewtonValues:
+    """`eqsys.newton_solve` with every block iterated, a block that reads
+    none of its own variables too: from zero, each step solves
+    (I - J) dx = F(x) - x with `eqsys`'s own float form, factorization and
+    solve, clips to [0, 1], and stops once max |dx| < epsilon or after
+    `max_iter` steps; a singular or non-finite step ends the block at its
+    last iterate, with direction one.  On a block that does not read
+    itself, I - J is the identity, so the first step lands on the clipped
+    value of F and every later step keeps it: `newton_solve`, which only
+    evaluates such a block, must agree bit for bit."""
+    n = len(s.variables)
+    form = eqsys.float_form(s)
+    values = [0.0] * n
+    direction = [1.0] * n
+    for comp in s.blocks:
+        local = {v: k for k, v in enumerate(comp)}
+        rows = eqsys._block_rows(form, comp, local, values)
+        x = [0.0] * len(comp)
+        lu = None
+        for _ in range(max_iter):
+            fx = eqsys._image(rows, x)
+            factored = eqsys._factor(eqsys._newton_matrix(rows, x))
+            dx = None if factored is None else eqsys._lu_solve(factored, [f - y for f, y in zip(fx, x)])
+            if dx is None or not all(math.isfinite(d) for d in dx):
+                lu = None
+                break
+            lu = factored
+            x = [min(1.0, max(0.0, y + d)) for y, d in zip(x, dx)]
+            if max(map(abs, dx)) < epsilon:
+                break
+        for v, value in zip(comp, x):
+            values[v] = value
+        for v, dv in zip(comp, eqsys._block_direction(form, comp, local, lu, values, direction)):
+            direction[v] = dv
+    top = max(direction, default=1.0)
+    return NewtonValues(values, [d / top for d in direction])

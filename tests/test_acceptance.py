@@ -189,7 +189,9 @@ def _kleene_monotone(d, budget):
 def _clean_preserves_least_fixed_point(d):
     p = translate(d)
     system = build_full_system(p)
-    cleaned, positivity = clean(build_system(p))
+    candidates = build_system(p)
+    cleaned, positive = clean(candidates)
+    positivity = {v: v in positive for v in candidates.variables}
     full, _ = kleene_solve(system, 1e-9, max_iter=300)
     reduced, _ = kleene_solve(cleaned, 1e-9, max_iter=300)
     survivors = [i for i, v in enumerate(system.variables) if positivity[v]]

@@ -75,7 +75,8 @@ def test_ground_chain_trap_has_no_reachable_output():
 
 def _probed_successors(p, positivity, q):
     """A node's successors derived without the head index: for each push,
-    every state is probed in `clean`'s positivity map as a landing state."""
+    every state is probed in the positivity map of `clean`'s set as a
+    landing state."""
     out = []
     for m in p.rows[(q, None)]:
         if not m.push:
@@ -100,7 +101,9 @@ def _walked(g):
 
 def _check_chain_against_oracles(d):
     p = translate(d)
-    cleaned, positivity = clean(build_system(p))
+    candidates = build_system(p)
+    cleaned, positive = clean(candidates)
+    positivity = {v: v in positive for v in candidates.variables}
     g = ground_chain(p, classify_heads(cleaned), cleaned)
     assert set(g.nodes) == _walked(g), d
     for q in g.nodes:

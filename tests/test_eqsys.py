@@ -46,6 +46,7 @@ from reference import (
     build_full_system,
     fixed_point_clean,
     fraction_contraction_feasible,
+    iterated_newton_solve,
     mass_at_one,
     worklist_clean,
 )
@@ -72,9 +73,16 @@ SUBCRITICAL = one_var("1/4", "3/4")  # least root 1/3, other root 1
 CRITICAL = one_var("1/2", "1/2")  # double root 1
 
 
+def positivity_map(candidates):
+    """The cleaned system of `candidates`, and every candidate mapped to
+    whether it lies in the positive set `clean` returns."""
+    cleaned, positive = clean(candidates)
+    return cleaned, {v: v in positive for v in candidates.variables}
+
+
 def drift_system(p_str):
     d = parse_definition(f"stream s = (a : s) (+ {p_str}) tail(s)")
-    cleaned, positivity = clean(build_system(translate(d)))
+    cleaned, positivity = positivity_map(build_system(translate(d)))
     return d, cleaned, positivity
 
 
@@ -143,7 +151,7 @@ def test_tree_system_reduces_to_quarter_quadratic():
 def test_trap_system_keeps_only_the_pop_constant():
     d = parse_definition("stream s = tail(a : s)")
     system = build_system(translate(d))
-    cleaned, positivity = clean(system)
+    cleaned, positivity = positivity_map(system)
     p = translate(d)
     cons = p.states.index(Cons("a", RecVar()))
     rec = p.states.index(RecVar())
@@ -181,7 +189,7 @@ def test_clean_is_identity_on_constant_system():
 
 def assert_clean_matches_fixed_point(d):
     p = translate(d)
-    cleaned, positivity = clean(build_system(p))
+    cleaned, positivity = positivity_map(build_system(p))
     expected, expected_positivity = fixed_point_clean(build_full_system(p))
     assert cleaned.variables == expected.variables
     assert cleaned.equations == expected.equations
@@ -202,7 +210,7 @@ def test_worklist_clean_matches_the_fixed_point_on_the_seeded_batch():
 def assert_direct_build_matches_the_oracle(d):
     p = translate(d)
     candidates = build_system(p)
-    system, positivity = clean(candidates)
+    system, positivity = positivity_map(candidates)
     full = build_full_system(p)
     expected, expected_positivity = worklist_clean(full)
     assert len(candidates.variables) == len(full.variables)
@@ -611,30 +619,33 @@ def test_a_failed_newton_step_ends_its_block_at_the_last_iterate(monkeypatch, fa
         return clean(build_system(translate(parse_definition(ULP_FRAGILE["g10"]))))[0]
 
     s = system()
-    target = max(range(len(s.blocks)), key=lambda k: len(s.blocks[k]))
-    comp = s.blocks[target]
+    comp = max(s.blocks, key=len)
+    target = tuple(comp)
     at = 4  # the target block's factorization that fails; unfaulted, Newton takes 5
     log = {}
-    factor, lu_solve = eqsys._factor, eqsys._lu_solve
+    block_rows, factor, lu_solve = eqsys._block_rows, eqsys._factor, eqsys._lu_solve
     image, block_direction = eqsys._image, eqsys._block_direction
 
     def reset():
-        log.update(rows=None, steps=[], factors=[], x=None)
+        log.update(block=None, steps={}, factors={}, x=None)
         log.update(failed_x=None, nan=False, direction=None)
 
+    def recording_rows(form, comp_, *args):
+        # each iterated block builds its rows once, before its first step
+        log["block"] = tuple(comp_)
+        log["steps"][log["block"]] = 0
+        log["factors"][log["block"]] = 0
+        return block_rows(form, comp_, *args)
+
     def counting_image(rows, x):
-        if rows is not log["rows"]:  # each block builds its rows once
-            log["rows"] = rows
-            log["steps"].append(0)
-            log["factors"].append(0)
-        log["steps"][-1] += 1
+        log["steps"][log["block"]] += 1
         log["x"] = list(x)
         return image(rows, x)
 
     def failing_factor(a):
-        log["factors"][-1] += 1
+        log["factors"][log["block"]] += 1
         lu = factor(a)
-        if len(log["factors"]) - 1 == target and log["factors"][-1] == at:
+        if log["block"] == target and log["factors"][target] == at:
             log["failed_x"] = log["x"]
             if fault == "singular":
                 return None
@@ -655,6 +666,7 @@ def test_a_failed_newton_step_ends_its_block_at_the_last_iterate(monkeypatch, fa
         return d
 
     unfaulted = s.newton
+    monkeypatch.setattr(eqsys, "_block_rows", recording_rows)
     monkeypatch.setattr(eqsys, "_image", counting_image)
     monkeypatch.setattr(eqsys, "_factor", failing_factor)
     monkeypatch.setattr(eqsys, "_lu_solve", failing_solve)
@@ -663,7 +675,7 @@ def test_a_failed_newton_step_ends_its_block_at_the_last_iterate(monkeypatch, fa
     reset()
     values = newton_solve(s)
     assert log["factors"][target] == log["steps"][target] == at
-    assert max(log["steps"]) <= eqsys.NEWTON_MAX_ITER
+    assert max(log["steps"].values()) <= eqsys.NEWTON_MAX_ITER
     assert [values[v] for v in comp] == log["failed_x"]
     assert log["failed_x"] != [unfaulted[v] for v in comp]
     assert log["direction"] == [1.0] * len(comp)
@@ -678,6 +690,84 @@ def test_a_failed_newton_step_ends_its_block_at_the_last_iterate(monkeypatch, fa
             certified += 1
             assert certify_subreturn(s, head, cls.certificate), head
     assert certified > 0
+
+
+def reads_itself(s, comp):
+    """Whether a dependency block reads one of its own variables: it has
+    several, or its one variable's equation reads that variable."""
+    return len(comp) > 1 or comp[0] in s.dependencies[comp[0]]
+
+
+NEWTON_SETTINGS = [
+    (eqsys.DEFAULT_EPSILON, eqsys.NEWTON_MAX_ITER),
+    (1e-300, 1),
+    (1e-300, 4),
+]
+
+
+def assert_newton_matches_the_iterated_oracle(d):
+    s = clean(build_system(translate(d)))[0]
+    for epsilon, max_iter in NEWTON_SETTINGS:
+        ours = newton_solve(s, epsilon, max_iter)
+        ref = iterated_newton_solve(s, epsilon, max_iter)
+        assert list(map(float.hex, ours)) == list(map(float.hex, ref)), (d, epsilon, max_iter)
+        assert list(map(float.hex, ours.direction)) == list(map(float.hex, ref.direction)), (
+            d,
+            epsilon,
+            max_iter,
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(definitions())
+def test_newton_matches_the_iterated_oracle_bit_for_bit(d):
+    assert_newton_matches_the_iterated_oracle(d)
+
+
+def test_newton_matches_the_iterated_oracle_on_the_corpus_and_seeded_batch():
+    defs = [*corpus().values(), MULTI_EXIT, *seeded_random_definitions(48)]
+    defs += [parse_definition(text) for text in ULP_FRAGILE.values()]
+    for d in defs:
+        assert_newton_matches_the_iterated_oracle(d)
+
+
+def test_newton_factors_only_blocks_that_read_themselves(monkeypatch):
+    """`newton_solve` evaluates a block that reads none of its own variables
+    and factors the Newton matrix of the others alone: per block, it makes
+    as many `_factor` calls as the iterated oracle makes there, and none on
+    an evaluated block."""
+    log = {"block": None, "calls": []}
+    block_rows, factor = eqsys._block_rows, eqsys._factor
+
+    def recording_rows(form, comp, *args):
+        log["block"] = tuple(comp)
+        return block_rows(form, comp, *args)
+
+    def counting_factor(a):
+        log["calls"].append(log["block"])
+        return factor(a)
+
+    monkeypatch.setattr(eqsys, "_block_rows", recording_rows)
+    monkeypatch.setattr(eqsys, "_factor", counting_factor)
+    evaluated = iterated = 0
+    for d in [*corpus().values(), MULTI_EXIT, *seeded_random_definitions(48)]:
+        s = clean(build_system(translate(d)))[0]
+        log["calls"] = []
+        iterated_newton_solve(s)
+        oracle_calls = log["calls"]
+        log["calls"] = []
+        newton_solve(s)
+        ours = log["calls"]
+        for comp in s.blocks:
+            key = tuple(comp)
+            if reads_itself(s, comp):
+                iterated += 1
+                assert ours.count(key) == oracle_calls.count(key) > 0, (d, comp)
+            else:
+                evaluated += 1
+                assert key not in ours and oracle_calls.count(key) > 0, (d, comp)
+        assert all(reads_itself(s, list(key)) for key in ours), d
+    assert evaluated > iterated > 0
 
 
 def test_certificate_denominators_divide_two_to_the_64():
@@ -891,9 +981,9 @@ TINY = F(1, 2**30)
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(irreducible_weights))
 def test_contraction_kernel_is_exact_at_radius_one(rows):
-    assert eqsys.nonnegative_contraction_feasible(scaled_stochastic(rows, F(1)))
-    assert not eqsys.nonnegative_contraction_feasible(scaled_stochastic(rows, 1 + TINY))
-    assert eqsys.nonnegative_contraction_feasible(scaled_stochastic(rows, 1 - TINY))
+    assert spectral_le_one(scaled_stochastic(rows, F(1)))
+    assert not spectral_le_one(scaled_stochastic(rows, 1 + TINY))
+    assert spectral_le_one(scaled_stochastic(rows, 1 - TINY))
 
 
 @settings(max_examples=150, deadline=None)
@@ -921,7 +1011,7 @@ def test_contraction_kernel_true_bounds_the_radius_of_reducible_matrices(data):
     b = [[b[i][j] for j in perm] for i in perm]
     radius = max(c for _, c in blocks)
     assert abs(max(abs(np.linalg.eigvals(np.array(b, dtype=float)))) - radius) < 1e-3
-    answer = eqsys.nonnegative_contraction_feasible(b)
+    answer = spectral_le_one(b)
     if answer:
         assert radius <= 1
     if radius < 1:
@@ -931,7 +1021,7 @@ def test_contraction_kernel_true_bounds_the_radius_of_reducible_matrices(data):
 def test_contraction_kernel_on_the_jordan_block():
     # reducible, spectral radius one, and no v >= 1 with B v <= v: the
     # elimination still answers True, which bounds the radius correctly
-    assert eqsys.nonnegative_contraction_feasible([[F(1), F(1)], [F(0), F(1)]])
+    assert spectral_le_one([[F(1), F(1)], [F(0), F(1)]])
 
 
 @settings(max_examples=400, deadline=None)
@@ -953,7 +1043,7 @@ def test_integer_contraction_kernel_matches_the_fraction_oracle(data):
     if data.draw(st.booleans()):
         # rows of unit sum, so the last pivot of a block may be zero
         b = [[x / sum(row) for x in row] if any(row) else row for row in b]
-    assert eqsys.nonnegative_contraction_feasible(b) == fraction_contraction_feasible(b)
+    assert spectral_le_one(b) == fraction_contraction_feasible(b)
 
 
 @pytest.mark.parametrize(
@@ -968,20 +1058,21 @@ def test_integer_contraction_kernel_matches_the_fraction_oracle(data):
     ],
 )
 def test_integer_contraction_kernel_on_zero_pivots(b, expected):
-    assert eqsys.nonnegative_contraction_feasible(b) == expected
+    assert spectral_le_one(b) == expected
     assert fraction_contraction_feasible(b) == expected
 
 
 def test_integer_kernel_matches_the_oracle_on_every_block_classify_tests(monkeypatch):
-    """On the corpus and the seeded batch, every Jacobian `classify_heads`
-    hands the spectral test equals its sum over `Fraction` coefficients,
-    and the integer kernel answers as the `Fraction` oracle does."""
+    """On the corpus and the seeded batch, every row `classify_heads` hands
+    the spectral test is L (I - J(1)) for its equation's scale L, J(1) the
+    Jacobian at one summed over `Fraction` coefficients, and the integer
+    kernel answers as the `Fraction` oracle does on J(1)."""
     seen = []
-    jacobian = eqsys._internal_jacobian_at_one
+    contraction_rows = eqsys._contraction_rows
     kernel = eqsys.nonnegative_contraction_feasible
 
-    def recording_jacobian(s, comp):
-        jac = jacobian(s, comp)
+    def recording_rows(s, comp):
+        rows = contraction_rows(s, comp)
         local = {v: k for k, v in enumerate(comp)}
         expected = [[F(0)] * len(comp) for _ in comp]
         for v in comp:
@@ -989,15 +1080,18 @@ def test_integer_kernel_matches_the_oracle_on_every_block_classify_tests(monkeyp
                 for f in m.factors:
                     if f in local:
                         expected[local[v]][local[f]] += m.coef
-        assert jac == expected
-        return jac
+        for k, (v, row) in enumerate(zip(comp, rows)):
+            scale = s.integer_form[v][0]
+            assert [F(x, scale) for x in row] == [(i == k) - e for i, e in enumerate(expected[k])]
+        seen.append(expected)
+        return rows
 
-    def recording_kernel(b):
-        answer = kernel(b)
-        seen.append((b, answer))
+    def recording_kernel(a):
+        answer = kernel(a)
+        seen[-1] = (seen[-1], answer)
         return answer
 
-    monkeypatch.setattr(eqsys, "_internal_jacobian_at_one", recording_jacobian)
+    monkeypatch.setattr(eqsys, "_contraction_rows", recording_rows)
     monkeypatch.setattr(eqsys, "nonnegative_contraction_feasible", recording_kernel)
     for d in [*corpus().values(), *seeded_random_definitions(48)]:
         classify_heads(clean(build_system(translate(d)))[0])

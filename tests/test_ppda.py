@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from asprod.ppda import Move, Ppda, export, translate
 from asprod.simulate import EV_OUT, CompiledDefinition
-from asprod.syntax import parse_definition
+from asprod.syntax import MAX_NESTING, format_term, parse_definition
 from asprod.terms import Cons, Kind, Left, Mk, RecVar, Tail, subterms
 
 from conftest import (
@@ -31,6 +31,7 @@ from reference import (
     step,
 )
 from test_simulate import READS_BOTH
+from test_syntax import _nested
 
 S34 = parse_definition("stream s = (a : s) (+ 3/4) tail(s)")
 T1 = parse_definition("tree t = left(t) (+ 1/4) mk(x, t, t)")
@@ -46,6 +47,24 @@ def test_translate_states_are_subterms_in_order():
     assert p.states == subterms(S34)
     assert p.initial == 0
     assert p.alphabet == ("tl",)
+
+
+def assert_state_names_are_formatted_states(d):
+    p = translate(d)
+    assert p.state_names == tuple(format_term(t, d.name) for t in p.states), d
+
+
+@settings(max_examples=150, deadline=None)
+@given(definitions())
+def test_state_names_are_each_state_formatted(d):
+    assert_state_names_are_formatted_states(d)
+
+
+def test_state_names_are_each_state_formatted_on_the_corpus_seeded_batch_and_deep_terms():
+    defs = [*corpus().values(), *seeded_random_definitions(48)]
+    defs += [parse_definition(text) for text in _nested(MAX_NESTING).values()]
+    for d in defs:
+        assert_state_names_are_formatted_states(d)
 
 
 def test_translate_choice_row_preserves_top():

@@ -19,6 +19,7 @@ from asprod.syntax import (
     parse_file,
     pretty_print,
 )
+from asprod import terms
 from asprod.terms import (
     Choice,
     Cons,
@@ -27,8 +28,10 @@ from asprod.terms import (
     Left,
     Mk,
     RecVar,
+    Right,
     Tail,
     subterms,
+    subterms_of,
 )
 
 from conftest import definitions
@@ -233,6 +236,41 @@ def test_subterms_of_second_tree_example():
     assert len(terms) == 4  # Choice, Left, Mk, RecVar; left(t) merged
     assert terms[0] == d.body
     assert RecVar() in terms
+
+
+def test_hand_built_terms_merge_by_structure():
+    half = Fraction(1, 2)
+    first = Choice(half, Tail(Cons("a", RecVar())), Tail(Cons("a", RecVar())))
+    second = Choice(Fraction(2, 4), Tail(Cons("a", RecVar())), Tail(Cons("a", RecVar())))
+    assert first == second and hash(first) == hash(second)
+    assert first.left is not first.right
+    assert subterms_of(first) == (first, first.left, first.left.arg, RecVar())
+    assert first != Choice(half, Tail(Cons("b", RecVar())), Tail(Cons("a", RecVar())))
+    assert Left(RecVar()) != Right(RecVar()) and Tail(RecVar()) != RecVar()
+
+
+def test_subterms_of_a_deep_tail_chain_hashes_each_node_once(monkeypatch):
+    computed = []
+    structural_hash = terms._structural_hash
+
+    def counting(node):
+        computed.append(node)
+        return structural_hash(node)
+
+    monkeypatch.setattr(terms, "_structural_hash", counting)
+    chain = RecVar()
+    for _ in range(150):
+        chain = Tail(chain)
+    states = subterms_of(chain)
+    assert len(states) == 151
+    assert len(computed) == 151 and len(set(map(id, computed))) == 151
+    subterms_of(chain)
+    assert len(computed) == 151  # kept: a second walk computes none
+
+    computed.clear()
+    d = parse_definition("stream s = " + "tail(" * 150 + "s" + ")" * 150)
+    translate(d)
+    assert len(computed) == 151 and len(set(map(id, computed))) == 151
 
 
 def test_subterms_closed_under_children():
