@@ -23,7 +23,7 @@ sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 import workloads  # noqa: E402
 from reference import iterated_newton_solve  # noqa: E402
 
-from asprod import build_system, clean, newton_solve, parse_definition, translate  # noqa: E402
+from asprod import build_system, clean, eqsys, newton_solve, parse_definition, translate  # noqa: E402
 
 LEAF_PROB = 0.15
 # (name, definitions): the bench's exact-gen draw, the tiers ROADMAP.md
@@ -49,10 +49,10 @@ def main() -> int:
         for g in defs:
             s = clean(build_system(translate(parse_definition(g.text))))[0]
             for comp in s.blocks:
-                if len(comp) == 1 and comp[0] not in s.dependencies[comp[0]]:
-                    evaluated += 1
-                else:
+                if eqsys._reads_itself(comp, s.dependencies):
                     iterated += 1
+                else:
+                    evaluated += 1
             ours, ref = newton_solve(s), iterated_newton_solve(s)
             diff = [
                 name

@@ -267,8 +267,7 @@ def _render_entry(entry) -> str:
     indent=2)` with every line indented four more spaces: dict keys, which
     are strings, sorted; two spaces per level; "," ending an item's line
     and ": " after a key; strings and keys through `encode_basestring_ascii`,
-    the escaper `json.dumps` uses; lists and tuples as lists, a list of
-    strings written with one join; integers (not booleans) by `repr`, as
+    the escaper `json.dumps` uses; lists and tuples as lists; integers (not booleans) by `repr`, as
     `json.dumps` writes them; None as null; every other scalar through
     `json.dumps` itself, so booleans, NaN, the infinities and -0.0 read as
     `json.dumps` writes them.
@@ -303,14 +302,6 @@ def _render_value(value, indent: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        if isinstance(value[0], str):  # a list of strings, written with one join
-            try:
-                text = (",\n" + inner).join(map(_encode_str, value))
-            except TypeError:  # an item that is not a string
-                pass
-            else:
-                out.append(f"[\n{inner}{text}\n{indent}]")
-                return
         sep = "[\n" + inner
         for item in value:
             out.append(sep)

@@ -258,7 +258,7 @@ def clean(c: Candidates) -> tuple[EqSystem, set[VarKey]]:
         for m in p.rows[(q, x)]:
             if not m.push:  # pop
                 if m.target == r:
-                    const = m.prob if const is ZERO else const + m.prob
+                    const += m.prob
             elif len(m.push) == 1:  # keep: the read symbol is pushed back
                 k = index.get((m.target, x, r))
                 if k is not None:
@@ -451,7 +451,7 @@ def _lu_solve(lu: _LU, b: Sequence[float]) -> list[float]:
 
 
 def _finite(xs: Sequence[float]) -> bool:
-    return all(map(math.isfinite, xs))
+    return all(math.isfinite(x) for x in xs)
 
 
 def _clip(xs) -> list[float]:

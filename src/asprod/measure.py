@@ -19,12 +19,9 @@ class Tier1(Enum):
     ABSTAIN = "abstain"
 
 
-ZERO = Fraction(0)
-
-
 def measure_term(t: Term) -> Fraction:
     if isinstance(t, RecVar):
-        return ZERO
+        return Fraction(0)
     if isinstance(t, Choice):
         return t.prob * measure_term(t.left) + (1 - t.prob) * measure_term(t.right)
     if isinstance(t, Cons):

@@ -9,7 +9,7 @@ never refers to any other definition.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -49,10 +49,6 @@ class _Node:
         if type(other) is not type(self):
             return NotImplemented
         return hash(self) == hash(other) and vars(self) == vars(other)
-
-    def __reduce__(self):
-        # rebuilt through __init__, so a copy in another process hashes anew
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)

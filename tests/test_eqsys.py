@@ -694,7 +694,9 @@ def test_a_failed_newton_step_ends_its_block_at_the_last_iterate(monkeypatch, fa
 
 def reads_itself(s, comp):
     """Whether a dependency block reads one of its own variables: it has
-    several, or its one variable's equation reads that variable."""
+    several, or its one variable's equation reads that variable.  Written
+    out here, not imported from `eqsys`, so the factorization test checks
+    `newton_solve`'s choice of blocks independently of its own test."""
     return len(comp) > 1 or comp[0] in s.dependencies[comp[0]]
 
 
