@@ -22,7 +22,7 @@ appear only in the human-readable output.
 `check` renders each definition's report as soon as tiers 1 and 2
 (`decide.decide_asp`) have decided it and lets its analysis go; the
 document is written after the last one.  Memory therefore grows by the
-rendered text alone (about 2.3 KB per JSON entry on the bias families), not
+rendered text alone (about 2.0 KB per JSON entry on the bias families), not
 by the analyses, and an analysis that raises leaves stdout empty rather
 than holding a truncated document.  Only the entries tier 3 samples (all
 under `--force-tier3`, else the Unknown verdicts) are held, unrendered,

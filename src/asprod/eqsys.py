@@ -10,13 +10,16 @@ continuation.
 
 The exact classification decides, per excursion head (q, X), whether the
 return probability equals one (AlmostSureReturn), is provably below one
-(SubReturn, where possible with a machine-checked pre-fixed-point
-certificate), or is not determined by the implemented criteria (Unknown,
-with the reason it stayed undecided).  Every verdict is checked in
-exact arithmetic, on integers: each equation is scaled once to integer
-coefficients (`EqSystem.integer_form`), the mass test is one integer
-comparison on that form, and the spectral test eliminates the integer
-rows of I - J(1) without division.  The certificate candidates are Newton
+(SubReturn), or is not determined by the implemented criteria (Unknown,
+with the reason it stayed undecided).  A bottom-up pass over the
+dependency blocks decides every single-exit head whose block reads only
+decided blocks, without numerics.  A machine-checked pre-fixed-point
+certificate is searched only for the heads it leaves undecided, so a
+system whose live heads the pass all decides never solves Newton.
+Every verdict is checked in exact arithmetic, on integers: each equation
+is scaled once to integer coefficients (`EqSystem.integer_form`), the
+mass test is one integer comparison on that form, and the spectral test
+eliminates the integer rows of I - J(1) without division.  The certificate candidates are Newton
 values bumped along d = (I - J)^-1 1, which gains slack in every equation
 at first order where a uniform bump gains none on unit-mass equations, so
 which heads get a certificate no longer hinges on the last bits of those
@@ -728,8 +731,11 @@ class SubReturn:
     """Return probability strictly below one.
 
     The certificate, when present, is a verified pre-fixed point of the
-    cleaned system; the empty tuple marks the trivial case of a head with no
-    surviving variables (return probability zero).
+    cleaned system, found for a head the block pass of `classify_heads`
+    left undecided; the empty tuple marks the trivial case of a head with no
+    surviving variables (return probability zero).  None means the head was
+    decided by the block pass (it reads a sub-one block or loses mass) or by
+    the SMT solver, or that no certificate candidate reached it.
     """
 
     certificate: Optional[tuple[Fraction, ...]] = None
@@ -853,17 +859,18 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
     is almost-sure exactly when it has no self-dependency or the Jacobian at
     the all-ones fixed point has spectral radius at most one.
 
-    Every head not decided almost-sure takes part in a single
-    `subreturn_certificates` walk.  A head then gets the first of:
-    AlmostSureReturn if decided almost-sure, SubReturn with a verified
-    certificate, SubReturn without one if decided sub-one, the optional SMT
-    query, and honest Unknown with the reason read off the same pass: the
-    head is multi-exit, or the block of its one variable holds a multi-exit
-    head's variable or reads an undecided block (see `Unknown`).
+    A head the pass decides is AlmostSureReturn, or SubReturn without a
+    certificate.  Every head it leaves undecided takes part in a single
+    `subreturn_certificates` walk, and then gets the first of: SubReturn
+    with a verified certificate, the optional SMT query, and honest Unknown
+    with the reason read off the same pass: the head is multi-exit, or the
+    block of its one variable holds a multi-exit head's variable or reads
+    an undecided block (see `Unknown`).
 
     The only numerics are the system's own `s.newton`, solved at the module
-    defaults when a certificate search first needs them and kept for the
-    next reader; no fixed-point iterate is read.
+    defaults when the certificate search first needs them and kept for the
+    next reader; a system whose live heads the pass all decides never
+    solves it, and no fixed-point iterate is read.
     """
     head_vars = s.head_vars
     result: dict[Head, HeadClass] = {}
@@ -901,19 +908,16 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
             almost_sure[v] = verdict
 
     exact = {h: almost_sure[head_vars[h][0]] if len(head_vars[h]) == 1 else None for h in live}
-    uncertain = [h for h in live if not exact[h]]
+    undecided_heads = [h for h in live if exact[h] is None]
     certs: dict[Head, Optional[tuple[Fraction, ...]]] = {}
-    if uncertain:
-        certs = subreturn_certificates(s, uncertain, s.newton)
+    if undecided_heads:
+        certs = subreturn_certificates(s, undecided_heads, s.newton)
     for h in live:
-        if exact[h]:
-            result[h] = AlmostSureReturn()
+        if exact[h] is not None:
+            result[h] = AlmostSureReturn() if exact[h] else SubReturn(certificate=None)
             continue
         if certs[h] is not None:
             result[h] = SubReturn(certificate=certs[h])
-            continue
-        if exact[h] is False:
-            result[h] = SubReturn(certificate=None)
             continue
         if smt_solver:
             answer = run_smt_solver(smt_export(s, h), smt_solver)

@@ -9,8 +9,10 @@ positivity cleaning by a worklist over its equations (`worklist_clean`) and
 by repeated full passes (`fixed_point_clean`), an equation's mass
 at one as a `Fraction` sum (`mass_at_one`), the spectral test by
 Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`),
-and decomposed Newton iterating every block, evaluated ones included
-(`iterated_newton_solve`).  None of it runs on a command of the package; it
+decomposed Newton iterating every block, evaluated ones included
+(`iterated_newton_solve`), and why a head stays undecided by the block
+pass of `classify_heads`, from its exits and blocks alone
+(`expected_reason`).  None of it runs on a command of the package; it
 is slow, exact and readable.
 
 Each step of a definition either emits one output symbol or silently unfolds
@@ -600,3 +602,26 @@ def iterated_newton_solve(
             direction[v] = dv
     top = max(direction, default=1.0)
     return NewtonValues(values, [d / top for d in direction])
+
+
+def expected_reason(s: EqSystem, head) -> str:
+    """Why `head` stays undecided, from `head_vars` and `blocks` alone: it
+    is multi-exit, or the block of its one variable holds a multi-exit
+    head's variable, or that block reads a variable from which the
+    dependency graph reaches one; "" if none of these holds."""
+    head_vars = s.head_vars
+    if len(head_vars[head]) > 1:
+        return "multi_exit"
+    multi = {v for vs in head_vars.values() if len(vs) > 1 for v in vs}
+    (var,) = head_vars[head]
+    block = next(set(b) for b in s.blocks if var in b)
+    if block & multi:
+        return "shares_block"
+    seen = {f for v in block for f in s.dependencies[v]} - block
+    work = list(seen)
+    while work:
+        for f in s.dependencies[work.pop()]:
+            if f not in seen:
+                seen.add(f)
+                work.append(f)
+    return "reads_undecided" if seen & multi else ""

@@ -461,12 +461,35 @@ def test_ppda_graphviz_export(tmp_path, capsys):
 
 
 def test_solve_prints_values_and_classes(tmp_path, capsys):
-    path = write(tmp_path, "stream s = (a : s) (+ 1/4) tail(s)\n")
+    # the block pass decides s's heads sub-one, so no certificate is
+    # searched for them; m's two-exit head is sub-one only through one
+    path = write(
+        tmp_path,
+        "stream s = (a : s) (+ 1/4) tail(s)\n"
+        "stream m = tail((m (+ 3/4) b : ((a : m (+ 2/3) m) (+ 5/12) a : m)))\n",
+    )
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out
     assert "[s, tl, s] kleene=0.333333" in out
-    assert "SubReturn (certificate sum" in out
-    assert "AlmostSureReturn" in out
+    assert "  head (s, tl): SubReturn (no certificate)\n" in out
+    assert "  head (a : s, tl): AlmostSureReturn\n" in out
+    two_exit = "m (+ 3/4) b : ((a : m (+ 2/3) m) (+ 5/12) a : m)"
+    assert f"  head ({two_exit}, tl): SubReturn (certificate sum " in out
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: tiers 1 and 2 answer for the uniform tree policy, "
+    "whatever --tree-policy says",
+)
+def test_exact_verdict_follows_the_tree_policy(tmp_path, capsys):
+    # under L each mk continues in its left child, w itself, so w emits x at
+    # every step; under the uniform policy, which the exact tiers answer
+    # for, the walk enters right(w), which unfolds to itself without output
+    path = write(tmp_path, "tree w = mk(x, w, right(w))\n")
+    code = main(["check", "--json", "--no-tier3", "--tree-policy", "L", path])
+    (entry,) = json.loads(capsys.readouterr().out)["definitions"]
+    assert (entry["verdict"], code) == ("asp", 0)
 
 
 def test_solve_header_counts_the_built_and_the_surviving_variables(corpus_file, capsys):

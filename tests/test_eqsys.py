@@ -44,6 +44,7 @@ from asprod.terms import Cons, Kind, Left, RecVar, Tail
 from conftest import corpus, definitions, seeded_random_definitions
 from reference import (
     build_full_system,
+    expected_reason,
     fixed_point_clean,
     fraction_contraction_feasible,
     iterated_newton_solve,
@@ -472,11 +473,31 @@ def test_classify_critical_is_almost_sure():
     assert classify_heads(CRITICAL) == {(0, "tl"): AlmostSureReturn()}
 
 
+# g14 of `bench/workloads.stratified(60, 7, budget=20, leaf_prob=0.15)`:
+# its one two-exit head, and the single-exit heads that read it, are
+# SubReturn only through a certificate
+CERTIFIED_MULTI_EXIT = parse_definition(
+    "stream m = tail((m (+ 3/4) b : ((a : m (+ 2/3) m) (+ 5/12) a : m)))"
+)
+
+
 def test_classify_subcritical_has_certificate():
-    cls = classify_heads(SUBCRITICAL)[(0, "tl")]
-    assert isinstance(cls, SubReturn)
-    assert cls.certificate is not None
-    assert certify_subreturn(SUBCRITICAL, (0, "tl"), cls.certificate)
+    # the block pass decides the head sub-one (J(1) = 3/2), so classify
+    # searches no certificate for it, though the search finds one
+    s = one_var("1/4", "3/4")  # SUBCRITICAL, with no solution cached yet
+    assert classify_heads(s) == {(0, "tl"): SubReturn(certificate=None)}
+    assert "newton" not in vars(s)
+    cert = subreturn_candidate(s, (0, "tl"), s.newton)
+    assert cert is not None and certify_subreturn(s, (0, "tl"), cert)
+    # a multi-exit head is left undecided by the block pass, and a
+    # certificate still proves it sub-one
+    cleaned, _ = clean(build_system(translate(CERTIFIED_MULTI_EXIT)))
+    classes = classify_heads(cleaned)
+    multi = [h for h, vs in cleaned.head_vars.items() if len(vs) > 1]
+    assert multi
+    for h in multi:
+        assert isinstance(classes[h], SubReturn) and classes[h].certificate, h
+        assert certify_subreturn(cleaned, h, classes[h].certificate), h
 
 
 def test_classify_drift_family_heads():
@@ -571,15 +592,19 @@ def test_shared_certificate_search_matches_per_head_search():
     for d in [*corpus().values(), *seeded_random_definitions(24)]:
         cleaned, _ = clean(build_system(translate(d)))
         newton = newton_solve(cleaned)
-        live = cleaned.head_vars
-        for head, cls in classify_heads(cleaned).items():
-            if not live.get(head):
-                continue  # return probability zero: the trivial certificate
-            cert = cls.certificate if isinstance(cls, SubReturn) else None
+        live = [h for h, vs in cleaned.head_vars.items() if vs]
+        shared = subreturn_certificates(cleaned, live, newton)
+        classes = classify_heads(cleaned)
+        for head in live:
+            cert = shared[head]
             assert cert == subreturn_candidate(cleaned, head, newton), (d, head)
             assert cert == reference_candidate(cleaned, head, newton), (d, head)
             if cert is not None:
                 assert certify_subreturn(cleaned, head, cert), (d, head)
+            # a head classify certifies gets the shared search's certificate
+            cls = classes[head]
+            if isinstance(cls, SubReturn) and cls.certificate is not None:
+                assert cls.certificate == cert, (d, head)
 
 
 # Two seeded definitions (`bench/workloads.stratified(60, seed, budget=20,
@@ -682,13 +707,14 @@ def test_a_failed_newton_step_ends_its_block_at_the_last_iterate(monkeypatch, fa
 
     reset()
     s = system()
-    classes = classify_heads(s)
+    live = [h for h, vs in s.head_vars.items() if vs]
+    certs = subreturn_certificates(s, live, s.newton)
     assert log["failed_x"] is not None
     certified = 0
-    for head, cls in classes.items():
-        if isinstance(cls, SubReturn) and cls.certificate:
+    for head, cert in certs.items():
+        if cert is not None:
             certified += 1
-            assert certify_subreturn(s, head, cls.certificate), head
+            assert certify_subreturn(s, head, cert), head
     assert certified > 0
 
 
@@ -819,9 +845,11 @@ def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system):
         calls += 1
         return step(rows, n)
 
+    live = [h for h, vs in system.head_vars.items() if vs]
+    newton = system.newton
     monkeypatch.setattr(eqsys, "_grid_step", counting)
-    classes = classify_heads(system)
-    certified = [c for c in classes.values() if isinstance(c, SubReturn) and c.certificate]
+    certs = subreturn_certificates(system, live, newton)
+    certified = [c for c in certs.values() if c is not None]
     assert len(certified) >= 4
     assert 0 < calls <= len(CERT_BUMPS) * (CERT_REFINE + 1)
 
@@ -844,9 +872,10 @@ def test_classify_multi_exit_falls_back_honestly():
 
 def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
     # x = x^2/2 + (1/2 - 2^-60) has mass below one, and the chain y_k = y_(k-1)
-    # reads it, so every head is decided sub-one.  x* lies within 2^-29 of
-    # one, so both bumps cap the candidate at one, and each refinement step
-    # lowers the chain by one link only: heads beyond CERT_REFINE links keep
+    # reads it, so every head is decided sub-one, and classify searches no
+    # certificate for any of them.  x* lies within 2^-29 of one, so both
+    # bumps cap the candidate at one, and each refinement step lowers the
+    # chain by one link only: searched, heads beyond CERT_REFINE links keep
     # a candidate of one and get no certificate.
     n = CERT_REFINE + 3  # x, then y_1 ... y_(CERT_REFINE + 2)
     equations = [Equation(F(1, 2) - F(1, 2**60), (Monomial(F(1, 2), (0, 0)),))]
@@ -859,13 +888,16 @@ def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
         alphabet=("tl",),
     )
     classes = classify_heads(system)
+    assert classes == {h: SubReturn(certificate=None) for h in system.heads}
+    assert "newton" not in vars(system)
+    certs = subreturn_certificates(system, system.heads, system.newton)
     for k in range(CERT_REFINE):
-        cert = classes[(k, "tl")].certificate
+        cert = certs[(k, "tl")]
         assert cert and certify_subreturn(system, (k, "tl"), cert), k
         # found by refinement steps, whose images are rounded up to the grid
         assert cert == reference_candidate(system, (k, "tl"), system.newton), k
     for k in range(CERT_REFINE, n):
-        assert classes[(k, "tl")] == SubReturn(certificate=None), k
+        assert certs[(k, "tl")] is None, k
 
 
 def test_classify_heads_never_runs_kleene(monkeypatch):
@@ -883,29 +915,6 @@ def test_classify_heads_never_runs_kleene(monkeypatch):
     assert calls == 0
     cleaned.kleene  # `solve` still reads the system's Kleene values
     assert calls == 1
-
-
-def expected_reason(s: EqSystem, head) -> str:
-    """Why `head` stays undecided, from `head_vars` and `blocks` alone: it
-    is multi-exit, or the block of its one variable holds a multi-exit
-    head's variable, or that block reads a variable from which the
-    dependency graph reaches one; "" if none of these holds."""
-    head_vars = s.head_vars
-    if len(head_vars[head]) > 1:
-        return "multi_exit"
-    multi = {v for vs in head_vars.values() if len(vs) > 1 for v in vs}
-    (var,) = head_vars[head]
-    block = next(set(b) for b in s.blocks if var in b)
-    if block & multi:
-        return "shares_block"
-    seen = {f for v in block for f in s.dependencies[v]} - block
-    work = list(seen)
-    while work:
-        for f in s.dependencies[work.pop()]:
-            if f not in seen:
-                seen.add(f)
-                work.append(f)
-    return "reads_undecided" if seen & multi else ""
 
 
 @settings(max_examples=40, deadline=None)
@@ -926,6 +935,44 @@ def test_unknown_reasons_follow_head_vars_and_blocks(seed):
                 # a head with no reason is decided exactly; one with a
                 # reason is decided only by a certificate
                 assert not why or (isinstance(cls, SubReturn) and cls.certificate), (d, h)
+
+
+def assert_only_undecided_heads_search_certificates(d):
+    """Check on one definition that a single-exit head the block pass
+    decides sub-one carries no certificate, that every certificate
+    `classify_heads` returns passes `certify_subreturn`, and that Newton is
+    solved exactly when the pass leaves some live head undecided.  Returns
+    (heads decided sub-one, heads certified, 1 if Newton was not solved)."""
+    s = clean(build_system(translate(d)))[0]
+    classes = classify_heads(s)
+    live = [h for h, vs in s.head_vars.items() if vs]
+    undecided = {h for h in live if expected_reason(s, h)}
+    decided_sub = certified = 0
+    for h in live:
+        cls = classes[h]
+        if not isinstance(cls, SubReturn):
+            continue
+        if h not in undecided:
+            decided_sub += 1
+            assert cls.certificate is None, (d, h)
+        elif cls.certificate is not None:
+            certified += 1
+            assert certify_subreturn(s, h, cls.certificate), (d, h)
+    assert ("newton" in vars(s)) == bool(undecided), d
+    return decided_sub, certified, int(not undecided)
+
+
+@settings(max_examples=150, deadline=None)
+@given(definitions())
+def test_only_heads_the_block_pass_leaves_undecided_search_certificates(d):
+    assert_only_undecided_heads_search_certificates(d)
+
+
+def test_only_undecided_heads_search_certificates_on_the_corpus_and_seeded_batch():
+    defs = [*corpus().values(), MULTI_EXIT, CERTIFIED_MULTI_EXIT, *seeded_random_definitions(48)]
+    counts = [assert_only_undecided_heads_search_certificates(d) for d in defs]
+    decided_sub, certified, without_newton = map(sum, zip(*counts))
+    assert decided_sub > 0 and certified > 0 and 0 < without_newton < len(defs)
 
 
 # ---------------------------------------------------------------------------
