@@ -8,13 +8,13 @@ generated tiers and the `sweep-small` file.
 For every definition's cleaned system, the values and the certificate
 direction of `newton_solve` must equal those of `iterated_newton_solve` from
 `tests/reference.py`, compared as `float.hex` strings.  `classify_heads`
-must solve Newton exactly when some live head is left undecided by the
-block pass (`reference.expected_reason`), must give no certificate to a
-head the pass decides, and every certificate it gives must pass
-`certify_subreturn`.  Prints one line per difference, then one count line
-per input: systems, evaluated and iterated blocks, systems whose
-classification solves Newton, and heads that carry a certificate.  Exits 1
-on any difference.  The inputs come from `bench/workloads`.
+must keep the certificate contract `reference.certificate_faults` checks:
+it solves Newton exactly when the block pass leaves some live head
+undecided, gives no certificate to a head the pass decides, and every
+certificate it gives passes `certify_subreturn`.  Prints one line per
+difference, then one count line per input: systems, evaluated and iterated
+blocks, systems whose classification solves Newton, and heads that carry a
+certificate.  Exits 1 on any difference.  The inputs come from `bench/workloads`.
 
 Usage: PYTHONPATH=src python scripts/newton_oracle.py
 """
@@ -26,13 +26,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
-from reference import expected_reason, iterated_newton_solve  # noqa: E402
+from reference import certificate_faults, iterated_newton_solve  # noqa: E402
 
 from asprod import (  # noqa: E402
     SubReturn,
     build_system,
-    certify_subreturn,
-    classify_heads,
     clean,
     eqsys,
     newton_solve,
@@ -57,37 +55,19 @@ def hexed(xs) -> list[str]:
     return [x.hex() for x in xs]
 
 
-def certificate_faults(s) -> tuple[list[str], int]:
-    """Classify the heads of `s` and return what breaks the certificate
-    contract, with the number of heads that carry a certificate."""
-    faults = []
-    certified = 0
-    live = [h for h, vs in s.head_vars.items() if vs]
-    undecided = {h for h in live if expected_reason(s, h)}
-    classes = classify_heads(s)
-    if ("newton" in vars(s)) != bool(undecided):
-        faults.append("Newton solved" if not undecided else "Newton not solved")
-    for h in live:
-        cert = classes[h].certificate if isinstance(classes[h], SubReturn) else None
-        if cert is None:
-            continue
-        certified += 1
-        if h not in undecided:
-            faults.append(f"decided head {h} carries a certificate")
-        elif not certify_subreturn(s, h, cert):
-            faults.append(f"certificate of {h} fails")
-    return faults, certified
-
-
 def main() -> int:
     failed = 0
     for batch, defs in INPUTS:
         evaluated = iterated = solving = certified = 0
         for g in defs:
             s = clean(build_system(translate(parse_definition(g.text))))[0]
-            faults, heads = certificate_faults(s)
+            faults, classes = certificate_faults(s)
             solving += "newton" in vars(s)
-            certified += heads
+            certified += sum(
+                isinstance(c, SubReturn) and c.certificate is not None
+                for h, c in classes.items()
+                if s.head_vars.get(h)
+            )
             for comp in s.blocks:
                 if eqsys._reads_itself(comp, s.dependencies):
                     iterated += 1

@@ -47,6 +47,15 @@ def corpus_defs() -> dict[str, Definition]:
     return corpus()
 
 
+def certified_multi_exit_text(name: str = "m") -> str:
+    """g14 of `bench/workloads.stratified(60, 7, budget=20, leaf_prob=0.15)`,
+    its recursion variable named `name`.  The block pass leaves its one
+    two-exit head, and the single-exit heads that read it, undecided, so
+    they are SubReturn only through a certificate."""
+    body = f"(a : {name} (+ 2/3) {name}) (+ 5/12) a : {name}"
+    return f"stream {name} = tail(({name} (+ 3/4) b : ({body})))\n"
+
+
 # ---------------------------------------------------------------------------
 # random definitions (bounded depth 6 via bounded leaves and wrapper chains)
 

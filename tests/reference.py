@@ -10,9 +10,10 @@ by repeated full passes (`fixed_point_clean`), an equation's mass
 at one as a `Fraction` sum (`mass_at_one`), the spectral test by
 Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`),
 decomposed Newton iterating every block, evaluated ones included
-(`iterated_newton_solve`), and why a head stays undecided by the block
+(`iterated_newton_solve`), why a head stays undecided by the block
 pass of `classify_heads`, from its exits and blocks alone
-(`expected_reason`).  None of it runs on a command of the package; it
+(`expected_reason`), and what breaks the contract that only those heads
+search certificates (`certificate_faults`).  None of it runs on a command of the package; it
 is slow, exact and readable.
 
 Each step of a definition either emits one output symbol or silently unfolds
@@ -625,3 +626,26 @@ def expected_reason(s: EqSystem, head) -> str:
                 seen.add(f)
                 work.append(f)
     return "reads_undecided" if seen & multi else ""
+
+
+def certificate_faults(s: EqSystem) -> tuple[list[str], dict]:
+    """Run `classify_heads` on `s` and list what breaks its certificate
+    contract: a head the block pass decides (`expected_reason` is "") that
+    carries a certificate, a certificate `certify_subreturn` rejects, or
+    Newton solved though the pass decides every live head, or not solved
+    though it leaves one undecided.  Returns the faults and the classes."""
+    live = [h for h, vs in s.head_vars.items() if vs]
+    undecided = {h for h in live if expected_reason(s, h)}
+    classes = eqsys.classify_heads(s)
+    faults = []
+    if ("newton" in vars(s)) != bool(undecided):
+        faults.append("Newton not solved" if undecided else "Newton solved")
+    for h in live:
+        cls = classes[h]
+        if not isinstance(cls, eqsys.SubReturn) or cls.certificate is None:
+            continue
+        if h not in undecided:
+            faults.append(f"decided head {h} carries a certificate")
+        elif not eqsys.certify_subreturn(s, h, cls.certificate):
+            faults.append(f"certificate of {h} fails")
+    return faults, classes

@@ -19,7 +19,7 @@ from asprod.cli import main
 from asprod.ppda import export, translate
 from asprod.syntax import MAX_NESTING, parse_definition
 
-from conftest import CORPUS_TEXT, corpus
+from conftest import CORPUS_TEXT, certified_multi_exit_text, corpus
 from reference import build_full_system, worklist_clean
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -463,11 +463,7 @@ def test_ppda_graphviz_export(tmp_path, capsys):
 def test_solve_prints_values_and_classes(tmp_path, capsys):
     # the block pass decides s's heads sub-one, so no certificate is
     # searched for them; m's two-exit head is sub-one only through one
-    path = write(
-        tmp_path,
-        "stream s = (a : s) (+ 1/4) tail(s)\n"
-        "stream m = tail((m (+ 3/4) b : ((a : m (+ 2/3) m) (+ 5/12) a : m)))\n",
-    )
+    path = write(tmp_path, "stream s = (a : s) (+ 1/4) tail(s)\n" + certified_multi_exit_text())
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out
     assert "[s, tl, s] kleene=0.333333" in out
@@ -508,9 +504,9 @@ def test_solve_header_counts_the_built_and_the_surviving_variables(corpus_file, 
 
 def test_solve_prints_sub_one_heads_no_certificate_reaches(tmp_path, capsys):
     # drift -2 * 10^-30: the excursion returns with probability about
-    # 1 - 4 * 10^-30, so the Newton values lie within 2^-20 of one, every
-    # bumped candidate is capped at one, F(1) = 1, and only the exact
-    # spectral test decides the heads sub-one
+    # 1 - 4 * 10^-30, within 2^-20 of one, so no certificate candidate
+    # reaches the head (see test_eqsys.py), and the exact spectral test of
+    # the block pass decides it sub-one without solving Newton
     p = "499999999999999999999999999999/1000000000000000000000000000000"
     path = write(tmp_path, f"stream near = (a : near) (+ {p}) tail(near)\n")
     assert main(["solve", path]) == 0

@@ -41,9 +41,10 @@ from asprod.ppda import Ppda, translate
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
-from conftest import corpus, definitions, seeded_random_definitions
+from conftest import certified_multi_exit_text, corpus, definitions, seeded_random_definitions
 from reference import (
     build_full_system,
+    certificate_faults,
     expected_reason,
     fixed_point_clean,
     fraction_contraction_feasible,
@@ -473,12 +474,7 @@ def test_classify_critical_is_almost_sure():
     assert classify_heads(CRITICAL) == {(0, "tl"): AlmostSureReturn()}
 
 
-# g14 of `bench/workloads.stratified(60, 7, budget=20, leaf_prob=0.15)`:
-# its one two-exit head, and the single-exit heads that read it, are
-# SubReturn only through a certificate
-CERTIFIED_MULTI_EXIT = parse_definition(
-    "stream m = tail((m (+ 3/4) b : ((a : m (+ 2/3) m) (+ 5/12) a : m)))"
-)
+CERTIFIED_MULTI_EXIT = parse_definition(certified_multi_exit_text())
 
 
 def test_classify_subcritical_has_certificate():
@@ -900,6 +896,22 @@ def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
         assert certs[(k, "tl")] is None, k
 
 
+def test_no_certificate_candidate_reaches_heads_within_2_pow_20_of_one():
+    # drift -2 * 10^-30: the excursions return with probability within
+    # 2^-20 of one, so every bumped candidate is capped at one, F(1) = 1,
+    # and the search certifies no head; the block pass decides the
+    # single-exit heads sub-one without it
+    p = "499999999999999999999999999999/1000000000000000000000000000000"
+    d = parse_definition(f"stream near = (a : near) (+ {p}) tail(near)")
+    s = clean(build_system(translate(d)))[0]
+    classes = classify_heads(s)
+    assert sum(c == SubReturn(certificate=None) for c in classes.values()) == 3
+    assert "newton" not in vars(s)
+    live = [h for h, vs in s.head_vars.items() if vs]
+    assert all(1 - x < 2**-20 for x in s.newton)
+    assert set(subreturn_certificates(s, live, s.newton).values()) == {None}
+
+
 def test_classify_heads_never_runs_kleene(monkeypatch):
     calls = 0
 
@@ -938,28 +950,19 @@ def test_unknown_reasons_follow_head_vars_and_blocks(seed):
 
 
 def assert_only_undecided_heads_search_certificates(d):
-    """Check on one definition that a single-exit head the block pass
-    decides sub-one carries no certificate, that every certificate
-    `classify_heads` returns passes `certify_subreturn`, and that Newton is
-    solved exactly when the pass leaves some live head undecided.  Returns
-    (heads decided sub-one, heads certified, 1 if Newton was not solved)."""
+    """Check on one definition that `classify_heads` keeps the contract of
+    `reference.certificate_faults`: a single-exit head the block pass
+    decides sub-one carries no certificate, every certificate returned
+    passes `certify_subreturn`, and Newton is solved exactly when the pass
+    leaves some live head undecided.  Returns (heads decided sub-one, heads
+    certified, 1 if Newton was not solved)."""
     s = clean(build_system(translate(d)))[0]
-    classes = classify_heads(s)
-    live = [h for h, vs in s.head_vars.items() if vs]
-    undecided = {h for h in live if expected_reason(s, h)}
-    decided_sub = certified = 0
-    for h in live:
-        cls = classes[h]
-        if not isinstance(cls, SubReturn):
-            continue
-        if h not in undecided:
-            decided_sub += 1
-            assert cls.certificate is None, (d, h)
-        elif cls.certificate is not None:
-            certified += 1
-            assert certify_subreturn(s, h, cls.certificate), (d, h)
-    assert ("newton" in vars(s)) == bool(undecided), d
-    return decided_sub, certified, int(not undecided)
+    faults, classes = certificate_faults(s)
+    assert faults == [], d
+    sub = [h for h, c in classes.items() if s.head_vars.get(h) and isinstance(c, SubReturn)]
+    decided_sub = sum(not expected_reason(s, h) for h in sub)
+    certified = sum(classes[h].certificate is not None for h in sub)
+    return decided_sub, certified, int("newton" not in vars(s))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1298,11 +1301,17 @@ class CompiledPpda:
 
 
 def test_head_classes_match_sampled_return_fractions():
+    # a SubReturn head's return fraction stays below its certificate's mass
+    # at the head, the certificate searched for every live head, since the
+    # heads the block pass decides carry none
+    bounded = 0
     for name, seed in (("s14", 101), ("s12", 102), ("strap", 103), ("t2", 104)):
         d = corpus()[name]
         p = translate(d)
         cleaned, _ = clean(build_system(p))
         classes = classify_heads(cleaned)
+        live = [h for h, vs in cleaned.head_vars.items() if vs]
+        certs = subreturn_certificates(cleaned, live, cleaned.newton)
         heads = sorted(classes)
         returned = CompiledPpda(p).excursion_batch(heads, 800, 30_000, seed)
         for head, row in zip(heads, returned):
@@ -1313,30 +1322,35 @@ def test_head_classes_match_sampled_return_fractions():
             elif isinstance(cls, SubReturn):
                 if cls.certificate == ():
                     bound = 0.0
-                elif cls.certificate is None:
+                elif certs[head] is None:
                     continue
                 else:
-                    bound = float(
-                        sum(
-                            c
-                            for c, key in zip(cls.certificate, cleaned.variables)
-                            if (key[0], key[1]) == head
-                        )
-                    )
+                    assert certify_subreturn(cleaned, head, certs[head]), (name, head)
+                    bound = float(sum(certs[head][i] for i in cleaned.head_vars[head]))
+                    bounded += 1
                 assert fraction <= bound + 0.05, (name, head, fraction, bound)
+    assert bounded > 0
 
 
 def test_solvers_stay_below_verified_certificates():
-    # a verified pre-fixed point bounds both solvers from above
-    for name in ("s14", "strap"):
-        cleaned, _ = clean(build_system(translate(corpus()[name])))
+    # a verified pre-fixed point bounds both solvers from above; the
+    # certificates are searched for every live head, since the heads the
+    # block pass decides carry none
+    compared = 0
+    for d in (corpus()["s14"], corpus()["strap"], CERTIFIED_MULTI_EXIT):
+        cleaned, _ = clean(build_system(translate(d)))
         newton = newton_solve(cleaned)
         kleene, _ = kleene_solve(cleaned)
-        for head, cls in classify_heads(cleaned).items():
-            if isinstance(cls, SubReturn) and cls.certificate:
-                cert = [float(c) for c in cls.certificate]
-                assert all(n <= c + 1e-12 for n, c in zip(newton, cert))
-                assert all(k <= c + 1e-12 for k, c in zip(kleene, cert))
+        live = [h for h, vs in cleaned.head_vars.items() if vs]
+        for head, cert in subreturn_certificates(cleaned, live, newton).items():
+            if cert is None:
+                continue
+            assert certify_subreturn(cleaned, head, cert), (d, head)
+            cert = [float(c) for c in cert]
+            assert all(n <= c + 1e-12 for n, c in zip(newton, cert))
+            assert all(k <= c + 1e-12 for k, c in zip(kleene, cert))
+            compared += 1
+    assert compared > 0
 
 
 @settings(max_examples=150, deadline=None)

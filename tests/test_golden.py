@@ -11,10 +11,11 @@ Unknown head's fields dropped.  All four `check` goldens were re-recorded
 once more when certificates began to be searched only for the heads the
 block pass leaves undecided: the certificate of each single-exit head the
 pass decides sub-one became null, and every other byte stayed the same.
-The checked seeded batch then gained one definition (`CERTIFIED`), so that
-it still pins certificate bytes.  It also checks byte-identity of `simulate --json`
-against reports recorded at edf398e (the paper examples) and at 52b8962
-(the seeded batch), and of `ppda --format json` on the paper examples
+The checked seeded batch then gained one definition
+(`certified_multi_exit_text`), so that it still pins certificate bytes.
+It also checks byte-identity of `simulate --json` against reports
+recorded at edf398e (the paper examples) and at 52b8962 (the seeded
+batch), and of `ppda --format json` on the paper examples
 against the export recorded at 57937b2, so that a refactor cannot change
 report bytes unnoticed.
 
@@ -48,7 +49,7 @@ from asprod import eqsys
 from asprod.cli import main
 from asprod.syntax import pretty_print
 
-from conftest import seeded_random_definitions
+from conftest import certified_multi_exit_text, seeded_random_definitions
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,17 +63,12 @@ def batch_text() -> str:
     )
 
 
-# The checked batch ends with one more definition, g14 of
-# `bench/workloads.stratified(60, 7, budget=20, leaf_prob=0.15)`: its
-# two-exit head, and the heads that read it, are SubReturn only through a
-# certificate.  No seeded definition has such a head, and the heads the
-# block pass decides carry no certificate, so without it no golden would
-# pin certificate bytes.
-CERTIFIED = "stream d24 = tail((d24 (+ 3/4) b : ((a : d24 (+ 2/3) d24) (+ 5/12) a : d24)))\n"
-
-
 def checked_batch_text() -> str:
-    return batch_text() + CERTIFIED
+    # No seeded definition has a head that is SubReturn only through a
+    # certificate, and the heads the block pass decides carry none, so the
+    # checked batch ends with one that has: without it no golden would pin
+    # certificate bytes.
+    return batch_text() + certified_multi_exit_text(f"d{BATCH_SIZE}")
 
 
 def check_json(path, capsys) -> str:
