@@ -6,9 +6,11 @@ generated tiers.
 For every definition, `clean(build_system(p))` (positivity saturated on the
 automaton's rows, then only the positive equations built) must equal
 `worklist_clean(build_full_system(p))` from `tests/reference.py`: the same
-variables, the same equations monomial for monomial, the same positivity
-map (each candidate mapped to whether `clean`'s positive set holds it), and
-the same count of candidate variables.  Prints one line per
+variables, the same equations monomial for monomial (each integer row of
+`clean`, over a positive L, read back as rationals and compared with the
+oracle's `Fraction` equation coefficient for coefficient, in order), the
+same positivity map (each candidate mapped to whether `clean`'s positive
+set holds it), and the same count of candidate variables.  Prints one line per
 difference, then one count line per input.  Exits 1 on any difference.
 The inputs come from `bench/workloads.stratified`.
 
@@ -22,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tests")]
 
 import workloads  # noqa: E402
-from reference import build_full_system, worklist_clean  # noqa: E402
+from reference import build_full_system, fraction_equation, worklist_clean  # noqa: E402
 
 from asprod import build_system, clean, parse_definition, translate  # noqa: E402
 
@@ -46,9 +48,13 @@ def differences(candidates, system, positivity) -> list[str]:
     out = []
     if len(candidates.variables) != len(full.variables):
         out.append(f"built count {len(candidates.variables)} != {len(full.variables)}")
-    for field in ("variables", "equations", "heads", "state_names", "alphabet"):
+    for field in ("variables", "heads", "state_names", "alphabet"):
         if getattr(system, field) != getattr(expected, field):
             out.append(field)
+    if any(scale <= 0 for scale, _, _ in system.equations):
+        out.append("row scale")
+    elif tuple(map(fraction_equation, system.equations)) != expected.equations:
+        out.append("equations")
     if positivity != expected_positivity:
         out.append("positivity")
     return out

@@ -21,11 +21,10 @@ def analyze(template: str, p: Fraction, use_mc: bool):
     d = parse_definition(template.format(p=p))
     v = decide_asp(d)
     # return mass of an excursion entered at the recursion state, read off
-    # the Kleene values of the cleaned system the verdict was decided on
+    # the Newton values of the cleaned system the verdict was decided on
     system = v.tier2.system
     rec = system.state_names.index(d.name)
-    values, _ = system.kleene
-    ret = sum(values[i] for i in system.head_vars[(rec, "tl")])
+    ret = sum(system.newton[i] for i in system.head_vars[(rec, "tl")])
     rate = None
     if use_mc:
         rate = monte_carlo(d, 100, 5000, seed=7).mean_rate

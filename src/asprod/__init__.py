@@ -34,15 +34,12 @@ from .eqsys import (
     AlmostSureReturn,
     Candidates,
     EqSystem,
-    Equation,
-    Monomial,
     SubReturn,
     Unknown,
     build_system,
     certify_subreturn,
     classify_heads,
     clean,
-    kleene_solve,
     newton_solve,
     smt_export,
     spectral_le_one,

@@ -435,17 +435,10 @@ def cmd_solve(args) -> int:
         # the classes `check` decides with, and the numerics behind them
         analysis = exact_analysis(d, smt_solver)
         cleaned = analysis.system
-        kleene, iters = cleaned.kleene
         newton = cleaned.newton
-        print(
-            f"{d.name}: {analysis.built_variables} variables, "
-            f"{len(cleaned.variables)} surviving (kleene: {iters} iterations)"
-        )
+        print(f"{d.name}: {analysis.built_variables} variables, {len(cleaned.variables)} surviving")
         for i in range(len(cleaned.variables)):
-            print(
-                f"  {cleaned.var_name(i)} kleene={kleene[i]:.9f} "
-                f"newton={newton[i]:.12f}"
-            )
+            print(f"  {cleaned.var_name(i)} newton={newton[i]:.12f}")
         names = cleaned.state_names
         for (q, x) in sorted(analysis.classes):
             cls = analysis.classes[(q, x)]

@@ -16,16 +16,19 @@ dependency blocks decides every single-exit head whose block reads only
 decided blocks, without numerics.  A machine-checked pre-fixed-point
 certificate is searched only for the heads it leaves undecided, so a
 system whose live heads the pass all decides never solves Newton.
-Every verdict is checked in exact arithmetic, on integers: each equation
-is scaled once to integer coefficients (`EqSystem.integer_form`), the
-mass test is one integer comparison on that form, and the spectral test
-eliminates the integer rows of I - J(1) without division.  The certificate candidates are Newton
+Every verdict is checked in exact arithmetic, on integers: `clean` writes
+each equation once as an integer row (L, L const, [(L a, factors)]), L the
+lcm of the denominators of its automaton row's move probabilities, the mass
+test is one integer comparison on that row, and the spectral test
+eliminates the integer rows of I - J(1) without division.  Every reader
+depends only on the ratios const / L and a / L, so any positive common
+denominator L gives the same answers.  The certificate candidates are Newton
 values bumped along d = (I - J)^-1 1, which gains slack in every equation
 at first order where a uniform bump gains none on unit-mass equations, so
 which heads get a certificate no longer hinges on the last bits of those
 floating-point values.  The candidates lie on the grid of multiples of
 2^-64: each is a vector of integer numerators over 2^64, read against the
-same integer form of each equation, and every comparison of the search is
+same integer row of each equation, and every comparison of the search is
 one exact integer comparison, so no denominator grows past 2^64.
 Positivity is pop-reachability, saturated on the automaton's rows before
 any equation exists: `build_system` only enumerates the candidate
@@ -53,8 +56,6 @@ from .ppda import Ppda
 VarKey = tuple[int, str, int]  # (state, symbol, landing state)
 Head = tuple[int, str]
 
-ZERO = Fraction(0)
-
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_ITER = 100_000
 NEWTON_MAX_ITER = 200
@@ -64,29 +65,18 @@ GRID = 2**64  # certificate values are multiples of 1 / GRID
 SMT_TIMEOUT_S = 60.0
 
 
-@dataclass(frozen=True)
-class Monomial:
-    coef: Fraction
-    factors: tuple[int, ...]  # one or two variable indices
-
-
-@dataclass(frozen=True)
-class Equation:
-    const: Fraction
-    monomials: tuple[Monomial, ...]
-
-
-# An equation scaled to integers: (L, L const, [(L a, factors)]), with L the
-# lcm of the denominators of its constant and coefficients.
+# An equation x = const + sum a prod(factors), each monomial reading one or
+# two variable indices, in integers: (L, L const, [(L a, factors)]) with L a
+# positive common denominator of its constant and coefficients.
 IntegerEquation = tuple[int, int, list[tuple[int, tuple[int, ...]]]]
-# An equation in floats: (const, [(a, factors)]), each `float` of a Fraction.
+# An equation in floats: (const, [(a, factors)]), each the float of a ratio.
 FloatEquation = tuple[float, list[tuple[float, tuple[int, ...]]]]
 
 
 @dataclass(frozen=True, eq=False)
 class EqSystem:
     variables: tuple[VarKey, ...]
-    equations: tuple[Equation, ...]
+    equations: tuple[IntegerEquation, ...]
     heads: tuple[Head, ...]
     state_names: tuple[str, ...]
     alphabet: tuple[str, ...]
@@ -109,7 +99,7 @@ class EqSystem:
     @cached_property
     def dependencies(self) -> list[set[int]]:
         """The variables each equation reads."""
-        return [{f for m in eq.monomials for f in m.factors} for eq in self.equations]
+        return [{f for _, fs in monos for f in fs} for _, _, monos in self.equations]
 
     @cached_property
     def blocks(self) -> list[list[int]]:
@@ -121,33 +111,9 @@ class EqSystem:
         return strongly_connected_components(range(len(self.variables)), deps.__getitem__)
 
     @cached_property
-    def integer_form(self) -> list[IntegerEquation]:
-        """Each equation once in integers, (L, L const, [(L a, factors)])
-        with L the lcm of the denominators of its constant and
-        coefficients: L x = L const + sum L a prod(factors) holds exactly.
-        The mass test, the integer rows of I - J(1) that the spectral test
-        eliminates and the certificate grid all read this one form."""
-        out = []
-        for eq in self.equations:
-            c = eq.const
-            scale = math.lcm(c.denominator, *(m.coef.denominator for m in eq.monomials))
-            monos = [
-                (m.coef.numerator * (scale // m.coef.denominator), m.factors)
-                for m in eq.monomials
-            ]
-            out.append((scale, c.numerator * (scale // c.denominator), monos))
-        return out
-
-    @cached_property
     def newton(self) -> NewtonValues:
         """`newton_solve` at its defaults, computed once per system."""
         return newton_solve(self)
-
-    @cached_property
-    def kleene(self) -> tuple[list[float], int]:
-        """`kleene_solve` at its defaults, (values, iterations), computed
-        once per system."""
-        return kleene_solve(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,31 +141,6 @@ def build_system(p: Ppda) -> Candidates:
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
-
-
-def evaluate(eq: Equation, values: Sequence) -> object:
-    acc = eq.const
-    for m in eq.monomials:
-        term = m.coef
-        for f in m.factors:
-            term = term * values[f]
-        acc = acc + term
-    return acc
-
-
-def float_form(s: EqSystem) -> list[FloatEquation]:
-    """Each equation once in floats, built once per solve and not kept.
-
-    Read off the integer form: L a / L is a correctly rounded integer
-    division, as `float` of the Fraction a is, so each float is the same."""
-    return [
-        (const / scale, [(a / scale, factors) for a, factors in monos])
-        for scale, const, monos in s.integer_form
-    ]
-
-
-# ---------------------------------------------------------------------------
 # positivity and the surviving equations
 
 
@@ -214,7 +155,8 @@ def clean(c: Candidates) -> tuple[EqSystem, set[VarKey]]:
     [s, X, r].  Once [t, Y, s] is positive, that push acts as a keep move
     to s, so each positive triple is handled once per move that reads it.
     Monomials with a zero factor are never built; the least fixed point of
-    the positive variables is that of the full system.
+    the positive variables is that of the full system.  Each equation is
+    written once, as the integer row of `_head_equations`.
     """
     p = c.ppda
     positive: set[VarKey] = set()
@@ -254,25 +196,9 @@ def clean(c: Candidates) -> tuple[EqSystem, set[VarKey]]:
     head_exits: dict[Head, list[int]] = {}  # landing states in candidate order
     for q, x, r in variables:
         head_exits.setdefault((q, x), []).append(r)
-    equations: list[Equation] = []
-    for q, x, r in variables:
-        const = ZERO
-        monomials: list[Monomial] = []
-        for m in p.rows[(q, x)]:
-            if not m.push:  # pop
-                if m.target == r:
-                    const += m.prob
-            elif len(m.push) == 1:  # keep: the read symbol is pushed back
-                k = index.get((m.target, x, r))
-                if k is not None:
-                    monomials.append(Monomial(m.prob, (k,)))
-            else:  # push over the re-pushed read symbol
-                y = m.push[0]
-                for s in head_exits.get((m.target, y), ()):
-                    k = index.get((s, x, r))
-                    if k is not None:
-                        monomials.append(Monomial(m.prob, (index[(m.target, y, s)], k)))
-        equations.append(Equation(const, tuple(monomials)))
+    equations: list[IntegerEquation] = []
+    for (q, x), landings in head_exits.items():  # in variable order
+        equations += _head_equations(p.rows[(q, x)], x, landings, index, head_exits)
 
     system = EqSystem(
         variables=tuple(variables),
@@ -284,16 +210,62 @@ def clean(c: Candidates) -> tuple[EqSystem, set[VarKey]]:
     return system, positive
 
 
+def _head_equations(
+    moves, x: str, landings: list[int], index: dict[VarKey, int], head_exits: dict[Head, list[int]]
+) -> list[IntegerEquation]:
+    """The equations of [q, X, r] for each r in `landings`, the positive
+    variables of a head (q, X) whose automaton row is `moves`, as integer
+    rows over L, the lcm of the denominators of the row's move
+    probabilities.  A monomial reading a variable outside `index` is zero
+    and is not built."""
+    scale = math.lcm(*(m.prob.denominator for m in moves))
+    weighted = [(m, m.prob.numerator * (scale // m.prob.denominator)) for m in moves]
+    rows = []
+    for r in landings:
+        const = 0
+        monos: list[tuple[int, tuple[int, ...]]] = []
+        for m, a in weighted:
+            if not m.push:  # pop
+                if m.target == r:
+                    const += a
+            elif len(m.push) == 1:  # keep: the read symbol is pushed back
+                k = index.get((m.target, x, r))
+                if k is not None:
+                    monos.append((a, (k,)))
+            else:  # push over the re-pushed read symbol
+                y = m.push[0]
+                for s in head_exits.get((m.target, y), ()):
+                    k = index.get((s, x, r))
+                    if k is not None:
+                        monos.append((a, (index[(m.target, y, s)], k)))
+        rows.append((scale, const, monos))
+    return rows
+
+
 # ---------------------------------------------------------------------------
-# numeric solvers (Kleene values are printed, never read by a verdict; Newton
-# values seed the certificate candidates, each of which is then checked
-# exactly)
+# numeric solvers (Newton values seed the certificate candidates, each of
+# which is then checked exactly; no command runs Kleene iteration)
+
+
+def float_form(s: EqSystem) -> list[FloatEquation]:
+    """Each equation once in floats, built once per solve and not kept.
+
+    L a / L is a correctly rounded integer division, as `float` of the
+    Fraction a is, so each float is the nearest to its ratio whatever L."""
+    return [
+        (const / scale, [(a / scale, factors) for a, factors in monos])
+        for scale, const, monos in s.equations
+    ]
 
 
 def kleene_solve(
     s: EqSystem, epsilon: float = DEFAULT_EPSILON, max_iter: int = DEFAULT_MAX_ITER
 ) -> tuple[list[float], int]:
-    """Iterate x <- F(x) from zero; monotone nondecreasing lower bounds."""
+    """Iterate x <- F(x) from zero; monotone nondecreasing lower bounds.
+
+    No command runs it: the tests read it as an oracle that bounds the
+    least fixed point from below, and the benchmark's traced runs wrap it
+    by name."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     eqs = float_form(s)
@@ -498,17 +470,6 @@ def _block_direction(form, comp, local, lu, values, direction) -> list[float]:
     return _positive(_lu_solve(lu, _direction_rhs(form, comp, local, values, direction)))
 
 
-def _evaluated(eq: FloatEquation, values: Sequence[float]) -> float:
-    """An equation that reads no variable of its own block, at `values`,
-    summed in the order `_block_rows` and `_image` sum it."""
-    total, monos = eq
-    for coef, factors in monos:
-        for f in factors:
-            coef *= values[f]
-        total += coef
-    return total
-
-
 def _reads_itself(comp: Sequence[int], deps: list[set[int]]) -> bool:
     """Whether a dependency block reads one of its own variables: it has
     several, or its one equation reads its own variable."""
@@ -530,13 +491,14 @@ def newton_solve(
 
     Blocks are solved bottom-up in dependency order.  A block of one
     variable that does not read itself is evaluated: its value is F at the
-    values below it, clipped to [0, 1], and its direction (I - J) d = 1 is
-    its right-hand side, since I - J is the identity there.  That is exactly
-    what a Newton step from zero gives it.  Only a block that reads its own
-    variables iterates, from zero, so iterates approach the least fixed
-    point from below: each step solves (I - J) dx = F(x) - x by Gaussian
-    elimination with partial pivoting, clips to [0, 1], and stops once
-    max |dx| < epsilon or after `max_iter` steps.  Below the least fixed
+    values below it, the constant of its `_block_rows` row, clipped to
+    [0, 1], and its direction (I - J) d = 1 is its right-hand side, since
+    I - J is the identity there.  That is exactly what a Newton step from
+    zero gives it.  Only a block that reads its own variables iterates,
+    from zero, so iterates approach the least fixed point from below: each
+    step solves (I - J) dx = F(x) - x by Gaussian elimination with partial
+    pivoting, clips to [0, 1], and stops once max |dx| < epsilon or after
+    `max_iter` steps.  Below the least fixed
     point of a cleaned system the Newton matrix is nonsingular (EY09), so a
     singular or non-finite step comes from rounding at the fixed point: it
     ends the block at its last iterate, with direction one.  The result is
@@ -549,12 +511,12 @@ def newton_solve(
     direction = [1.0] * n
     for comp in s.blocks:
         local = {v: k for k, v in enumerate(comp)}
+        rows = _block_rows(form, comp, local, values)
         if not _reads_itself(comp, deps):
             (v,) = comp
-            values[v] = min(1.0, max(0.0, _evaluated(form[v], values)))
+            values[v] = min(1.0, max(0.0, rows[0][0]))
             (direction[v],) = _positive(_direction_rhs(form, comp, local, values, direction))
             continue
-        rows = _block_rows(form, comp, local, values)
         x = [0.0] * len(comp)
         lu = None
         for _ in range(max_iter):
@@ -591,10 +553,10 @@ def certify_subreturn(s: EqSystem, head: Head, candidate: Sequence[Fraction]) ->
         raise ValueError("candidate length does not match the system")
     if any(not (0 <= c <= 1) for c in cand):
         raise ValueError("candidate must lie in [0, 1]^n")
-    for i, eq in enumerate(s.equations):
-        if evaluate(eq, cand) > cand[i]:
+    for (scale, const, monos), c in zip(s.equations, cand):
+        if const + sum(a * math.prod(cand[f] for f in fs) for a, fs in monos) > scale * c:
             return False
-    return sum((cand[i] for i in s.head_vars.get(head, ())), ZERO) < 1
+    return sum(cand[i] for i in s.head_vars.get(head, ())) < 1
 
 
 def subreturn_candidate(
@@ -613,15 +575,14 @@ def subreturn_candidate(
 def _grid_rows(s: EqSystem) -> list[tuple[int, list, list, int]]:
     """Each equation scaled to integers on the certificate grid.
 
-    From the equation's integer form `s.integer_form` (L the lcm of the
-    denominators of its constant and coefficients), and a candidate
-    c = N / GRID, the row is
+    From the equation's integer row (L, L const, [(L a, f)]) and a
+    candidate c = N / GRID, the row is
     (L const GRID^2, [(L a GRID, f)], [(L a, f, g)], L GRID), so that
     T = L const GRID^2 + sum L a N_f GRID + sum L a N_f N_g equals
     L GRID^2 F(c) and F(c) <= c holds exactly when T <= L GRID N.
     """
     rows = []
-    for scale, const, monos in s.integer_form:
+    for scale, const, monos in s.equations:
         lin: list[tuple[int, int]] = []
         quad: list[tuple[int, int, int]] = []
         for a, factors in monos:
@@ -821,13 +782,13 @@ def spectral_le_one(b: Sequence[Sequence[Fraction]]) -> bool:
 def _contraction_rows(s: EqSystem, comp: list[int]) -> list[list[int]]:
     """I - J(1) over the block's own variables, J the Jacobian at the
     all-ones point, in integers: row k is L (I - J(1)) for the equation of
-    comp[k], read off its integer form (L, L const, [(L a, factors)]).  A
+    comp[k], read off its integer row (L, L const, [(L a, factors)]).  A
     monomial takes its L a from the column of each of its factors inside
     the block, twice for a squared factor."""
     local = {v: k for k, v in enumerate(comp)}
     rows = []
     for k, v in enumerate(comp):
-        scale, _, monos = s.integer_form[v]
+        scale, _, monos = s.equations[v]
         row = [0] * len(comp)
         row[k] = scale
         for a, factors in monos:
@@ -897,7 +858,7 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
             undecided.update(dict.fromkeys(comp, "reads_undecided"))
             continue
         if not all(almost_sure[f] for f in outside) or any(
-            _mass_below_one(s.integer_form[v]) for v in comp
+            _mass_below_one(s.equations[v]) for v in comp
         ):
             verdict = False
         elif not _reads_itself(comp, deps):
@@ -961,11 +922,11 @@ def smt_export(s: EqSystem, head: Head) -> str:
         lines.append(f"(declare-const {name} Real)")
     for name in names:
         lines.append(f"(assert (and (>= {name} 0) (<= {name} 1)))")
-    for i, eq in enumerate(s.equations):
-        terms = [_smt_frac(eq.const)] if eq.const != 0 else []
-        for m in eq.monomials:
-            factors = " ".join(names[f] for f in m.factors)
-            terms.append(f"(* {_smt_frac(m.coef)} {factors})")
+    for i, (scale, const, monos) in enumerate(s.equations):
+        terms = [_smt_frac(Fraction(const, scale))] if const else []
+        for a, fs in monos:
+            factors = " ".join(names[f] for f in fs)
+            terms.append(f"(* {_smt_frac(Fraction(a, scale))} {factors})")
         if not terms:
             rhs = "0"
         elif len(terms) == 1:

@@ -3,11 +3,15 @@
 The exact small-step term semantics (`step`), its finite-depth trace
 distributions (`prefix_distribution`), the same distributions read off the
 translated pPDA (`observable_distribution`), their comparison
-(`cross_validate`), a per-run term sampler (`sample_run`), the full
-pop-probability system with its zero variables (`build_full_system`),
+(`cross_validate`), a per-run term sampler (`sample_run`), equation
+systems in `Fraction`s (`FractionSystem`), scaled to the integer rows the
+package's solvers read (`integer_system`) and read back from them
+(`fraction_equation`), the full pop-probability system in that form with
+its zero variables (`build_full_system`),
 positivity cleaning by a worklist over its equations (`worklist_clean`) and
 by repeated full passes (`fixed_point_clean`), an equation's mass
-at one as a `Fraction` sum (`mass_at_one`), the spectral test by
+at one as a `Fraction` sum (`mass_at_one`) and its value at a point
+(`evaluate`), the spectral test by
 Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`),
 decomposed Newton iterating every block, evaluated ones included
 (`iterated_newton_solve`), why a head stays undecided by the block
@@ -33,7 +37,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from asprod import eqsys
-from asprod.eqsys import EqSystem, Equation, Monomial, NewtonValues, VarKey
+from asprod.eqsys import EqSystem, Head, IntegerEquation, NewtonValues, VarKey
 from asprod.ppda import Move, Ppda, translate
 from asprod.semantics import UNIFORM, PeriodicWord, Policy
 from asprod.terms import (
@@ -392,13 +396,70 @@ def sample_run(
 
 
 # ---------------------------------------------------------------------------
+# equation systems in Fractions
+
+
+@dataclass(frozen=True)
+class Monomial:
+    coef: Fraction
+    factors: tuple[int, ...]  # one or two variable indices
+
+
+@dataclass(frozen=True)
+class Equation:
+    const: Fraction
+    monomials: tuple[Monomial, ...]
+
+
+@dataclass(frozen=True)
+class FractionSystem:
+    """An equation system with each equation in `Fraction`s: the fields of
+    `eqsys.EqSystem`, whose equations are integer rows instead."""
+
+    variables: tuple[VarKey, ...]
+    equations: tuple[Equation, ...]
+    heads: tuple[Head, ...]
+    state_names: tuple[str, ...]
+    alphabet: tuple[str, ...]
+
+
+def integer_system(s: FractionSystem) -> EqSystem:
+    """`s` as the package's solvers read it: each equation scaled by the
+    lcm L of the denominators of its constant and coefficients to the
+    integer row (L, L const, [(L a, factors)])."""
+    rows = []
+    for eq in s.equations:
+        scale = math.lcm(eq.const.denominator, *(m.coef.denominator for m in eq.monomials))
+        monos = [(int(m.coef * scale), m.factors) for m in eq.monomials]
+        rows.append((scale, int(eq.const * scale), monos))
+    return EqSystem(
+        variables=s.variables,
+        equations=tuple(rows),
+        heads=s.heads,
+        state_names=s.state_names,
+        alphabet=s.alphabet,
+    )
+
+
+def fraction_equation(row: IntegerEquation) -> Equation:
+    """An integer row (L, c, [(a, factors)]) read back as rationals, the
+    constant c / L and each coefficient a / L.  L must be positive."""
+    scale, const, monos = row
+    if scale <= 0:
+        raise ValueError(f"row scale {scale} is not positive")
+    return Equation(
+        Fraction(const, scale), tuple(Monomial(Fraction(a, scale), fs) for a, fs in monos)
+    )
+
+
+# ---------------------------------------------------------------------------
 # the full system and positivity cleaning
 
 
-def build_full_system(p: Ppda) -> EqSystem:
+def build_full_system(p: Ppda) -> FractionSystem:
     """The pop-probability system of every candidate variable, zero ones
-    included: `eqsys.clean` builds only the positive ones, and must equal
-    this system cleaned.
+    included: `eqsys.clean` builds only the positive ones, and its rows,
+    read back by `fraction_equation`, must equal this system cleaned.
 
     Variables [q, X, q'] are created only for landing states q' that some
     pop on X can produce; all omitted variables are identically zero.
@@ -438,7 +499,7 @@ def build_full_system(p: Ppda) -> EqSystem:
         equations.append(Equation(const, tuple(monomials)))
 
     heads = tuple((q, x) for q in range(len(p.states)) for x in p.alphabet)
-    return EqSystem(
+    return FractionSystem(
         variables=tuple(variables),
         equations=tuple(equations),
         heads=heads,
@@ -447,7 +508,9 @@ def build_full_system(p: Ppda) -> EqSystem:
     )
 
 
-def _cleaned(s: EqSystem, positive: list[bool]) -> tuple[EqSystem, dict[VarKey, bool]]:
+def _cleaned(
+    s: FractionSystem, positive: list[bool]
+) -> tuple[FractionSystem, dict[VarKey, bool]]:
     """Drop the variables that stayed zero and the monomials that read them."""
     keep = [i for i in range(len(s.variables)) if positive[i]]
     remap = {old: new for new, old in enumerate(keep)}
@@ -460,7 +523,7 @@ def _cleaned(s: EqSystem, positive: list[bool]) -> tuple[EqSystem, dict[VarKey, 
             if all(positive[f] for f in m.factors)
         )
         new_eqs.append(Equation(eq.const, monos))
-    cleaned = EqSystem(
+    cleaned = FractionSystem(
         variables=tuple(s.variables[i] for i in keep),
         equations=tuple(new_eqs),
         heads=s.heads,
@@ -471,7 +534,7 @@ def _cleaned(s: EqSystem, positive: list[bool]) -> tuple[EqSystem, dict[VarKey, 
     return cleaned, positivity
 
 
-def worklist_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
+def worklist_clean(s: FractionSystem) -> tuple[FractionSystem, dict[VarKey, bool]]:
     """Remove the variables of a built system whose least-fixed-point value
     is zero, by a worklist over its equations: each monomial counts its
     distinct factors not yet known positive, and a variable that turns
@@ -507,7 +570,7 @@ def worklist_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
     return _cleaned(s, positive)
 
 
-def fixed_point_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
+def fixed_point_clean(s: FractionSystem) -> tuple[FractionSystem, dict[VarKey, bool]]:
     """Positivity cleaning by its definition: repeat full passes over every
     equation until no variable turns positive, where a variable is positive
     iff its constant is positive or some monomial has all factors positive;
@@ -530,6 +593,17 @@ def fixed_point_clean(s: EqSystem) -> tuple[EqSystem, dict[VarKey, bool]]:
 
 # ---------------------------------------------------------------------------
 # the exact classifier's tests, in rational arithmetic
+
+
+def evaluate(eq: Equation, values) -> Fraction:
+    """The equation's right-hand side at `values`, in `Fraction`s."""
+    acc = eq.const
+    for m in eq.monomials:
+        term = m.coef
+        for f in m.factors:
+            term = term * values[f]
+        acc = acc + term
+    return acc
 
 
 def mass_at_one(eq: Equation) -> Fraction:

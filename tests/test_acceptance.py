@@ -30,7 +30,13 @@ from asprod.syntax import parse_definition, parse_file, pretty_print
 from asprod.terms import Kind
 
 from conftest import CORPUS_TEXT, corpus, definitions
-from reference import build_full_system, cross_validate, prefix_distribution, step
+from reference import (
+    build_full_system,
+    cross_validate,
+    integer_system,
+    prefix_distribution,
+    step,
+)
 from test_eqsys import CRITICAL, SUBCRITICAL
 
 F = Fraction
@@ -192,7 +198,7 @@ def _clean_preserves_least_fixed_point(d):
     candidates = build_system(p)
     cleaned, positive = clean(candidates)
     positivity = {v: v in positive for v in candidates.variables}
-    full, _ = kleene_solve(system, 1e-9, max_iter=300)
+    full, _ = kleene_solve(integer_system(system), 1e-9, max_iter=300)
     reduced, _ = kleene_solve(cleaned, 1e-9, max_iter=300)
     survivors = [i for i, v in enumerate(system.variables) if positivity[v]]
     assert [full[i] for i in survivors] == reduced

@@ -466,7 +466,7 @@ def test_solve_prints_values_and_classes(tmp_path, capsys):
     path = write(tmp_path, "stream s = (a : s) (+ 1/4) tail(s)\n" + certified_multi_exit_text())
     assert main(["solve", path]) == 0
     out = capsys.readouterr().out
-    assert "[s, tl, s] kleene=0.333333" in out
+    assert "\n  [s, tl, s] newton=0.333333333333\n" in out
     assert "  head (s, tl): SubReturn (no certificate)\n" in out
     assert "  head (a : s, tl): AlmostSureReturn\n" in out
     two_exit = "m (+ 3/4) b : ((a : m (+ 2/3) m) (+ 5/12) a : m)"
@@ -493,7 +493,7 @@ def test_solve_header_counts_the_built_and_the_surviving_variables(corpus_file, 
     # the ones cleaning keeps
     assert main(["solve", corpus_file]) == 0
     out = capsys.readouterr().out
-    headers = [line.split(" (kleene:")[0] for line in out.splitlines() if not line.startswith(" ")]
+    headers = [line for line in out.splitlines() if not line.startswith(" ")]
     expected = []
     for name, d in corpus().items():
         full = build_full_system(translate(d))
@@ -618,7 +618,9 @@ def test_commands_without_the_numeric_tier_do_not_import_numpy(command):
     assert proc.stdout.split() == [str(expected), "False", "False"], proc.stderr
 
 
-def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
+def test_solve_runs_no_kleene_iteration(monkeypatch, tmp_path, capsys):
+    # `solve` prints Newton values; Kleene's, which took up to 100,000
+    # sweeps per system, are no longer computed
     from asprod import eqsys
 
     calls = 0
@@ -636,4 +638,8 @@ def test_solve_runs_kleene_once_per_definition(monkeypatch, tmp_path, capsys):
     multi_exit = "stream u = (a : u) (+ 1/2) tail(tail(tail((a : b : u) (+ 1/2) c : d : u)))"
     path.write_text(corpus.read_text() + multi_exit + "\n")
     assert main(["solve", str(path)]) == 0
-    assert calls == capsys.readouterr().out.count("surviving (kleene:")
+    out = capsys.readouterr().out
+    headers = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert [h.split(":")[0] for h in headers] == [*CORPUS_TEXT, "u"]
+    assert "Unknown (multi_exit)" in out and "kleene" not in out
+    assert calls == 0

@@ -1,8 +1,10 @@
 """Equation systems: construction, cleaning, solvers, certificates, exact
 classification, spectral test, SMT export, simulation cross-checks."""
 
+import dataclasses
 import math
 import os
+import random
 import stat
 from fractions import Fraction
 
@@ -18,8 +20,6 @@ from asprod.eqsys import (
     CERT_REFINE,
     AlmostSureReturn,
     EqSystem,
-    Equation,
-    Monomial,
     NewtonValues,
     SubReturn,
     Unknown,
@@ -27,7 +27,6 @@ from asprod.eqsys import (
     certify_subreturn,
     classify_heads,
     clean,
-    evaluate,
     kleene_solve,
     newton_solve,
     run_smt_solver,
@@ -43,11 +42,17 @@ from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
 from conftest import certified_multi_exit_text, corpus, definitions, seeded_random_definitions
 from reference import (
+    Equation,
+    FractionSystem,
+    Monomial,
     build_full_system,
     certificate_faults,
+    evaluate,
     expected_reason,
     fixed_point_clean,
     fraction_contraction_feasible,
+    fraction_equation,
+    integer_system,
     iterated_newton_solve,
     mass_at_one,
     worklist_clean,
@@ -57,17 +62,24 @@ from reference import (
 F = Fraction
 
 
+def rational_equations(s):
+    """The integer rows of `s` read back as `Fraction` equations."""
+    return tuple(fraction_equation(row) for row in s.equations)
+
+
 def one_var(const, quad_coef, lin_coef=None):
     """z = const + quad_coef * z^2 (+ lin_coef * z)."""
     monos = [Monomial(F(quad_coef), (0, 0))]
     if lin_coef is not None:
         monos.append(Monomial(F(lin_coef), (0,)))
-    return EqSystem(
-        variables=((0, "tl", 0),),
-        equations=(Equation(F(const), tuple(monos)),),
-        heads=((0, "tl"),),
-        state_names=("z",),
-        alphabet=("tl",),
+    return integer_system(
+        FractionSystem(
+            variables=((0, "tl", 0),),
+            equations=(Equation(F(const), tuple(monos)),),
+            heads=((0, "tl"),),
+            state_names=("z",),
+            alphabet=("tl",),
+        )
     )
 
 
@@ -109,17 +121,18 @@ def test_drift_system_equations():
     }
     # [rec] = [choice];  [choice] = 1/4 [cons] + 3/4 [tail]
     # [cons] = 1 (pop);  [tail] = [rec] * [rec]
-    eq_rec = cleaned.equations[names[(rec, "tl", rec)]]
+    equations = rational_equations(cleaned)
+    eq_rec = equations[names[(rec, "tl", rec)]]
     assert eq_rec.const == 0 and [m.factors for m in eq_rec.monomials] == [
         (names[(choice, "tl", rec)],)
     ]
-    eq_cons = cleaned.equations[names[(cons, "tl", rec)]]
+    eq_cons = equations[names[(cons, "tl", rec)]]
     assert eq_cons.const == 1 and not eq_cons.monomials
-    eq_tail = cleaned.equations[names[(tail, "tl", rec)]]
+    eq_tail = equations[names[(tail, "tl", rec)]]
     assert eq_tail.monomials == (
         Monomial(F(1), (names[(rec, "tl", rec)], names[(rec, "tl", rec)])),
     )
-    eq_choice = cleaned.equations[names[(choice, "tl", rec)]]
+    eq_choice = equations[names[(choice, "tl", rec)]]
     assert mass_at_one(eq_choice) == 1
     assert {m.coef for m in eq_choice.monomials} == {F(1, 4), F(3, 4)}
 
@@ -135,13 +148,14 @@ def test_tree_system_reduces_to_quarter_quadratic():
     left = p.states.index(Left(RecVar()))
     mk = p.states.index(d.body.right)
     a = (rec, "lt", rec)
-    eq_mk = cleaned.equations[idx[(mk, "lt", rec)]]
+    equations = rational_equations(cleaned)
+    eq_mk = equations[idx[(mk, "lt", rec)]]
     assert eq_mk.const == 1 and not eq_mk.monomials
-    eq_left = cleaned.equations[idx[(left, "lt", rec)]]
+    eq_left = equations[idx[(left, "lt", rec)]]
     assert eq_left.monomials == (Monomial(F(1), (idx[a], idx[a])),)
-    eq_rec = cleaned.equations[idx[a]]
+    eq_rec = equations[idx[a]]
     assert [m.factors for m in eq_rec.monomials] == [(idx[(0, "lt", rec)],)]
-    eq_choice = cleaned.equations[idx[(0, "lt", rec)]]
+    eq_choice = equations[idx[(0, "lt", rec)]]
     assert {(m.coef, m.factors) for m in eq_choice.monomials} == {
         (F(1, 4), (idx[(left, "lt", rec)],)),
         (F(3, 4), (idx[(mk, "lt", rec)],)),
@@ -162,7 +176,7 @@ def test_trap_system_keeps_only_the_pop_constant():
     # every variable reachable from it is removed, only the immediate-pop
     # constant [cons, tl, rec] = 1 survives
     assert cleaned.variables == ((cons, "tl", rec),)
-    assert cleaned.equations[0] == Equation(F(1), ())
+    assert rational_equations(cleaned) == (Equation(F(1), ()),)
     assert positivity[(tail, "tl", rec)] is False
     assert positivity[(rec, "tl", rec)] is False
 
@@ -176,7 +190,7 @@ def test_clean_keeps_survivors_of_drift_system():
 
 
 def test_clean_is_identity_on_constant_system():
-    s = EqSystem(
+    s = FractionSystem(
         variables=((0, "tl", 0),),
         equations=(Equation(F(1), ()),),
         heads=((0, "tl"),),
@@ -194,7 +208,7 @@ def assert_clean_matches_fixed_point(d):
     cleaned, positivity = positivity_map(build_system(p))
     expected, expected_positivity = fixed_point_clean(build_full_system(p))
     assert cleaned.variables == expected.variables
-    assert cleaned.equations == expected.equations
+    assert rational_equations(cleaned) == expected.equations
     assert positivity == expected_positivity
 
 
@@ -217,12 +231,14 @@ def assert_direct_build_matches_the_oracle(d):
     expected, expected_positivity = worklist_clean(full)
     assert len(candidates.variables) == len(full.variables)
     assert system.variables == expected.variables
-    # per equation: the constant, then each monomial's coefficient and
-    # factors, in order
-    def terms(s):
-        return [(eq.const, [(m.coef, m.factors) for m in eq.monomials]) for eq in s.equations]
+    # per equation, as rationals over a positive L: the constant, then each
+    # monomial's coefficient and factors, in order
+    assert all(scale > 0 for scale, _, _ in system.equations)
 
-    assert terms(system) == terms(expected)
+    def terms(equations):
+        return [(eq.const, [(m.coef, m.factors) for m in eq.monomials]) for eq in equations]
+
+    assert terms(rational_equations(system)) == terms(expected.equations)
     assert (system.heads, system.state_names, system.alphabet) == (
         expected.heads,
         expected.state_names,
@@ -243,15 +259,16 @@ def test_direct_build_matches_the_cleaned_full_system_on_the_corpus_and_seeded_b
 
 
 def test_exact_analysis_builds_only_surviving_equations(monkeypatch):
-    built = 0
-    real = eqsys.Equation
+    built = 0  # integer rows `clean` writes
+    real = eqsys._head_equations
 
     def counting(*args, **kwargs):
         nonlocal built
-        built += 1
-        return real(*args, **kwargs)
+        rows = real(*args, **kwargs)
+        built += len(rows)
+        return rows
 
-    monkeypatch.setattr(eqsys, "Equation", counting)
+    monkeypatch.setattr(eqsys, "_head_equations", counting)
     pruned = 0
     for d in [*corpus().values(), *seeded_random_definitions(48)]:
         built = 0
@@ -294,15 +311,17 @@ def test_newton_critical_case_within_budget():
 
 def test_newton_linear_system_exact():
     # z = 1/4 w + 3/4, w = 1
-    s = EqSystem(
-        variables=((0, "tl", 0), (1, "tl", 0)),
-        equations=(
-            Equation(F(3, 4), (Monomial(F(1, 4), (1,)),)),
-            Equation(F(1), ()),
-        ),
-        heads=((0, "tl"), (1, "tl")),
-        state_names=("z", "w"),
-        alphabet=("tl",),
+    s = integer_system(
+        FractionSystem(
+            variables=((0, "tl", 0), (1, "tl", 0)),
+            equations=(
+                Equation(F(3, 4), (Monomial(F(1, 4), (1,)),)),
+                Equation(F(1), ()),
+            ),
+            heads=((0, "tl"), (1, "tl")),
+            state_names=("z", "w"),
+            alphabet=("tl",),
+        )
     )
     values = newton_solve(s)
     assert values == [1.0, 1.0]
@@ -334,7 +353,8 @@ def numpy_newton_solve(s, epsilon=eqsys.DEFAULT_EPSILON, max_iter=eqsys.NEWTON_M
     the block, with the same clip and stopping rule as `newton_solve`, and
     a singular or non-finite step ending the block at its last iterate."""
     n = len(s.variables)
-    deps = [{f for m in eq.monomials for f in m.factors} for eq in s.equations]
+    equations = rational_equations(s)
+    deps = [{f for m in eq.monomials for f in m.factors} for eq in equations]
     values = [0.0] * n
     for comp in strongly_connected_components(list(range(n)), lambda v: deps[v]):
         local = {v: k for k, v in enumerate(comp)}
@@ -343,7 +363,7 @@ def numpy_newton_solve(s, epsilon=eqsys.DEFAULT_EPSILON, max_iter=eqsys.NEWTON_M
             fv = np.zeros(len(comp))
             jac = np.zeros((len(comp), len(comp)))
             for v in comp:
-                eq = s.equations[v]
+                eq = equations[v]
                 fv[local[v]] += float(eq.const)
                 for m in eq.monomials:
                     vals = [xv[local[f]] if f in local else values[f] for f in m.factors]
@@ -410,7 +430,7 @@ def test_certificate_direction_solves_the_newton_system():
         if not n:
             continue
         jac = np.zeros((n, n))
-        for i, eq in enumerate(s.equations):
+        for i, eq in enumerate(rational_equations(s)):
             for m in eq.monomials:
                 for pos, f in enumerate(m.factors):
                     others = m.factors[:pos] + m.factors[pos + 1 :]
@@ -538,12 +558,14 @@ def test_classify_block_leaking_mass_in_any_variable_is_sub_return(leak):
     # sub-one only because every row's mass is tested
     leaky = Equation(F(1, 4), (Monomial(F(1, 2), (1 - leak,)),))
     whole = Equation(F(0), (Monomial(F(1), (leak,)),))
-    s = EqSystem(
-        variables=((0, "tl", 0), (1, "tl", 0)),
-        equations=(leaky, whole) if leak == 0 else (whole, leaky),
-        heads=((0, "tl"), (1, "tl")),
-        state_names=("x", "y"),
-        alphabet=("tl",),
+    s = integer_system(
+        FractionSystem(
+            variables=((0, "tl", 0), (1, "tl", 0)),
+            equations=(leaky, whole) if leak == 0 else (whole, leaky),
+            heads=((0, "tl"), (1, "tl")),
+            state_names=("x", "y"),
+            alphabet=("tl",),
+        )
     )
     classes = classify_heads(s)
     assert all(isinstance(c, SubReturn) for c in classes.values()), classes
@@ -580,7 +602,7 @@ def reference_candidate(s, head, newton):
         for _ in range(CERT_REFINE + 1):
             if certify_subreturn(s, head, cand):
                 return tuple(cand)
-            cand = [on_grid(evaluate(eq, cand)) for eq in s.equations]
+            cand = [on_grid(evaluate(eq, cand)) for eq in rational_equations(s)]
     return None
 
 
@@ -809,30 +831,29 @@ def test_certificate_denominators_divide_two_to_the_64():
 
 def subcritical_copies(count):
     """`count` independent copies of SUBCRITICAL, one head each."""
-    return EqSystem(
-        variables=tuple((k, "tl", k) for k in range(count)),
-        equations=tuple(
-            Equation(F(1, 4), (Monomial(F(3, 4), (k, k)),)) for k in range(count)
-        ),
-        heads=tuple((k, "tl") for k in range(count)),
-        state_names=tuple(f"z{k}" for k in range(count)),
-        alphabet=("tl",),
+    return integer_system(
+        FractionSystem(
+            variables=tuple((k, "tl", k) for k in range(count)),
+            equations=tuple(
+                Equation(F(1, 4), (Monomial(F(3, 4), (k, k)),)) for k in range(count)
+            ),
+            heads=tuple((k, "tl") for k in range(count)),
+            state_names=tuple(f"z{k}" for k in range(count)),
+            alphabet=("tl",),
+        )
     )
 
 
 @pytest.mark.parametrize(
-    "system",
+    "system,exits",
     [
-        subcritical_copies(20),
-        clean(
-            build_system(
-                translate(parse_definition("tree d = left(right(d (+ 3/4) d (+ 3/4) mk(b, d, d)))"))
-            )
-        )[0],
+        (subcritical_copies(20), 1),
+        (clean(build_system(translate(CERTIFIED_MULTI_EXIT)))[0], 2),
     ],
     ids=["single-exit", "multi-exit"],
 )
-def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system):
+def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system, exits):
+    # `exits`: the most exits some certified head has
     calls = 0  # applications of F to a whole candidate, one per walk step
     step = eqsys._grid_step
 
@@ -845,8 +866,9 @@ def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system):
     newton = system.newton
     monkeypatch.setattr(eqsys, "_grid_step", counting)
     certs = subreturn_certificates(system, live, newton)
-    certified = [c for c in certs.values() if c is not None]
+    certified = [h for h, c in certs.items() if c is not None]
     assert len(certified) >= 4
+    assert max(len(system.head_vars[h]) for h in certified) == exits
     assert 0 < calls <= len(CERT_BUMPS) * (CERT_REFINE + 1)
 
 
@@ -876,12 +898,14 @@ def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
     n = CERT_REFINE + 3  # x, then y_1 ... y_(CERT_REFINE + 2)
     equations = [Equation(F(1, 2) - F(1, 2**60), (Monomial(F(1, 2), (0, 0)),))]
     equations += [Equation(F(0), (Monomial(F(1), (k - 1,)),)) for k in range(1, n)]
-    system = EqSystem(
-        variables=tuple((k, "tl", k) for k in range(n)),
-        equations=tuple(equations),
-        heads=tuple((k, "tl") for k in range(n)),
-        state_names=tuple(f"y{k}" for k in range(n)),
-        alphabet=("tl",),
+    system = integer_system(
+        FractionSystem(
+            variables=tuple((k, "tl", k) for k in range(n)),
+            equations=tuple(equations),
+            heads=tuple((k, "tl") for k in range(n)),
+            state_names=tuple(f"y{k}" for k in range(n)),
+            alphabet=("tl",),
+        )
     )
     classes = classify_heads(system)
     assert classes == {h: SubReturn(certificate=None) for h in system.heads}
@@ -925,8 +949,8 @@ def test_classify_heads_never_runs_kleene(monkeypatch):
     classes = classify_heads(cleaned)
     assert sum(isinstance(c, Unknown) for c in classes.values()) > 1
     assert calls == 0
-    cleaned.kleene  # `solve` still reads the system's Kleene values
-    assert calls == 1
+    cleaned.newton  # the values `solve` prints
+    assert calls == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -976,6 +1000,51 @@ def test_only_undecided_heads_search_certificates_on_the_corpus_and_seeded_batch
     counts = [assert_only_undecided_heads_search_certificates(d) for d in defs]
     decided_sub, certified, without_newton = map(sum, zip(*counts))
     assert decided_sub > 0 and certified > 0 and 0 < without_newton < len(defs)
+
+
+def rescaled(s, factors):
+    """`s` with row i, (L, L const, [(L a, f)]), multiplied by factors[i]: the
+    same equations over another common denominator."""
+    rows = tuple(
+        (k * scale, k * const, [(k * a, fs) for a, fs in monos])
+        for k, (scale, const, monos) in zip(factors, s.equations)
+    )
+    return dataclasses.replace(s, equations=rows)
+
+
+def assert_row_scale_changes_nothing(d, factors):
+    """Classes, Newton values and direction bit for bit, certificates and SMT
+    texts are the same when each row of the cleaned system of `d` is scaled
+    by a positive integer.  Returns how many heads were certified."""
+    s = clean(build_system(translate(d)))[0]
+    t = rescaled(s, factors)
+    assert classify_heads(t) == classify_heads(s), d
+    ours, theirs = newton_solve(t), newton_solve(s)
+    assert list(map(float.hex, ours)) == list(map(float.hex, theirs)), d
+    assert list(map(float.hex, ours.direction)) == list(map(float.hex, theirs.direction)), d
+    live = [h for h, vs in s.head_vars.items() if vs]
+    certs = subreturn_certificates(s, live, theirs)
+    assert subreturn_certificates(t, live, ours) == certs, d
+    for h in live:
+        assert smt_export(t, h) == smt_export(s, h), (d, h)
+    return sum(c is not None for c in certs.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(definitions(), st.data())
+def test_every_check_reads_a_row_only_through_its_ratios(d, data):
+    n = len(clean(build_system(translate(d)))[0].variables)
+    factors = data.draw(st.lists(st.integers(1, 2**80), min_size=n, max_size=n))
+    assert_row_scale_changes_nothing(d, factors)
+
+
+def test_every_check_reads_a_row_only_through_its_ratios_on_the_corpus():
+    rng = random.Random(34)
+    certified = 0
+    for d in [*corpus().values(), MULTI_EXIT, CERTIFIED_MULTI_EXIT]:
+        n = len(clean(build_system(translate(d)))[0].variables)
+        certified += assert_row_scale_changes_nothing(d, [rng.randint(1, 2**80) for _ in range(n)])
+    assert certified > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1128,12 +1197,12 @@ def test_integer_kernel_matches_the_oracle_on_every_block_classify_tests(monkeyp
         local = {v: k for k, v in enumerate(comp)}
         expected = [[F(0)] * len(comp) for _ in comp]
         for v in comp:
-            for m in s.equations[v].monomials:
+            for m in fraction_equation(s.equations[v]).monomials:
                 for f in m.factors:
                     if f in local:
                         expected[local[v]][local[f]] += m.coef
         for k, (v, row) in enumerate(zip(comp, rows)):
-            scale = s.integer_form[v][0]
+            scale = s.equations[v][0]
             assert [F(x, scale) for x in row] == [(i == k) - e for i, e in enumerate(expected[k])]
         seen.append(expected)
         return rows
@@ -1156,8 +1225,13 @@ def test_integer_kernel_matches_the_oracle_on_every_block_classify_tests(monkeyp
 @given(definitions())
 def test_integer_mass_test_matches_the_fraction_sum(d):
     p = translate(d)
-    for s in (build_full_system(p), clean(build_system(p))[0]):
-        for eq, row in zip(s.equations, s.integer_form):
+    full = build_full_system(p)
+    for expected, s in (
+        (full, integer_system(full)),
+        (worklist_clean(full)[0], clean(build_system(p))[0]),
+    ):
+        assert len(s.equations) == len(expected.equations)
+        for eq, row in zip(expected.equations, s.equations):
             scale, const, monos = row
             assert F(const, scale) == eq.const
             assert [(F(a, scale), fs) for a, fs in monos] == [
