@@ -52,7 +52,7 @@ from .ppda import export, json_doc, translate
 # their definitions in one batch, but bench/spans.py traces it as
 # asprod.cli.monte_carlo
 from .semantics import UNIFORM, McReport, SamplerLimitError, monte_carlo, parse_policy
-from .syntax import ParseError, parse_file
+from .syntax import ParseError, frac_str, fraction_str, parse_file
 from .terms import Definition
 
 EXIT_OK = 0
@@ -75,34 +75,6 @@ _TIER_TEXT = {
     "exact": "tier 2 (exact)",
     "statistical_only": "tier 3 (statistical only)",
 }
-
-
-_CHUNK = 10**600
-
-
-def int_str(n: int) -> str:
-    """`str(n)` for an int of any size, whatever `sys.set_int_max_str_digits`
-    says.  An int of more than 600 digits, fewer than the lowest limit that
-    call accepts (640), is written as the decimals of its two halves, each
-    in turn by this function.  A drift multiplies the literals'
-    denominators, so it can pass a limit that each literal respects."""
-    if -_CHUNK < n < _CHUNK:
-        return str(n)
-    if n < 0:
-        return "-" + int_str(-n)
-    half = n.bit_length() * 3 // 20  # about half of its decimal digits
-    high, low = divmod(n, 10**half)
-    return int_str(high) + int_str(low).zfill(half)
-
-
-def frac_str(x: Fraction) -> str:
-    """`x` as "num/den", the denominator written even when it is 1."""
-    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
-
-
-def drift_str(x: Fraction) -> str:
-    """`x` as `str(x)` writes it: "num/den", or "num" when den is 1."""
-    return int_str(x.numerator) if x.denominator == 1 else frac_str(x)
 
 
 def _load(paths: list[str]) -> tuple[list[tuple[str, Definition]], bool]:
@@ -128,11 +100,6 @@ def _load(paths: list[str]) -> tuple[list[tuple[str, Definition]], bool]:
             print(f"{path}:{exc.line}:{exc.col}: error: {exc.message}", file=sys.stderr)
             had_error = True
     return defs, had_error
-
-
-def _smt_solver(args) -> Optional[str]:
-    """`--smt-solver`, or else the `ASP_SMT_SOLVER` environment variable."""
-    return args.smt_solver or os.environ.get("ASP_SMT_SOLVER") or None
 
 
 def _sample(pending: Iterable, args) -> Iterator:
@@ -241,7 +208,7 @@ def _verdict_text(d: Definition, v: Verdict, ms: float) -> dict:
         "name": d.name,
         "tier": v.tier.value,
         "verdict": v.result.value,
-        "measure": drift_str(v.measure),
+        "measure": fraction_str(v.measure),
         "exact": v.tier2.buchi.value,
         "tier3": None,
         "ms": ms,
@@ -332,7 +299,6 @@ def _write_document(key: str, rendered: list[str]) -> None:
 
 def cmd_check(args) -> int:
     defs, had_error = _load(args.files)
-    smt_solver = _smt_solver(args)
     render = _render_entry if args.json else _check_line
 
     # Each definition's report is rendered when it is decided, so its
@@ -346,7 +312,7 @@ def cmd_check(args) -> int:
         its slot stays empty until its batch has run."""
         for path, d in defs:
             start = time.perf_counter()
-            v = decide_asp(d, smt_solver)
+            v = decide_asp(d, args.smt_solver)
             ms = (time.perf_counter() - start) * 1000
             entry = _verdict_json(d, v) if args.json else _verdict_text(d, v, ms)
             outcomes.add(v.result)
@@ -383,7 +349,7 @@ def cmd_check(args) -> int:
 def cmd_measure(args) -> int:
     defs, had_error = _load(args.files)
     for _, d in defs:
-        print(f"{d.name} {drift_str(measure(d))}")
+        print(f"{d.name} {fraction_str(measure(d))}")
     return EXIT_INPUT_ERROR if had_error else EXIT_OK
 
 
@@ -430,10 +396,9 @@ def cmd_ppda(args) -> int:
 
 def cmd_solve(args) -> int:
     defs, had_error = _load(args.files)
-    smt_solver = _smt_solver(args)
     for _, d in defs:
         # the classes `check` decides with, and the numerics behind them
-        analysis = exact_analysis(d, smt_solver)
+        analysis = exact_analysis(d, args.smt_solver)
         cleaned = analysis.system
         newton = cleaned.newton
         print(f"{d.name}: {analysis.built_variables} variables, {len(cleaned.variables)} surviving")

@@ -22,14 +22,15 @@ lcm of the denominators of its automaton row's move probabilities, the mass
 test is one integer comparison on that row, and the spectral test
 eliminates the integer rows of I - J(1) without division.  Every reader
 depends only on the ratios const / L and a / L, so any positive common
-denominator L gives the same answers.  The certificate candidates are Newton
-values bumped along d = (I - J)^-1 1, which gains slack in every equation
-at first order where a uniform bump gains none on unit-mass equations, so
-which heads get a certificate no longer hinges on the last bits of those
-floating-point values.  The candidates lie on the grid of multiples of
-2^-64: each is a vector of integer numerators over 2^64, read against the
-same integer row of each equation, and every comparison of the search is
-one exact integer comparison, so no denominator grows past 2^64.
+denominator L gives the same answers.  A system has one certificate
+candidate: its Newton values bumped by 2^-20 along d = (I - J)^-1 1, which
+gains slack in every equation at first order where a uniform bump gains
+none on unit-mass equations, so which heads get a certificate does not
+hinge on the last bits of those floating-point values.  The candidate lies
+on the grid of multiples of 2^-64: it is a vector of integer numerators
+over 2^64, read against the same integer row of each equation, and the
+pre-fixed test is one exact integer comparison per equation, so no
+certificate denominator exceeds 2^64.
 Positivity is pop-reachability, saturated on the automaton's rows before
 any equation exists: `build_system` only enumerates the candidate
 variables, and `clean` builds the equations of the positive ones alone,
@@ -59,8 +60,7 @@ Head = tuple[int, str]
 DEFAULT_EPSILON = 1e-9
 DEFAULT_MAX_ITER = 100_000
 NEWTON_MAX_ITER = 200
-CERT_BUMPS = (Fraction(1, 2**20), Fraction(1, 2**10))
-CERT_REFINE = 6
+CERT_BUMP = Fraction(1, 2**20)  # how far the certificate candidate lies above Newton
 GRID = 2**64  # certificate values are multiples of 1 / GRID
 SMT_TIMEOUT_S = 60.0
 
@@ -243,8 +243,8 @@ def _head_equations(
 
 
 # ---------------------------------------------------------------------------
-# numeric solvers (Newton values seed the certificate candidates, each of
-# which is then checked exactly; no command runs Kleene iteration)
+# numeric solvers (Newton values seed the certificate candidate, which is
+# then checked exactly; no command runs Kleene iteration)
 
 
 def float_form(s: EqSystem) -> list[FloatEquation]:
@@ -566,41 +566,19 @@ def subreturn_candidate(
 ) -> Optional[tuple[Fraction, ...]]:
     """Round a Newton approximant up into a verifiable certificate for `head`.
 
-    The per-head view of `subreturn_certificates`: the first candidate of
-    the shared search whose return mass at `head` is below one, or None.
+    The per-head view of `subreturn_certificates`: the system's one
+    candidate if it certifies `head`, or None.
     """
     return subreturn_certificates(s, [head], newton_values)[head]
 
 
-def _grid_rows(s: EqSystem) -> list[tuple[int, list, list, int]]:
-    """Each equation scaled to integers on the certificate grid.
-
-    From the equation's integer row (L, L const, [(L a, f)]) and a
-    candidate c = N / GRID, the row is
-    (L const GRID^2, [(L a GRID, f)], [(L a, f, g)], L GRID), so that
-    T = L const GRID^2 + sum L a N_f GRID + sum L a N_f N_g equals
-    L GRID^2 F(c) and F(c) <= c holds exactly when T <= L GRID N.
-    """
-    rows = []
-    for scale, const, monos in s.equations:
-        lin: list[tuple[int, int]] = []
-        quad: list[tuple[int, int, int]] = []
-        for a, factors in monos:
-            if len(factors) == 1:
-                lin.append((a * GRID, factors[0]))
-            else:
-                quad.append((a, *factors))
-        rows.append((const * GRID * GRID, lin, quad, scale * GRID))
-    return rows
-
-
-def _grid_start(values: Sequence[float], direction: Sequence[float], bump: Fraction) -> list[int]:
-    """The numerators of min(1, v + bump d) rounded up to the grid,
-    computed exactly from the floating-point v and d (the bump lies on the
-    grid)."""
-    lift = int(bump * GRID)
+def _grid_start(values: NewtonValues) -> list[int]:
+    """The numerators of min(1, v + CERT_BUMP d), d the values' direction,
+    rounded up to the grid, computed exactly from the floating-point v and d
+    (the bump lies on the grid)."""
+    lift = int(CERT_BUMP * GRID)
     out = []
-    for v, d in zip(values, direction):
+    for v, d in zip(values, values.direction):
         p, q = v.as_integer_ratio()
         pd, qd = d.as_integer_ratio()
         # v GRID + d lift = (p GRID qd + pd lift q) / (q qd)
@@ -608,22 +586,22 @@ def _grid_start(values: Sequence[float], direction: Sequence[float], bump: Fract
     return out
 
 
-def _grid_step(rows, n: list[int]) -> tuple[bool, list[int]]:
-    """One application of F on the grid: whether the candidate with
-    numerators `n` is a pre-fixed point, and the numerators of
-    min(1, F(c)) rounded up to the grid, min(GRID, ceil(T / (L GRID)))."""
-    pre_fixed = True
-    image = []
-    for (const, lin, quad, unit), own in zip(rows, n):
-        t = const
-        for a, f in lin:
-            t += a * n[f]
-        for a, f, g in quad:
-            t += a * n[f] * n[g]
-        if t > unit * own:
-            pre_fixed = False
-        image.append(min(GRID, -(-t // unit)))
-    return pre_fixed, image
+def _pre_fixed(s: EqSystem, n: Sequence[int]) -> bool:
+    """Whether the candidate c = n / GRID satisfies F(c) <= c, stopping at
+    the first equation that fails.  From the equation's integer row
+    (L, L const, [(L a, f)]), T = L const GRID^2 + sum L a n_f GRID
+    + sum L a n_f n_g equals L GRID^2 F(c), and F(c) <= c holds exactly
+    when T <= L GRID n."""
+    for (scale, const, monos), own in zip(s.equations, n):
+        t = const * GRID * GRID
+        for a, factors in monos:
+            if len(factors) == 1:
+                t += a * n[factors[0]] * GRID
+            else:
+                t += a * n[factors[0]] * n[factors[1]]
+        if t > scale * GRID * own:
+            return False
+    return True
 
 
 def subreturn_certificates(
@@ -631,50 +609,29 @@ def subreturn_certificates(
     heads: Sequence[Head],
     newton_values: NewtonValues,
 ) -> dict[Head, Optional[tuple[Fraction, ...]]]:
-    """Search pre-fixed-point certificates for all `heads` in one walk.
+    """Certify `heads` with the system's one candidate, or map them to None.
 
-    The walk runs on the grid of multiples of 1 / GRID = 2^-64, in plain
-    integers: a candidate is a list of numerators N over GRID, each at most
-    GRID.  For each bump, the start is the Newton approximant raised by the
-    bump times the values' `direction` (at most the bump, on the variables
-    the direction peaks at), rounded up to the grid exactly from the
-    floating-point values and capped at one.  It is then contracted by up to
-    CERT_REFINE applications of the system map F (see `_grid_rows`), each
-    result rounded up to the grid and capped at one.  Each step evaluates F
-    once: F(c) <= c, one integer comparison per equation, makes c a
-    pre-fixed point.  A head gets the first pre-fixed candidate, in (bump,
-    step) order, whose numerators at the head sum below GRID, that is whose
-    return mass is below one, so `certify_subreturn` accepts every
-    certificate returned; heads no candidate serves map to None.  A
-    certificate is a tuple of Fractions with denominators dividing 2^64,
-    built only when some head takes its candidate.  The walk stops once
-    every head has a certificate, and at most
-    len(CERT_BUMPS) * (CERT_REFINE + 1) applications of F are made,
-    however many heads there are.
+    The candidate, from `_grid_start`, is the Newton values raised by
+    CERT_BUMP along their `direction` (at most the bump, where the
+    direction peaks), rounded up to the grid of multiples of
+    1 / GRID = 2^-64 and capped at one: integer numerators over GRID.
+    `_pre_fixed` checks F(c) <= c once, exactly.  If it holds, each head
+    whose numerators sum below GRID, that is whose return mass is below
+    one, gets the candidate as its certificate, so `certify_subreturn`
+    accepts it: one tuple of Fractions, built once and shared.  Every other
+    head maps to None.
     """
-    head_vars = s.head_vars
-    direction = newton_values.direction
-    rows = _grid_rows(s)
     result: dict[Head, Optional[tuple[Fraction, ...]]] = dict.fromkeys(heads)
-    pending = list(result)
-    for bump in CERT_BUMPS:
-        n = _grid_start(newton_values, direction, bump)
-        for _ in range(CERT_REFINE + 1):
-            pre_fixed, image = _grid_step(rows, n)
-            if pre_fixed:
-                frozen = None
-                still = []
-                for h in pending:
-                    if sum(n[i] for i in head_vars.get(h, ())) < GRID:
-                        if frozen is None:
-                            frozen = tuple(Fraction(x, GRID) for x in n)
-                        result[h] = frozen
-                    else:
-                        still.append(h)
-                pending = still
-                if not pending:
-                    return result
-            n = image
+    n = _grid_start(newton_values)
+    if not _pre_fixed(s, n):
+        return result
+    head_vars = s.head_vars
+    certificate = None
+    for h in result:
+        if sum(n[i] for i in head_vars.get(h, ())) < GRID:
+            if certificate is None:
+                certificate = tuple(Fraction(x, GRID) for x in n)
+            result[h] = certificate
     return result
 
 
@@ -692,11 +649,12 @@ class SubReturn:
     """Return probability strictly below one.
 
     The certificate, when present, is a verified pre-fixed point of the
-    cleaned system, found for a head the block pass of `classify_heads`
-    left undecided; the empty tuple marks the trivial case of a head with no
-    surviving variables (return probability zero).  None means the head was
-    decided by the block pass (it reads a sub-one block or loses mass) or by
-    the SMT solver, or that no certificate candidate reached it.
+    cleaned system, the system's one candidate, given to a head the block
+    pass of `classify_heads` left undecided; the empty tuple marks the
+    trivial case of a head with no surviving variables (return probability
+    zero).  None means the head was decided by the block pass (it reads a
+    sub-one block or loses mass) or by the SMT solver, or that the
+    candidate did not certify it.
     """
 
     certificate: Optional[tuple[Fraction, ...]] = None
@@ -821,9 +779,10 @@ def classify_heads(s: EqSystem, smt_solver: Optional[str] = None) -> dict[Head, 
     the all-ones fixed point has spectral radius at most one.
 
     A head the pass decides is AlmostSureReturn, or SubReturn without a
-    certificate.  Every head it leaves undecided takes part in a single
-    `subreturn_certificates` walk, and then gets the first of: SubReturn
-    with a verified certificate, the optional SMT query, and honest Unknown
+    certificate.  The heads it leaves undecided share one
+    `subreturn_certificates` search, a single candidate checked once, and
+    each then gets the first of: SubReturn with that verified candidate as
+    its certificate, the optional SMT query, and honest Unknown
     with the reason read off the same pass: the head is multi-exit, or the
     block of its one variable holds a multi-exit head's variable or reads
     an undecided block (see `Unknown`).

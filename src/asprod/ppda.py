@@ -145,10 +145,6 @@ def _merge_moves(first: Move, second: Move) -> tuple[Move, ...]:
 # export
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def export(p: Ppda, fmt: str) -> str:
     """Deterministic serialization; `fmt` is 'json' or 'graphviz'."""
     if fmt == "json":
@@ -176,7 +172,7 @@ def json_doc(p: Ppda) -> dict:
                 "state": i,
                 "top": top,
                 "moves": [
-                    {"prob": _frac_str(m.prob), "next": m.target, "push": list(m.push)}
+                    {"prob": syntax.frac_str(m.prob), "next": m.target, "push": list(m.push)}
                     for m in p.rows[(i, top)]
                 ],
             }
@@ -201,7 +197,7 @@ def _export_graphviz(p: Ppda) -> str:
         top_str = top if top is not None else "⊥"
         for m in p.rows[(i, top)]:
             push_str = "·".join(m.push) if m.push else "ε"
-            prob_str = str(m.prob)
+            prob_str = syntax.fraction_str(m.prob)
             lines.append(
                 f'  {i} -> {m.target} [label="{top_str} / {push_str} : {prob_str}"];'
             )

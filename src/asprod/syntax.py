@@ -50,9 +50,13 @@ KEYWORDS = frozenset({"stream", "tree", "tail", "mk", "left", "right"})
 # parsing nor translation's merge of two equal halves does.
 MAX_NESTING = 200
 
-# Most digits a number may have: a longer one exceeds the interpreter's
-# default limit on converting a string to an int.
+# Most digits a number may have, the interpreter's default limit on
+# converting between ints and strings.  Numbers are read and written in
+# chunks below the lowest limit it allows (`read_int`, `int_str`), so a
+# lowered limit changes nothing.
 MAX_DIGITS = 4300
+_CHUNK_DIGITS = 600  # fewer than 640, the lowest int-string limit allowed
+_CHUNK = 10**_CHUNK_DIGITS
 
 # One match per token: an identifier, an integer or decimal, a symbol, a
 # comment, or any other character outside whitespace.  Such a character is
@@ -183,18 +187,18 @@ class _Parser:
         self.take_number()
         if "." in tok:
             whole, digits = tok.split(".")
-            num, den = int(whole + digits), 10 ** len(digits)
+            num, den = read_int(whole + digits), 10 ** len(digits)
         elif tokens[self.pos] == "/":
             self.pos += 1
             tok = tokens[self.pos]
             if tok[:1] not in _DIGITS or "." in tok:
                 raise self.fail(f"expected 'int', found {_shown(tok)}")
             self.take_number()
-            num, den = int(tokens[at]), int(tok)
+            num, den = read_int(tokens[at]), read_int(tok)
             if den == 0:
                 raise self.fail("zero denominator", self.pos - 1)
         else:
-            num, den = int(tok), 1
+            num, den = read_int(tok), 1
         if num > den:
             raise self.fail("probability out of range", at)
         return num, den
@@ -289,6 +293,44 @@ def parse_definition(text: str) -> Definition:
     return defs[0]
 
 
+def read_int(digits: str) -> int:
+    """`int(digits)` for a string of decimal digits of any length, whatever
+    `sys.set_int_max_str_digits` says: a longer string is read in chunks of
+    600 digits."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    n = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[i : i + _CHUNK_DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def int_str(n: int) -> str:
+    """`str(n)` for an int of any size, whatever `sys.set_int_max_str_digits`
+    says.  An int of more than 600 digits is written as the decimals of its
+    two halves, each in turn by this function.  A drift multiplies the
+    literals' denominators, so it can pass a limit that each literal
+    respects."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(n, 10**half)
+    return int_str(high) + int_str(low).zfill(half)
+
+
+def frac_str(x: Fraction) -> str:
+    """`x` as "num/den", the denominator written even when it is 1."""
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
+
+
+def fraction_str(x: Fraction) -> str:
+    """`x` as `str(x)` writes it: "num/den", or "num" when den is 1."""
+    return int_str(x.numerator) if x.denominator == 1 else frac_str(x)
+
+
 def format_node(t: Term, name: str, texts: Sequence[str]) -> str:
     """The canonical concrete syntax of `t`, given that of each of its
     `children`, in order, in `texts`; a Choice child of a Choice's left or
@@ -297,7 +339,7 @@ def format_node(t: Term, name: str, texts: Sequence[str]) -> str:
         return name
     if isinstance(t, Choice):
         left = f"({texts[0]})" if isinstance(t.left, Choice) else texts[0]
-        return f"{left} (+ {t.prob}) {texts[1]}"
+        return f"{left} (+ {fraction_str(t.prob)}) {texts[1]}"
     if isinstance(t, Cons):
         tail = f"({texts[0]})" if isinstance(t.tail, Choice) else texts[0]
         return f"{t.label} : {tail}"

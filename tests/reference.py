@@ -10,15 +10,16 @@ package's solvers read (`integer_system`) and read back from them
 its zero variables (`build_full_system`),
 positivity cleaning by a worklist over its equations (`worklist_clean`) and
 by repeated full passes (`fixed_point_clean`), an equation's mass
-at one as a `Fraction` sum (`mass_at_one`) and its value at a point
-(`evaluate`), the spectral test by
+at one as a `Fraction` sum (`mass_at_one`), the spectral test by
 Gaussian elimination over `Fraction`s (`fraction_contraction_feasible`),
 decomposed Newton iterating every block, evaluated ones included
 (`iterated_newton_solve`), why a head stays undecided by the block
 pass of `classify_heads`, from its exits and blocks alone
-(`expected_reason`), and what breaks the contract that only those heads
-search certificates (`certificate_faults`).  None of it runs on a command of the package; it
-is slow, exact and readable.
+(`expected_reason`), what breaks the contract that only those heads
+search certificates (`certificate_faults`), and the wider certificate
+search `eqsys` once ran, two bumps each refined by up to six applications
+of F (`walk_certificates`).  None of it runs on a command of the package;
+it is slow, exact and readable.
 
 Each step of a definition either emits one output symbol or silently unfolds
 the recursion; even when several constructors are exposed at once only the
@@ -595,17 +596,6 @@ def fixed_point_clean(s: FractionSystem) -> tuple[FractionSystem, dict[VarKey, b
 # the exact classifier's tests, in rational arithmetic
 
 
-def evaluate(eq: Equation, values) -> Fraction:
-    """The equation's right-hand side at `values`, in `Fraction`s."""
-    acc = eq.const
-    for m in eq.monomials:
-        term = m.coef
-        for f in m.factors:
-            term = term * values[f]
-        acc = acc + term
-    return acc
-
-
 def mass_at_one(eq: Equation) -> Fraction:
     """The equation's value at the all-ones point: its constant plus the sum
     of its coefficients."""
@@ -723,3 +713,73 @@ def certificate_faults(s: EqSystem) -> tuple[list[str], dict]:
         elif not eqsys.certify_subreturn(s, h, cls.certificate):
             faults.append(f"certificate of {h} fails")
     return faults, classes
+
+
+# ---------------------------------------------------------------------------
+# the certificate walk over several candidates
+
+WALK_BUMPS = (Fraction(1, 2**20), Fraction(1, 2**10))
+WALK_REFINE = 6
+
+
+def _walk_step(s: EqSystem, n: list[int]) -> tuple[bool, list[int]]:
+    """One application of F to the candidate c = n / GRID: whether c is a
+    pre-fixed point, and the numerators of min(1, F(c)) rounded up to the
+    grid.  T = L const GRID^2 + sum L a n_f GRID + sum L a n_f n_g equals
+    L GRID^2 F(c)."""
+    grid = eqsys.GRID
+    pre_fixed = True
+    image = []
+    for (scale, const, monos), own in zip(s.equations, n):
+        t = const * grid * grid
+        for a, factors in monos:
+            t += a * math.prod(n[f] for f in factors) * grid ** (2 - len(factors))
+        unit = scale * grid
+        if t > unit * own:
+            pre_fixed = False
+        image.append(min(grid, -(-t // unit)))
+    return pre_fixed, image
+
+
+def _walk_start(values: NewtonValues, bump: Fraction) -> list[int]:
+    """The numerators of min(1, v + bump d) rounded up to the grid, exactly
+    from the floating-point values v and their direction d."""
+    grid = eqsys.GRID
+    return [
+        min(grid, math.ceil((Fraction(v) + bump * Fraction(d)) * grid))
+        for v, d in zip(values, values.direction)
+    ]
+
+
+def walk_certificates(
+    s: EqSystem, heads, newton_values: NewtonValues
+) -> dict[Head, Optional[tuple[Fraction, ...]]]:
+    """The certificate search over several candidates that
+    `eqsys.subreturn_certificates` replaced by its one candidate.
+
+    For each bump of WALK_BUMPS in turn, the start is the Newton values
+    raised by the bump along their direction, rounded up to the 2^-64 grid
+    and capped at one; it is then refined by up to WALK_REFINE applications
+    of F, each image rounded up to the grid and capped at one.  A head gets
+    the first pre-fixed candidate, in (bump, step) order, whose return
+    mass at the head is below one, or None."""
+    grid = eqsys.GRID
+    head_vars = s.head_vars
+    result: dict[Head, Optional[tuple[Fraction, ...]]] = dict.fromkeys(heads)
+    pending = list(result)
+    for bump in WALK_BUMPS:
+        n = _walk_start(newton_values, bump)
+        for _ in range(WALK_REFINE + 1):
+            pre_fixed, image = _walk_step(s, n)
+            if pre_fixed:
+                still = []
+                for h in pending:
+                    if sum(n[i] for i in head_vars.get(h, ())) < grid:
+                        result[h] = tuple(Fraction(x, grid) for x in n)
+                    else:
+                        still.append(h)
+                pending = still
+                if not pending:
+                    return result
+            n = image
+    return result

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asprod import cli
+from asprod import cli, syntax
 from asprod.cli import main
 from asprod.ppda import export, translate
 from asprod.syntax import MAX_NESTING, parse_definition
@@ -169,18 +170,79 @@ def test_drift_past_the_int_string_limit_is_printed_in_full(argv, tmp_path, caps
     assert printed.count("/") == 1
 
 
-def test_int_str_holds_under_the_lowest_int_string_limit():
-    n = -(7**20000)  # 16,902 digits
+def lowest_int_string_limit(convert, *args):
+    """`convert(*args)` under the lowest int-string limit Python allows."""
     before = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if before is not None:
         sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
     try:
-        text = cli.int_str(n)
+        return convert(*args)
     finally:
         if before is not None:
             sys.set_int_max_str_digits(before)
+
+
+def test_int_str_holds_under_the_lowest_int_string_limit():
+    n = -(7**20000)  # 16,902 digits
+    text = lowest_int_string_limit(syntax.int_str, n)
     assert text[0] == "-" and read_int(text[1:]) == -n
-    assert cli.int_str(0) == "0" and cli.int_str(10**600) == "1" + "0" * 600
+    assert syntax.int_str(0) == "0" and syntax.int_str(10**600) == "1" + "0" * 600
+
+
+def test_read_int_holds_under_the_lowest_int_string_limit():
+    n = 7**20000
+    assert lowest_int_string_limit(syntax.read_int, syntax.int_str(n)) == n
+    assert lowest_int_string_limit(syntax.read_int, "0" * 1201) == 0
+
+
+# every subcommand, each with its own output format
+SUBCOMMANDS = [
+    ["check", "--mc-runs", "2", "--mc-horizon", "100"],
+    ["check", "--json", "--no-tier3"],
+    ["measure"],
+    ["simulate", "--mc-runs", "2", "--mc-horizon", "100"],
+    ["ppda"],
+    ["ppda", "--format", "graphviz"],
+    ["solve"],
+]
+
+
+def test_every_subcommand_reads_and_writes_numbers_past_a_lowered_int_string_limit(tmp_path):
+    # 1,000- and 3,000-digit probabilities, each within the parser's limit
+    # of 4,300 digits, run under the lowest int-string limit Python allows
+    big = "7" * 999 + "1"
+    path = write(
+        tmp_path, HUGE_DRIFT_STREAM + f"tree t = mk(b, t, t) (+ {big}/1{'0' * 1000}) left(t)\n"
+    )
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from asprod.cli import main\n"
+        "runs = []\n"
+        f"for argv in {SUBCOMMANDS!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        f"        code = main([*argv, {path!r}])\n"
+        "    runs.append([argv, code, out.getvalue()])\n"
+        "limit = getattr(sys, 'get_int_max_str_digits', lambda: None)()\n"
+        "print(json.dumps([limit, runs]))\n"
+    )
+    results = {}
+    for limit in ("0", "640"):  # 0: no limit
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": limit}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        results[limit] = json.loads(proc.stdout)
+    applied, lowered = results["640"]
+    assert applied in (640, None)  # None: an interpreter without the limit
+    # `check`'s text lines end in their wall time, the one field that varies
+    untimed = [
+        [[argv, code, re.sub(r"\(\d+ ms\)", "(ms)", out)] for argv, code, out in runs]
+        for runs in (lowered, results["0"][1])
+    ]
+    assert untimed[0] == untimed[1]
+    assert [code for _, code, _ in lowered] == [0, 0, 0, 0, 0, 0, 0]
 
 
 def nested_mk(depth):
@@ -526,7 +588,7 @@ def test_console_entry_point(tmp_path):
     assert "s: ASP" in proc.stdout
 
 
-def test_smt_solver_env_var_is_consulted(tmp_path, capsys, monkeypatch):
+def test_smt_solver_flag_is_consulted(tmp_path, capsys):
     solver = tmp_path / "solver.sh"
     solver.write_text("#!/bin/sh\necho unsat\n")
     solver.chmod(0o755)
@@ -535,10 +597,9 @@ def test_smt_solver_env_var_is_consulted(tmp_path, capsys, monkeypatch):
         UNKNOWN_STREAM,
         "unk.defs",
     )
-    monkeypatch.setenv("ASP_SMT_SOLVER", str(solver))
     # with every undetermined head reported almost-sure by the solver, the
     # chain has no divergence left and the verdict resolves
-    code = main(["check", unknown, "--no-tier3"])
+    code = main(["check", unknown, "--no-tier3", "--smt-solver", str(solver)])
     out = capsys.readouterr().out
     assert code in (0, 1)
     assert "Unknown" not in out

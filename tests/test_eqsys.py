@@ -16,8 +16,7 @@ from hypothesis import example, given, settings
 from asprod import eqsys
 from asprod.decide import exact_analysis
 from asprod.eqsys import (
-    CERT_BUMPS,
-    CERT_REFINE,
+    CERT_BUMP,
     AlmostSureReturn,
     EqSystem,
     NewtonValues,
@@ -42,12 +41,12 @@ from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
 from conftest import certified_multi_exit_text, corpus, definitions, seeded_random_definitions
 from reference import (
+    WALK_REFINE,
     Equation,
     FractionSystem,
     Monomial,
     build_full_system,
     certificate_faults,
-    evaluate,
     expected_reason,
     fixed_point_clean,
     fraction_contraction_feasible,
@@ -55,6 +54,7 @@ from reference import (
     integer_system,
     iterated_newton_solve,
     mass_at_one,
+    walk_certificates,
     worklist_clean,
 )
 
@@ -593,17 +593,11 @@ def on_grid(x):
 
 def reference_candidate(s, head, newton):
     """The certificate search run for one head on its own, in Fractions:
-    the first (bump, step) candidate, bumped along the certificate
-    direction and rounded up to the 2^-64 grid at every step, that
-    `certify_subreturn` accepts."""
-    direction = newton.direction
-    for bump in CERT_BUMPS:
-        cand = [on_grid(F(v) + bump * F(d)) for v, d in zip(newton, direction)]
-        for _ in range(CERT_REFINE + 1):
-            if certify_subreturn(s, head, cand):
-                return tuple(cand)
-            cand = [on_grid(evaluate(eq, cand)) for eq in rational_equations(s)]
-    return None
+    the one candidate, the Newton values bumped along the certificate
+    direction and rounded up to the 2^-64 grid, if `certify_subreturn`
+    accepts it."""
+    cand = [on_grid(F(v) + CERT_BUMP * F(d)) for v, d in zip(newton, newton.direction)]
+    return tuple(cand) if certify_subreturn(s, head, cand) else None
 
 
 def test_shared_certificate_search_matches_per_head_search():
@@ -634,6 +628,23 @@ ULP_FRAGILE = {
     "g47": "tree g47 = (mk(b, g47, (mk(b, g47, g47) (+ 5/12) (g47 (+ 5/12) g47))) (+ 1/12) "
     "(g47 (+ 5/6) right(mk(b, (g47 (+ 5/12) g47), left(g47)))))",
 }
+
+
+def test_the_wider_certificate_walk_certifies_no_head_the_one_candidate_misses():
+    """`reference.walk_certificates`, the search over two bumps and up to
+    WALK_REFINE applications of F each, certifies no live head that
+    `subreturn_certificates`' one candidate leaves without a certificate."""
+    defs = [*corpus().values(), MULTI_EXIT, CERTIFIED_MULTI_EXIT, *seeded_random_definitions(48)]
+    defs += [parse_definition(text) for text in ULP_FRAGILE.values()]
+    certified = 0
+    for d in defs:
+        s = clean(build_system(translate(d)))[0]
+        live = [h for h, vs in s.head_vars.items() if vs]
+        ours = subreturn_certificates(s, live, s.newton)
+        walked = walk_certificates(s, live, s.newton)
+        assert [h for h in live if ours[h] is None and walked[h] is not None] == [], d
+        certified += sum(c is not None for c in ours.values())
+    assert certified > 0
 
 
 @pytest.mark.parametrize("name", sorted(ULP_FRAGILE))
@@ -854,22 +865,22 @@ def subcritical_copies(count):
 )
 def test_certificate_search_cost_does_not_grow_with_heads(monkeypatch, system, exits):
     # `exits`: the most exits some certified head has
-    calls = 0  # applications of F to a whole candidate, one per walk step
-    step = eqsys._grid_step
+    calls = 0  # exact checks of F(c) <= c on a whole candidate
+    pre_fixed = eqsys._pre_fixed
 
-    def counting(rows, n):
+    def counting(s, n):
         nonlocal calls
         calls += 1
-        return step(rows, n)
+        return pre_fixed(s, n)
 
     live = [h for h, vs in system.head_vars.items() if vs]
     newton = system.newton
-    monkeypatch.setattr(eqsys, "_grid_step", counting)
+    monkeypatch.setattr(eqsys, "_pre_fixed", counting)
     certs = subreturn_certificates(system, live, newton)
     certified = [h for h, c in certs.items() if c is not None]
     assert len(certified) >= 4
     assert max(len(system.head_vars[h]) for h in certified) == exits
-    assert 0 < calls <= len(CERT_BUMPS) * (CERT_REFINE + 1)
+    assert calls == 1
 
 
 def test_classify_multi_exit_falls_back_honestly():
@@ -891,11 +902,13 @@ def test_classify_multi_exit_falls_back_honestly():
 def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
     # x = x^2/2 + (1/2 - 2^-60) has mass below one, and the chain y_k = y_(k-1)
     # reads it, so every head is decided sub-one, and classify searches no
-    # certificate for any of them.  x* lies within 2^-29 of one, so both
-    # bumps cap the candidate at one, and each refinement step lowers the
-    # chain by one link only: searched, heads beyond CERT_REFINE links keep
-    # a candidate of one and get no certificate.
-    n = CERT_REFINE + 3  # x, then y_1 ... y_(CERT_REFINE + 2)
+    # certificate for any of them.  x* lies within 2^-29 of one, so the
+    # bumped candidate is one everywhere: a pre-fixed point with return
+    # mass one at every head, which certifies none.  Refining it by F, as
+    # the wider walk of `reference.walk_certificates` does, lowers the
+    # chain by one link per step and certifies its first WALK_REFINE heads,
+    # which the block pass decides anyway.
+    n = WALK_REFINE + 3  # x, then y_1 ... y_(WALK_REFINE + 2)
     equations = [Equation(F(1, 2) - F(1, 2**60), (Monomial(F(1, 2), (0, 0)),))]
     equations += [Equation(F(0), (Monomial(F(1), (k - 1,)),)) for k in range(1, n)]
     system = integer_system(
@@ -910,14 +923,11 @@ def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
     classes = classify_heads(system)
     assert classes == {h: SubReturn(certificate=None) for h in system.heads}
     assert "newton" not in vars(system)
+    assert eqsys._grid_start(system.newton) == [eqsys.GRID] * n
     certs = subreturn_certificates(system, system.heads, system.newton)
-    for k in range(CERT_REFINE):
-        cert = certs[(k, "tl")]
-        assert cert and certify_subreturn(system, (k, "tl"), cert), k
-        # found by refinement steps, whose images are rounded up to the grid
-        assert cert == reference_candidate(system, (k, "tl"), system.newton), k
-    for k in range(CERT_REFINE, n):
-        assert certs[(k, "tl")] is None, k
+    assert set(certs.values()) == {None}
+    walked = walk_certificates(system, system.heads, system.newton)
+    assert [h for h, c in walked.items() if c is not None] == list(system.heads[:WALK_REFINE])
 
 
 def test_no_certificate_candidate_reaches_heads_within_2_pow_20_of_one():
