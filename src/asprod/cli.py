@@ -52,8 +52,8 @@ from .ppda import export, json_doc, translate
 # their definitions in one batch, but bench/spans.py traces it as
 # asprod.cli.monte_carlo
 from .semantics import UNIFORM, McReport, SamplerLimitError, monte_carlo, parse_policy
-from .syntax import ParseError, frac_str, fraction_str, parse_file
-from .terms import Definition
+from .syntax import ParseError, parse_file
+from .terms import Definition, frac_str, fraction_str
 
 EXIT_OK = 0
 EXIT_NOT_ASP = 1

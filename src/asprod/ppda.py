@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import syntax
 from .terms import Choice, Cons, Definition, Kind, Left, Mk, RecVar, Tail, Term
-from .terms import children, subterms
+from .terms import children, frac_str, fraction_str, subterms
 
 TL = "tl"
 LT = "lt"
@@ -172,7 +172,7 @@ def json_doc(p: Ppda) -> dict:
                 "state": i,
                 "top": top,
                 "moves": [
-                    {"prob": syntax.frac_str(m.prob), "next": m.target, "push": list(m.push)}
+                    {"prob": frac_str(m.prob), "next": m.target, "push": list(m.push)}
                     for m in p.rows[(i, top)]
                 ],
             }
@@ -197,7 +197,7 @@ def _export_graphviz(p: Ppda) -> str:
         top_str = top if top is not None else "⊥"
         for m in p.rows[(i, top)]:
             push_str = "·".join(m.push) if m.push else "ε"
-            prob_str = syntax.fraction_str(m.prob)
+            prob_str = fraction_str(m.prob)
             lines.append(
                 f'  {i} -> {m.target} [label="{top_str} / {push_str} : {prob_str}"];'
             )

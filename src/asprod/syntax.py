@@ -38,6 +38,8 @@ from .terms import (
     Tail,
     Term,
     children,
+    fraction_str,
+    read_int,
 )
 
 KEYWORDS = frozenset({"stream", "tree", "tail", "mk", "left", "right"})
@@ -52,11 +54,9 @@ MAX_NESTING = 200
 
 # Most digits a number may have, the interpreter's default limit on
 # converting between ints and strings.  Numbers are read and written in
-# chunks below the lowest limit it allows (`read_int`, `int_str`), so a
-# lowered limit changes nothing.
+# chunks below the lowest limit it allows (`terms.read_int` and
+# `terms.int_str`), so a lowered limit changes nothing.
 MAX_DIGITS = 4300
-_CHUNK_DIGITS = 600  # fewer than 640, the lowest int-string limit allowed
-_CHUNK = 10**_CHUNK_DIGITS
 
 # One match per token: an identifier, an integer or decimal, a symbol, a
 # comment, or any other character outside whitespace.  Such a character is
@@ -291,44 +291,6 @@ def parse_definition(text: str) -> Definition:
     if len(defs) != 1:
         raise ValueError(f"expected exactly one definition, found {len(defs)}")
     return defs[0]
-
-
-def read_int(digits: str) -> int:
-    """`int(digits)` for a string of decimal digits of any length, whatever
-    `sys.set_int_max_str_digits` says: a longer string is read in chunks of
-    600 digits."""
-    if len(digits) <= _CHUNK_DIGITS:
-        return int(digits)
-    n = 0
-    for i in range(0, len(digits), _CHUNK_DIGITS):
-        chunk = digits[i : i + _CHUNK_DIGITS]
-        n = n * 10 ** len(chunk) + int(chunk)
-    return n
-
-
-def int_str(n: int) -> str:
-    """`str(n)` for an int of any size, whatever `sys.set_int_max_str_digits`
-    says.  An int of more than 600 digits is written as the decimals of its
-    two halves, each in turn by this function.  A drift multiplies the
-    literals' denominators, so it can pass a limit that each literal
-    respects."""
-    if -_CHUNK < n < _CHUNK:
-        return str(n)
-    if n < 0:
-        return "-" + int_str(-n)
-    half = n.bit_length() * 3 // 20  # about half of its decimal digits
-    high, low = divmod(n, 10**half)
-    return int_str(high) + int_str(low).zfill(half)
-
-
-def frac_str(x: Fraction) -> str:
-    """`x` as "num/den", the denominator written even when it is 1."""
-    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
-
-
-def fraction_str(x: Fraction) -> str:
-    """`x` as `str(x)` writes it: "num/den", or "num" when den is 1."""
-    return int_str(x.numerator) if x.denominator == 1 else frac_str(x)
 
 
 def format_node(t: Term, name: str, texts: Sequence[str]) -> str:

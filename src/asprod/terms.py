@@ -4,6 +4,10 @@ A definition binds a single name to a guardedness-free recursive term built
 from probabilistic choice, output constructors and destructors.  Every leaf of
 a term is an occurrence of the defined name, so recursion is global: a term
 never refers to any other definition.
+
+The module also reads and writes numbers in chunks (`read_int`, `int_str`,
+`frac_str`, `fraction_str`), so a lowered int-string limit changes nothing:
+the parser reads with them, and `validate` and every output write with them.
 """
 
 from __future__ import annotations
@@ -141,7 +145,9 @@ class Definition:
                     f"mixed-kind term: {type(t).__name__} not allowed in a {self.kind.value}"
                 )
             if isinstance(t, Choice) and not 0 < t.prob < 1:
-                raise InvalidDefinition(f"probability out of range in {self.name}: {t.prob}")
+                raise InvalidDefinition(
+                    f"probability out of range in {self.name}: {fraction_str(t.prob)}"
+                )
             if isinstance(t, (Cons, Mk)) and not IDENT_RE.match(t.label):
                 raise InvalidDefinition(f"invalid label {t.label!r} in {self.name}")
             stack.extend(children(t))
@@ -177,3 +183,48 @@ def subterms_of(t: Term) -> tuple[Term, ...]:
 def subterms(d: Definition) -> tuple[Term, ...]:
     """Distinct subterms of the body, pre-order; the body itself comes first."""
     return subterms_of(d.body)
+
+
+# ---------------------------------------------------------------------------
+# numbers past the int-string limit
+
+_CHUNK_DIGITS = 600  # fewer than 640, the lowest int-string limit allowed
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def read_int(digits: str) -> int:
+    """`int(digits)` for a string of decimal digits of any length, whatever
+    `sys.set_int_max_str_digits` says: a longer string is read in chunks of
+    600 digits."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    n = 0
+    for i in range(0, len(digits), _CHUNK_DIGITS):
+        chunk = digits[i : i + _CHUNK_DIGITS]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def int_str(n: int) -> str:
+    """`str(n)` for an int of any size, whatever `sys.set_int_max_str_digits`
+    says.  An int of more than 600 digits is written as the decimals of its
+    two halves, each in turn by this function.  A drift multiplies the
+    literals' denominators, so it can pass a limit that each literal
+    respects."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half of its decimal digits
+    high, low = divmod(n, 10**half)
+    return int_str(high) + int_str(low).zfill(half)
+
+
+def frac_str(x: Fraction) -> str:
+    """`x` as "num/den", the denominator written even when it is 1."""
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
+
+
+def fraction_str(x: Fraction) -> str:
+    """`x` as `str(x)` writes it: "num/den", or "num" when den is 1."""
+    return int_str(x.numerator) if x.denominator == 1 else frac_str(x)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from asprod import cli, syntax
+from asprod import cli, terms
 from asprod.cli import main
 from asprod.ppda import export, translate
 from asprod.syntax import MAX_NESTING, parse_definition
@@ -184,15 +184,23 @@ def lowest_int_string_limit(convert, *args):
 
 def test_int_str_holds_under_the_lowest_int_string_limit():
     n = -(7**20000)  # 16,902 digits
-    text = lowest_int_string_limit(syntax.int_str, n)
+    text = lowest_int_string_limit(terms.int_str, n)
     assert text[0] == "-" and read_int(text[1:]) == -n
-    assert syntax.int_str(0) == "0" and syntax.int_str(10**600) == "1" + "0" * 600
+    assert terms.int_str(0) == "0" and terms.int_str(10**600) == "1" + "0" * 600
 
 
 def test_read_int_holds_under_the_lowest_int_string_limit():
     n = 7**20000
-    assert lowest_int_string_limit(syntax.read_int, syntax.int_str(n)) == n
-    assert lowest_int_string_limit(syntax.read_int, "0" * 1201) == 0
+    assert lowest_int_string_limit(terms.read_int, terms.int_str(n)) == n
+    assert lowest_int_string_limit(terms.read_int, "0" * 1201) == 0
+
+
+def test_an_out_of_range_probability_past_the_int_string_limit_is_reported():
+    p = Fraction(10**700 + 1, 10**700)
+    d = terms.Definition("s", terms.Kind.STREAM, terms.Choice(p, terms.RecVar(), terms.RecVar()))
+    with pytest.raises(terms.InvalidDefinition) as caught:
+        lowest_int_string_limit(d.validate)
+    assert f"{10**700 + 1}/{10**700}" in str(caught.value)
 
 
 # every subcommand, each with its own output format

@@ -13,8 +13,8 @@ assumed law.  On fixed definitions the verdict and the deciding tier must
 both stay; on generated ones the exact tier may move between a decided
 verdict and Unknown (the rewritten system orders its variables
 differently), but ASP and NotASP must never trade places.
-`scripts/metamorphic_tiers.py` runs the same relations on larger generated
-batches.
+The `metamorphic` check of `scripts/invariants.py` runs the same relations
+on larger generated batches.
 """
 
 from dataclasses import replace
