@@ -17,12 +17,15 @@ standard output early (`asprod check --json ... | head`) ends every
 subcommand with exit 141, as a process stopped by SIGPIPE reports to the
 shell, and no traceback.  JSON reports are
 byte-deterministic for fixed inputs, flags and seed; wall-clock timings
-appear only in the human-readable output.
+appear only in the human-readable output.  A `check --json` or `simulate
+--json` document is the line `{"definitions": [` (`"simulations"`), each
+entry on one line as `json.dumps(entry, sort_keys=True)` writes it, with
+"," between entries, and the line `]}`.
 
 `check` renders each definition's report as soon as tiers 1 and 2
 (`decide.decide_asp`) have decided it and lets its analysis go; the
 document is written after the last one.  Memory therefore grows by the
-rendered text alone (about 2.0 KB per JSON entry on the bias families), not
+rendered text alone (about 1.2 KB per JSON entry on the bias families), not
 by the analyses, and an analysis that raises leaves stdout empty rather
 than holding a truncated document.  Only the entries tier 3 samples (all
 under `--force-tier3`, else the Unknown verdicts) are held, unrendered,
@@ -223,74 +226,25 @@ def _check_line(e: dict) -> str:
     )
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
 def _render_entry(entry) -> str:
-    """`entry` as `json.dumps(doc, sort_keys=True, indent=2)` renders it as
-    an element of the list under the document's one key, in one pass.
-
-    The contract is byte for byte `json.dumps(entry, sort_keys=True,
-    indent=2)` with every line indented four more spaces: dict keys, which
-    are strings, sorted; two spaces per level; "," ending an item's line
-    and ": " after a key; strings and keys through `encode_basestring_ascii`,
-    the escaper `json.dumps` uses; lists and tuples as lists; integers (not booleans) by `repr`, as
-    `json.dumps` writes them; None as null; every other scalar through
-    `json.dumps` itself, so booleans, NaN, the infinities and -0.0 read as
-    `json.dumps` writes them.
-    This skips the pure-Python encoder that `indent` selects."""
-    out = ["    "]
-    _render_value(entry, "    ", out)
-    return "".join(out)
-
-
-def _render_value(value, indent: str, out: list[str]) -> None:
-    if isinstance(value, str):
-        out.append(_encode_str(value))
-    elif type(value) is int:
-        out.append(repr(value))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{\n" + inner
-        for key in sorted(value):
-            out.append(sep)
-            out.append(_encode_str(key))
-            out.append(": ")
-            _render_value(value[key], inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[\n" + inner
-        for item in value:
-            out.append(sep)
-            _render_value(item, inner, out)
-            sep = ",\n" + inner
-        out.append("\n" + indent + "]")
-    else:
-        out.append(json.dumps(value))
+    """`entry` as one line of a `--json` document: the standard library's
+    encoder escapes every newline inside a string, so the line holds the
+    whole entry."""
+    return json.dumps(entry, sort_keys=True)
 
 
 def _write_document(key: str, rendered: list[str]) -> None:
-    """Write `{key: [...]}` to stdout, byte for byte as `json.dumps(...,
-    sort_keys=True, indent=2)` and a newline, from entries rendered by
-    `_render_entry`."""
+    """Write `{key: [...]}` to stdout from entries rendered by
+    `_render_entry`: the line `{"key": [`, each entry on its own line with
+    "," between them, and the line `]}`."""
     out = sys.stdout
-    if not rendered:
-        out.write(json.dumps({key: []}, indent=2) + "\n")
-        return
-    out.write("{\n  " + json.dumps(key) + ": [\n")
-    for i, text in enumerate(rendered):
-        out.write(text if i == 0 else ",\n" + text)
-    out.write("\n  ]\n}\n")
+    out.write("{" + json.dumps(key) + ": [")
+    sep = "\n"
+    for text in rendered:
+        out.write(sep)
+        out.write(text)
+        sep = ",\n"
+    out.write("\n]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +339,7 @@ def cmd_ppda(args) -> int:
                 had_error = True
             else:
                 doc[d.name] = json_doc(translate(d))
-        out = []
-        _render_value(doc, "", out)  # one pass, as `json.dumps(doc, sort_keys=True, indent=2)`
-        print("".join(out))
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         for _, d in defs:
             sys.stdout.write(export(translate(d), args.format))

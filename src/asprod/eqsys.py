@@ -79,7 +79,6 @@ class EqSystem:
     equations: tuple[IntegerEquation, ...]
     heads: tuple[Head, ...]
     state_names: tuple[str, ...]
-    alphabet: tuple[str, ...]
 
     @cached_property
     def head_vars(self) -> dict[Head, list[int]]:
@@ -205,7 +204,6 @@ def clean(c: Candidates) -> tuple[EqSystem, set[VarKey]]:
         equations=tuple(equations),
         heads=tuple((q, x) for q in range(len(p.states)) for x in p.alphabet),
         state_names=p.state_names,
-        alphabet=p.alphabet,
     )
     return system, positive
 
@@ -544,9 +542,16 @@ def newton_solve(
 def certify_subreturn(s: EqSystem, head: Head, candidate: Sequence[Fraction]) -> bool:
     """Exact check that `candidate` witnesses a sub-one return probability.
 
-    True iff F(candidate) <= candidate componentwise and the candidate's
-    return mass at `head` is strictly below one; then the least fixed point
-    lies below the candidate and the head is SubReturn.
+    True iff F(candidate) <= candidate at every coordinate below one and
+    the candidate's return mass at `head` is strictly below one; then the
+    least fixed point x* lies below the candidate and the head is SubReturn.
+
+    A coordinate equal to one needs no check, since pop probabilities never
+    exceed one.  Let P be the coordinates at one and R the rest, so that
+    F_R(c_R, 1_P) <= c_R.  By monotonicity c_R is pre-fixed for
+    H(y) = F_R(y, x*_P), whose least fixed point is x*_R: x*_R is a fixed
+    point of H, and (lfp H, x*_P) is pre-fixed for F, so lies above x*.
+    Knaster-Tarski then gives c_R >= x*_R, and c_P = 1 >= x*_P.
     """
     cand = [Fraction(c) for c in candidate]
     if len(cand) != len(s.variables):
@@ -554,6 +559,8 @@ def certify_subreturn(s: EqSystem, head: Head, candidate: Sequence[Fraction]) ->
     if any(not (0 <= c <= 1) for c in cand):
         raise ValueError("candidate must lie in [0, 1]^n")
     for (scale, const, monos), c in zip(s.equations, cand):
+        if c == 1:
+            continue  # at one, so already above x*
         if const + sum(a * math.prod(cand[f] for f in fs) for a, fs in monos) > scale * c:
             return False
     return sum(cand[i] for i in s.head_vars.get(head, ())) < 1
@@ -587,12 +594,19 @@ def _grid_start(values: NewtonValues) -> list[int]:
 
 
 def _pre_fixed(s: EqSystem, n: Sequence[int]) -> bool:
-    """Whether the candidate c = n / GRID satisfies F(c) <= c, stopping at
-    the first equation that fails.  From the equation's integer row
+    """Whether the candidate c = n / GRID lies above the least fixed point
+    x*: whether F(c) <= c at every coordinate below one, stopping at the
+    first equation that fails.  A coordinate capped at one (n = GRID) is
+    skipped, as `certify_subreturn` skips it: pop probabilities never
+    exceed one, so it already bounds x* from above, and by Knaster-Tarski
+    on H(y) = F_R(y, x*_P), P the capped coordinates and R the rest, the
+    checked ones bound x*_R.  From the equation's integer row
     (L, L const, [(L a, f)]), T = L const GRID^2 + sum L a n_f GRID
     + sum L a n_f n_g equals L GRID^2 F(c), and F(c) <= c holds exactly
     when T <= L GRID n."""
     for (scale, const, monos), own in zip(s.equations, n):
+        if own == GRID:
+            continue  # capped at one
         t = const * GRID * GRID
         for a, factors in monos:
             if len(factors) == 1:

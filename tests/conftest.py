@@ -56,6 +56,17 @@ def certified_multi_exit_text(name: str = "m") -> str:
     return f"stream {name} = tail(({name} (+ 3/4) b : ({body})))\n"
 
 
+# g2 of `bench/workloads.stratified(40, 9, budget=40, leaf_prob=0.15)`, with
+# drift -169/144.  Its one certificate candidate fails F(c) <= c only at a
+# coordinate capped at one, so six of its heads are certified sub-one only
+# because a capped coordinate is not checked.
+CAPPED_AT_ONE_TEXT = (
+    "stream g2 = b : b : tail(tail(((a : tail((b : a : g2 (+ 1/6) a : (g2 (+ 1/12) g2)))"
+    " (+ 1/4) tail(tail(tail(b : g2)))) (+ 5/6) b : tail(tail((g2 (+ 5/6)"
+    " (a : tail(g2) (+ 2/3) (g2 (+ 1/12) g2))))))))\n"
+)
+
+
 # ---------------------------------------------------------------------------
 # random definitions (bounded depth 6 via bounded leaves and wrapper chains)
 

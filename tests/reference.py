@@ -421,7 +421,6 @@ class FractionSystem:
     equations: tuple[Equation, ...]
     heads: tuple[Head, ...]
     state_names: tuple[str, ...]
-    alphabet: tuple[str, ...]
 
 
 def integer_system(s: FractionSystem) -> EqSystem:
@@ -438,7 +437,6 @@ def integer_system(s: FractionSystem) -> EqSystem:
         equations=tuple(rows),
         heads=s.heads,
         state_names=s.state_names,
-        alphabet=s.alphabet,
     )
 
 
@@ -505,7 +503,6 @@ def build_full_system(p: Ppda) -> FractionSystem:
         equations=tuple(equations),
         heads=heads,
         state_names=p.state_names,
-        alphabet=p.alphabet,
     )
 
 
@@ -529,7 +526,6 @@ def _cleaned(
         equations=tuple(new_eqs),
         heads=s.heads,
         state_names=s.state_names,
-        alphabet=s.alphabet,
     )
     positivity = {v: positive[i] for i, v in enumerate(s.variables)}
     return cleaned, positivity

@@ -274,7 +274,7 @@ def test_sampler_limit_exits_3_and_reports_the_rest(argv, tmp_path, capsys):
     key = "definitions" if argv[0] == "check" else "simulations"
     entries = json.loads(captured.out)[key]
     assert [e["name"] for e in entries] == ["u", "s"]
-    assert captured.out == json.dumps({key: entries}, sort_keys=True, indent=2) + "\n"
+    assert_document(captured.out, key, entries)
 
 
 @pytest.mark.parametrize(
@@ -324,6 +324,27 @@ def test_nesting_limit_exits_3_and_reports_the_rest(argv, tmp_path, capsys):
     assert names == ["deep", "s"]
 
 
+def assert_document(text, key, entries):
+    """`text` is the `--json` document of `entries` under `key`: it parses,
+    NaN allowed, to `entries` in order; its first line is `{"key": [` and
+    its last `]}`; and each line between them is one entry, as
+    `json.dumps(entry, sort_keys=True)` writes it, "," ending every line
+    but the last.  Values are compared re-encoded, since NaN != NaN."""
+    encoded = [json.dumps(e, sort_keys=True) for e in entries]
+    parsed = json.loads(text)
+    assert list(parsed) == [key]
+    assert [json.dumps(e, sort_keys=True) for e in parsed[key]] == encoded
+    lines = text.split("\n")
+    assert lines[0] == "{" + json.dumps(key) + ": ["
+    assert lines[-2:] == ["]}", ""]
+    body = lines[1:-2]
+    assert [line.removesuffix(",") for line in body] == encoded
+    assert all(line.endswith(",") for line in body[:-1])
+    assert not body or not body[-1].endswith(",")
+    for line in encoded:
+        assert json.dumps(json.loads(line), sort_keys=True) == line
+
+
 json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -342,7 +363,7 @@ def test_document_writer_matches_json_dumps(key, entries):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli._write_document(key, [cli._render_entry(e) for e in entries])
-    assert out.getvalue() == json.dumps({key: entries}, sort_keys=True, indent=2) + "\n"
+    assert_document(out.getvalue(), key, entries)
 
 
 @pytest.mark.parametrize(
@@ -358,16 +379,18 @@ def test_document_writer_matches_json_dumps(key, entries):
     ],
 )
 def test_render_entry_matches_json_dumps_on_the_goldens(golden):
-    (entries,) = json.loads((GOLDEN / golden).read_text()).values()
+    text = (GOLDEN / golden).read_text()
+    ((key, entries),) = json.loads(text).items()
     assert entries
-    for entry in entries:
-        expected = json.dumps(entry, sort_keys=True, indent=2).replace("\n", "\n    ")
-        assert cli._render_entry(entry) == "    " + expected
+    assert_document(text, key, entries)
+    assert [cli._render_entry(e) for e in entries] == [
+        line.removesuffix(",") for line in text.splitlines()[1:-1]
+    ]
 
 
 def test_check_memory_does_not_grow_with_the_analysis(tmp_path):
     """Each definition's analysis is freed once its report is rendered, so
-    the peak grows by the rendered text alone: about 3.5 KB per definition
+    the peak grows by the rendered text alone: about 2.0 KB per definition
     here, where keeping every verdict to the end cost about 16.9 KB."""
     n = 50
 
@@ -615,7 +638,7 @@ def test_smt_solver_flag_is_consulted(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "args,count",
-    # each writes a document several times a pipe's 64 KB buffer, so the
+    # each writes a document over twice a pipe's 64 KB buffer, so the
     # write meets the closed pipe whatever the scheduling
     [
         (["check", "--json", "--no-tier3"], 200),
@@ -632,7 +655,8 @@ def test_closed_stdout_exits_without_a_traceback(tmp_path, args, count):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    assert proc.stdout.readline() == b"{\n"
+    key = b"definitions" if args[0] == "check" else b"simulations"
+    assert proc.stdout.readline() == b'{"' + key + b'": [\n'
     proc.stdout.close()  # as `| head -n 1` does
     stderr = proc.stderr.read()
     assert proc.wait() == cli.EXIT_CLOSED_PIPE

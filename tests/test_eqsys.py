@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from asprod import eqsys
-from asprod.decide import exact_analysis
+from asprod.decide import AspResult, decide_asp, exact_analysis
 from asprod.eqsys import (
     CERT_BUMP,
     AlmostSureReturn,
@@ -39,7 +39,13 @@ from asprod.ppda import Ppda, translate
 from asprod.syntax import parse_definition
 from asprod.terms import Cons, Kind, Left, RecVar, Tail
 
-from conftest import certified_multi_exit_text, corpus, definitions, seeded_random_definitions
+from conftest import (
+    CAPPED_AT_ONE_TEXT,
+    certified_multi_exit_text,
+    corpus,
+    definitions,
+    seeded_random_definitions,
+)
 from reference import (
     WALK_REFINE,
     Equation,
@@ -78,7 +84,6 @@ def one_var(const, quad_coef, lin_coef=None):
             equations=(Equation(F(const), tuple(monos)),),
             heads=((0, "tl"),),
             state_names=("z",),
-            alphabet=("tl",),
         )
     )
 
@@ -195,7 +200,6 @@ def test_clean_is_identity_on_constant_system():
         equations=(Equation(F(1), ()),),
         heads=((0, "tl"),),
         state_names=("z",),
-        alphabet=("tl",),
     )
     cleaned, positivity = worklist_clean(s)
     assert cleaned.variables == s.variables
@@ -239,11 +243,7 @@ def assert_direct_build_matches_the_oracle(d):
         return [(eq.const, [(m.coef, m.factors) for m in eq.monomials]) for eq in equations]
 
     assert terms(rational_equations(system)) == terms(expected.equations)
-    assert (system.heads, system.state_names, system.alphabet) == (
-        expected.heads,
-        expected.state_names,
-        expected.alphabet,
-    )
+    assert (system.heads, system.state_names) == (expected.heads, expected.state_names)
     assert positivity == expected_positivity
 
 
@@ -295,7 +295,7 @@ def test_kleene_critical_case_is_slow_but_converges_upward():
 
 
 def test_kleene_empty_system():
-    empty = EqSystem((), (), (), (), ("tl",))
+    empty = EqSystem((), (), (), ())
     assert kleene_solve(empty) == ([], 1)
 
 
@@ -320,7 +320,6 @@ def test_newton_linear_system_exact():
             ),
             heads=((0, "tl"), (1, "tl")),
             state_names=("z", "w"),
-            alphabet=("tl",),
         )
     )
     values = newton_solve(s)
@@ -564,7 +563,6 @@ def test_classify_block_leaking_mass_in_any_variable_is_sub_return(leak):
             equations=(leaky, whole) if leak == 0 else (whole, leaky),
             heads=((0, "tl"), (1, "tl")),
             state_names=("x", "y"),
-            alphabet=("tl",),
         )
     )
     classes = classify_heads(s)
@@ -617,6 +615,34 @@ def test_shared_certificate_search_matches_per_head_search():
             cls = classes[head]
             if isinstance(cls, SubReturn) and cls.certificate is not None:
                 assert cls.certificate == cert, (d, head)
+
+
+CAPPED_AT_ONE = parse_definition(CAPPED_AT_ONE_TEXT)
+
+
+def test_a_coordinate_capped_at_one_needs_no_check():
+    """Pop probabilities never exceed one, so a candidate coordinate capped
+    at one already bounds the least fixed point from above, and its
+    equation is not checked.  Here the candidate's image exceeds it at one
+    of the 39 equations, a capped one, and the candidate certifies six of
+    the heads the block pass leaves undecided."""
+    analysis = exact_analysis(CAPPED_AT_ONE)
+    s, classes = analysis.system, analysis.classes
+    certified = {
+        h: c.certificate for h, c in classes.items() if isinstance(c, SubReturn) and c.certificate
+    }
+    assert len(certified) == 6
+    (cert,) = set(certified.values())
+    images = [
+        eq.const + sum(m.coef * math.prod(cert[f] for f in m.factors) for m in eq.monomials)
+        for eq in rational_equations(s)
+    ]
+    assert len(images) == 39
+    assert [c for image, c in zip(images, cert) if image > c] == [1]
+    for head in certified:
+        assert certify_subreturn(s, head, cert), head
+    assert sum(isinstance(c, Unknown) for c in classes.values()) == 5
+    assert decide_asp(CAPPED_AT_ONE).result is AspResult.NOT_ASP
 
 
 # Two seeded definitions (`bench/workloads.stratified(60, seed, budget=20,
@@ -850,7 +876,6 @@ def subcritical_copies(count):
             ),
             heads=tuple((k, "tl") for k in range(count)),
             state_names=tuple(f"z{k}" for k in range(count)),
-            alphabet=("tl",),
         )
     )
 
@@ -917,7 +942,6 @@ def test_decided_sub_one_heads_past_the_certificate_reach_stay_uncertified():
             equations=tuple(equations),
             heads=tuple((k, "tl") for k in range(n)),
             state_names=tuple(f"y{k}" for k in range(n)),
-            alphabet=("tl",),
         )
     )
     classes = classify_heads(system)
@@ -1461,5 +1485,6 @@ def test_built_systems_draw_coefficients_from_probability_rows(d):
             assert len(probs) == 1  # one transition per pushed head
             mass += next(iter(probs))
         assert mass <= 1
+    symbols = {x for _, x in system.heads}
     for key in system.variables:
-        assert key[1] in system.alphabet
+        assert key[1] in symbols

@@ -9,7 +9,7 @@ import pytest
 
 from asprod import eqsys, parse_definition
 
-from conftest import certified_multi_exit_text, corpus
+from conftest import CAPPED_AT_ONE_TEXT, certified_multi_exit_text, corpus
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "invariants.py"
 
@@ -51,3 +51,15 @@ def test_traffic_fails_when_the_one_candidate_certifies_nothing(invariants, caps
     lines = capsys.readouterr().out.splitlines()
     assert failures > 0
     assert any(line.startswith("fails: corpus m (stream) traffic: ") for line in lines), lines
+
+
+def test_newton_finds_no_unknown_head_below_one(invariants, capsys):
+    """`g2`'s six numerically sub-one heads are certified, since their
+    candidate fails F(c) <= c only at a coordinate capped at one; the five
+    left Unknown are numerically at one."""
+    failures, counts = invariants.run_checks(
+        "g2", [parse_definition(CAPPED_AT_ONE_TEXT)], [invariants.newton]
+    )
+    assert failures == 0, capsys.readouterr().out
+    assert counts["newton"]["Unknown heads"] == 5
+    assert counts["newton"]["Unknown heads below one"] == 0
